@@ -181,6 +181,10 @@ def make_code(name: str) -> LinearCode:
     raise ValueError(f"unknown code {name!r}; expected one of {', '.join(CODE_NAMES)}")
 
 
+# syndrome decoder of hamming84's first seven bits, built once
+_INNER_HAMMING74 = make_code("hamming74")
+
+
 def encode(code: LinearCode, message) -> np.ndarray:
     """Encode ``message`` (length k) to its n-bit codeword."""
     m = bits(message)
@@ -316,14 +320,10 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
     if code.name == "hamming74":
         return _decode_hamming74(code, r)
     if code.name == "hamming84":
-        inner = _INNER_HAMMING74.setdefault("code", make_code("hamming74"))
-        return _decode_hamming84(code, r, inner)
+        return _decode_hamming84(code, r, _INNER_HAMMING74)
     if code.name == "rm13":
         return _decode_rm13(code, r, tie_break)
     return _decode_nearest(code, r)
-
-
-_INNER_HAMMING74: dict = {}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ bit-identical regardless of execution order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class PpvConfig:
             raise ValueError("q must be in [0, 1]")
         if self.distribution not in ("uniform", "gaussian"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.n_chips < 1 or self.n_messages < 1:
+            raise ValueError("n_chips and n_messages must be at least 1")
         for kind in _FAULTABLE:
             if kind not in self.margins:
                 raise ValueError(f"margins missing kind {kind}")
@@ -107,6 +110,9 @@ class PpvConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PpvConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown PPV config keys: {', '.join(map(str, unknown))}")
         doc = dict(doc)
         if "margins" in doc:
             doc["margins"] = {str(k): float(v) for k, v in doc["margins"].items()}
@@ -303,11 +309,21 @@ _ENGINES: dict = {}
 
 
 def _engine(net: Netlist) -> _FaultEngine:
-    key = id(net)
+    """The fault engine of ``net``'s structure, built once per distinct netlist.
+
+    Keyed by the netlist's content (cells, nets, ports and clock) rather
+    than by object, so re-synthesized copies share one engine and a netlist
+    mutated after use gets a new one.  The key holds what ``content_hash``
+    digests except the name, at a small fraction of its cost
+    (``sample_chip`` looks the engine up once per chip).  The engine works
+    on a private copy, so a later mutation cannot reach a cached engine.
+    """
+    key = (tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
+           tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),
+           tuple(net.inputs), tuple(net.outputs), net.clock)
     eng = _ENGINES.get(key)
-    if eng is None or eng.net is not net:
-        eng = _FaultEngine(net)
-        _ENGINES[key] = eng
+    if eng is None:
+        eng = _ENGINES[key] = _FaultEngine(copy.deepcopy(net))
     return eng
 
 
@@ -389,7 +405,9 @@ _TABLES: dict = {}
 
 
 def _tables(code: LinearCode, tie_break: str):
-    key = (code.name, tie_break)
+    # the scalar decoder is chosen by name and the table indexes messages
+    # through G, so a renamed or row-permuted code needs its own table
+    key = (code.name, code.G.shape, code.G.tobytes(), tie_break)
     if key not in _TABLES:
         _TABLES[key] = _decode_table(code, tie_break)
     return _TABLES[key]
@@ -419,29 +437,41 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     return int(errors.sum())
 
 
-def _run_chips(setup: EncoderSetup, cfg: PpvConfig, chip_indices) -> np.ndarray:
-    """N(erroneous messages) for a batch of chips, vectorized."""
+def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarray:
+    """Per-chip erroneous-message counts under several fault-model configs.
+
+    Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
+    cfgs[i])``.  The configs must share the chip material (seed, chip count,
+    spread, distribution, message count): each batch of chips is drawn once
+    and scored under every config (common random numbers), and its buffers
+    are reused for the next batch.
+    """
+    cfg0 = cfgs[0]
+    material = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages)
+    if any(material(c) != material(cfg0) for c in cfgs):
+        raise ValueError("configs scored together must share their chip material")
     eng = _engine(setup.netlist)
-    devs, branches, msgs, mis = [], [], [], []
-    for idx in chip_indices:
-        d, b, m, u = _chip_material(eng, cfg, idx)
-        devs.append(d)
-        branches.append(b)
-        msgs.append(m)
-        mis.append(u)
-    received = eng.run(np.stack(devs), np.stack(branches), np.stack(mis),
-                       np.stack(msgs), cfg)
-    errors = _count_errors(setup, received, np.stack(msgs), cfg)
-    return errors.sum(axis=1)
+    n_chips, n_msg = cfg0.n_chips, cfg0.n_messages
+    size = min(batch, n_chips)
+    devs = np.empty((size, eng.n_cells))
+    branches = np.empty((size, eng.n_splitters), dtype=np.int64)
+    msgs = np.empty((size, n_msg, len(eng.net.inputs)), dtype=np.uint8)
+    mis = np.empty((size, eng.n_cells, n_msg))
+    out = np.empty((len(cfgs), n_chips), dtype=np.int64)
+    for start in range(0, n_chips, batch):
+        c = min(batch, n_chips - start)
+        for j in range(c):
+            devs[j], branches[j], msgs[j], mis[j] = _chip_material(eng, cfg0, start + j)
+        d, b, m, u = devs[:c], branches[:c], msgs[:c], mis[:c]
+        for i, cfg in enumerate(cfgs):
+            received = eng.run(d, b, u, m, cfg)
+            out[i, start:start + c] = _count_errors(setup, received, m, cfg).sum(axis=1)
+    return out
 
 
 def error_counts(setup: EncoderSetup, cfg: PpvConfig, batch: int = 250) -> np.ndarray:
     """Per-chip erroneous-message counts for the whole Monte Carlo."""
-    out = np.empty(cfg.n_chips, dtype=np.int64)
-    for start in range(0, cfg.n_chips, batch):
-        idxs = range(start, min(start + batch, cfg.n_chips))
-        out[start:start + len(idxs)] = _run_chips(setup, cfg, idxs)
-    return out
+    return _error_counts_many(setup, [cfg], batch)[0]
 
 
 def monte_carlo(setup: EncoderSetup, cfg: PpvConfig) -> CdfSeries:
@@ -546,66 +576,67 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     setups = [make_setup(name) for name in SETUP_NAMES]
     cache: dict = {}
 
-    def probs_for(cfg: PpvConfig) -> dict:
-        out = {}
+    def badness(probs: dict, dev: float):
+        return require_order and not _ordering_ok(probs), dev
+
+    def ranked(cfgs) -> list:
+        """(cfg, probs, max |dev|) per config, best first.
+
+        Setups are the outer loop: every config missing from the cache is
+        scored on one shared draw of that setup's chips.  The cache key
+        keeps only the margins of kinds the netlist has, so configs that
+        differ elsewhere share one evaluation.
+        """
+        probs = [{} for _ in cfgs]
         for s in setups:
             kinds = {c.kind for c in s.netlist.cells.values()}
-            key = (s.name, cfg.n_chips, cfg.master_seed, cfg.q,
-                   cfg.count_detected_errors, cfg.tie_break, cfg.distribution,
-                   tuple(sorted((k, v) for k, v in cfg.margins.items() if k in kinds)))
-            if key not in cache:
-                cache[key] = float((error_counts(s, cfg) == 0).mean())
-            out[s.name] = cache[key]
-        return out
+            keys = [(s.name, cfg.n_chips, cfg.master_seed, cfg.q,
+                     cfg.count_detected_errors, cfg.tie_break, cfg.distribution,
+                     tuple(sorted((k, v) for k, v in cfg.margins.items() if k in kinds)))
+                    for cfg in cfgs]
+            missing = {key: cfg for key, cfg in zip(keys, cfgs) if key not in cache}
+            if missing:
+                counts = _error_counts_many(s, list(missing.values()))
+                for key, row in zip(missing, counts):
+                    cache[key] = float((row == 0).mean())
+            for p, key in zip(probs, keys):
+                p[s.name] = cache[key]
+        scored = [(cfg, p, max(abs(p[k] - targets[k]) for k in targets))
+                  for cfg, p in zip(cfgs, probs)]
+        # stable: ties keep candidate order
+        scored.sort(key=lambda r: badness(r[1], r[2]))
+        return scored
 
-    def score(cfg: PpvConfig):
-        probs = probs_for(cfg)
-        dev = max(abs(probs[k] - targets[k]) for k in targets)
-        return probs, dev
-
-    def sweep(points, n_chips, keep=1):
-        ranked = []
-        for margins, q, count_det, ties in points:
-            cfg = replace(base, margins=margins, q=q,
-                          count_detected_errors=count_det, tie_break=ties,
-                          n_chips=n_chips)
-            probs, dev = score(cfg)
-            ranked.append(((require_order and not _ordering_ok(probs), dev), cfg))
-        ranked.sort(key=lambda r: r[0])
-        return [cfg for _, cfg in ranked[:keep]]
+    def grid(points, n_chips) -> list:
+        return [replace(base, margins=margins, q=q, count_detected_errors=count_det,
+                        tie_break=ties, n_chips=n_chips)
+                for margins, q, count_det, ties in points]
 
     def polish(cfg: PpvConfig, shared: bool = False) -> PpvConfig:
-        cur = cfg
         for r in range(refine_rounds):
-            step = 1.0 / (r + 1)
-            got = sweep(_neighborhood(cur, step, shared=shared), refine_chips, keep=1)
-            if got:
-                cur = got[0]
-        return cur
+            cfg = ranked(grid(_neighborhood(cfg, 1.0 / (r + 1), shared=shared),
+                              refine_chips))[0][0]
+        return cfg
 
     def finalize(cfg: PpvConfig):
-        full = replace(cfg, n_chips=base.n_chips)
-        probs, dev = score(full)
-        return full, probs, dev
+        return ranked([replace(cfg, n_chips=base.n_chips)])[0]
 
     candidates = []
 
     # stage 1: the naive shared-margin sweep
-    best1 = sweep(_shared_margin_grid(base.spread), search_chips, keep=1)
-    if best1:
-        cfg1, probs1, dev1 = finalize(polish(best1[0], shared=True))
-        candidates.append(("shared", cfg1, probs1, dev1))
-        if dev1 <= threshold and (_ordering_ok(probs1) or not require_order):
-            return CalibrationResult(cfg1, probs1, targets, dev1,
-                                     _ordering_ok(probs1), True, "shared")
+    best1 = ranked(grid(_shared_margin_grid(base.spread), search_chips))[0][0]
+    cfg1, probs1, dev1 = finalize(polish(best1, shared=True))
+    candidates.append(("shared", cfg1, probs1, dev1))
+    if dev1 <= threshold and (_ordering_ok(probs1) or not require_order):
+        return CalibrationResult(cfg1, probs1, targets, dev1,
+                                 _ordering_ok(probs1), True, "shared")
 
     # stage 2: split margins + erasure accounting + delivered ties
-    for seed_cfg in sweep(_split_margin_grid(base.spread), search_chips, keep=2):
+    for seed_cfg, _, _ in ranked(grid(_split_margin_grid(base.spread), search_chips))[:2]:
         cfg2, probs2, dev2 = finalize(polish(seed_cfg))
         candidates.append(("split", cfg2, probs2, dev2))
 
-    stage, cfg, probs, dev = min(
-        candidates, key=lambda c: (require_order and not _ordering_ok(c[2]), c[3]))
+    stage, cfg, probs, dev = min(candidates, key=lambda c: badness(c[2], c[3]))
     converged = dev <= threshold and (_ordering_ok(probs) or not require_order)
     return CalibrationResult(cfg, probs, targets, dev, _ordering_ok(probs),
                              converged, stage)

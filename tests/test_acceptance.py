@@ -2,7 +2,7 @@
 
 Run as ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 Criterion 8 performs the full fault-model calibration and is the slow one
-(around a minute); everything else finishes in seconds.
+(about 10 s on two cores); everything else finishes in seconds.
 """
 
 import itertools

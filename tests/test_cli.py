@@ -126,6 +126,23 @@ def test_mc_rejects_bad_config(tmp_path):
     assert run(["mc", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("case", [
+    ["--chips", "0"],
+    ["--messages", "0"],
+    {"bogus": 1},
+])
+def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
+    argv = ["mc", "--out", str(tmp_path)]
+    if isinstance(case, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(case))
+        argv += ["--config", str(path)]
+    else:
+        argv += case
+    assert run(argv) == EXIT_VALIDATION
+    assert not list(tmp_path.glob("cdf_*.csv"))
+
+
 def test_calibrate_trivial_targets(tmp_path):
     code = run(["calibrate", "--targets", "1,1,1,1", "--chips", "60",
                 "--search-chips", "40", "--refine-rounds", "0",

@@ -4,15 +4,29 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfq_ecc import netlist as nl
-from sfq_ecc.codes import CORRECT, TIE_CONSERVATIVE, TIE_OPTIMISTIC, decode, encode, make_code
+from sfq_ecc import ppv
+from sfq_ecc.codes import (
+    CORRECT,
+    TIE_CONSERVATIVE,
+    TIE_OPTIMISTIC,
+    LinearCode,
+    decode,
+    encode,
+    make_code,
+)
 from sfq_ecc.ppv import (
     CdfSeries,
+    EncoderSetup,
     PpvConfig,
     _decode_table,
     _engine,
+    _error_counts_many,
     baseline_no_encoder,
+    calibrate_fault_model,
     error_counts,
     inject_and_run,
     make_setup,
@@ -20,6 +34,7 @@ from sfq_ecc.ppv import (
     run_trial,
     sample_chip,
 )
+from sfq_ecc.synth import synthesize
 
 KINDS = ("XOR", "DFF", "SPLITTER", "SFQ2DC")
 
@@ -54,6 +69,12 @@ def test_config_rejects_bad_values():
         PpvConfig(distribution="cauchy")
     with pytest.raises(ValueError):
         PpvConfig(margins={"XOR": 0.1})
+    with pytest.raises(ValueError):
+        PpvConfig(n_chips=0)
+    with pytest.raises(ValueError):
+        PpvConfig(n_messages=0)
+    with pytest.raises(ValueError, match="bogus"):
+        PpvConfig.from_dict({"q": 0.2, "bogus": 1})
 
 
 def test_config_roundtrip():
@@ -251,6 +272,49 @@ def test_monte_carlo_deterministic():
     assert a.to_csv() == b.to_csv()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["none", "rm13", "hamming74", "hamming84"]),
+    knobs=st.lists(st.tuples(
+        st.lists(st.floats(0.05, 0.2), min_size=4, max_size=4),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
+    ), min_size=1, max_size=4),
+    n_chips=st.integers(1, 13),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_many_configs_match_one_at_a_time(name, knobs, n_chips, batch, seed):
+    setup = make_setup(name)
+    cfgs = [PpvConfig(margins=dict(zip(KINDS, m)), q=q, count_detected_errors=det,
+                      tie_break=ties, n_chips=n_chips, n_messages=12, master_seed=seed)
+            for m, q, det, ties in knobs]
+    many = _error_counts_many(setup, cfgs, batch=batch)
+    assert many.shape == (len(cfgs), n_chips)
+    for row, cfg in zip(many, cfgs):
+        assert np.array_equal(row, error_counts(setup, cfg))
+
+
+def test_many_configs_need_shared_chip_material():
+    setup = make_setup("rm13")
+    with pytest.raises(ValueError):
+        _error_counts_many(setup, [PpvConfig(n_chips=3), PpvConfig(n_chips=4)])
+
+
+def test_calibration_matches_one_config_at_a_time(monkeypatch):
+    base = PpvConfig(n_chips=40, n_messages=30)
+    shared = calibrate_fault_model(base=base, search_chips=10, refine_chips=20)
+    many = ppv._error_counts_many
+
+    def one_at_a_time(setup, cfgs, batch=250):
+        # what error_counts computes, one config per call
+        return np.stack([many(setup, [cfg], batch)[0] for cfg in cfgs])
+
+    monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
+    assert calibrate_fault_model(base=base, search_chips=10, refine_chips=20) == shared
+
+
 def test_batch_size_does_not_change_results():
     setup = make_setup("rm13")
     cfg = PpvConfig(n_chips=50, n_messages=30, q=0.3,
@@ -302,6 +366,46 @@ def test_decode_table_matches_scalar_decoder(name, ties):
         else:
             assert not erasure[w]
             assert np.array_equal(code.messages[table[w]], out.message)
+
+
+def test_decode_table_follows_the_generator():
+    # same name, rows permuted: the built-in table would deliver the wrong
+    # message index for every word
+    builtin = make_code("hamming74")
+    permuted = LinearCode("hamming74", builtin.G[[1, 0, 3, 2]])
+    cfg = no_fault_cfg(n_chips=3, n_messages=40)
+    for code in (builtin, permuted):
+        setup = EncoderSetup(code.name, synthesize(code), code)
+        assert (error_counts(setup, cfg) == 0).all()
+
+
+# --- engine cache ----------------------------------------------------------------------
+
+def test_engine_shared_by_equal_netlists():
+    first = {name: _engine(make_setup(name).netlist) for name in ppv.SETUP_NAMES}
+    size = len(ppv._ENGINES)
+    for _ in range(3):
+        for name in ppv.SETUP_NAMES:
+            setup = make_setup(name)
+            error_counts(setup, PpvConfig(n_chips=2, n_messages=5))
+            assert _engine(setup.netlist) is first[name]
+    assert len(ppv._ENGINES) == size
+
+
+def test_mutated_netlist_gets_fresh_engine():
+    setup = make_setup("hamming84")
+    net = setup.netlist
+    before = _engine(net)
+    outputs = list(net.outputs)
+    net.outputs = outputs[::-1]
+    after = _engine(net)
+    assert after is not before
+    assert before.net.outputs == outputs and after.net.outputs == outputs[::-1]
+    cfg = no_fault_cfg(n_chips=1)
+    chip = sample_chip(net, cfg, 0)
+    m = np.array([1, 0, 0, 0], dtype=np.uint8)
+    got = inject_and_run(net, chip, m, cfg)
+    assert np.array_equal(got, encode(setup.code, m)[::-1])
 
 
 def test_engine_matches_cycle_simulator_fault_free():
