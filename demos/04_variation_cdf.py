@@ -7,7 +7,7 @@ erroneous messages per chip is aggregated into a CDF.  The shipped config
 is calibrated so the four zero-error probabilities land near their
 reference values with the uncoded link worst and hamming84 best.
 
-Run: python demos/04_variation_cdf.py  (about twenty seconds)
+Run: python demos/04_variation_cdf.py  (about a second)
 """
 
 import json

@@ -5,7 +5,9 @@ duplicates one pulse to two branches, ``SFQ2DC`` drives one codeword bit to
 the DC interface, and ``INPUT``/``CLOCK_INPUT`` are sources.  Nets connect
 exactly one driver port to exactly one sink pin; a validated netlist has
 fan-out one everywhere, an acyclic data graph, and the same clocked depth on
-every input-to-converter path.
+every input-to-converter path.  :func:`compile` checks those rules and
+turns the netlist into the levelized program that validation, cycle
+simulation and fault injection all run on.
 
 Serialization is a versioned JSON document with stable cell ids, so two
 synthesis runs of the same code diff cleanly.
@@ -95,12 +97,6 @@ class Netlist:
     def clocked_cells(self):
         return [c.id for c in self.cells.values() if c.kind in CLOCKED_KINDS]
 
-    def data_nets(self):
-        return [n for n in self.nets if n.dst_pin != "clk"]
-
-    def sinks_of(self, cid: str):
-        return [n for n in self.nets if n.src == cid]
-
     def driver_of(self, cid: str, pin: object = 0):
         for n in self.nets:
             if n.dst == cid and n.dst_pin == pin:
@@ -110,88 +106,12 @@ class Netlist:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Check pin counts, fan-out one, acyclicity and path balance."""
-        per_port: dict = {}
-        per_pin: dict = {}
-        for n in self.nets:
-            if n.src not in self.cells or n.dst not in self.cells:
-                raise StructuralError(f"net references unknown cell: {n}")
-            per_port[(n.src, n.src_port)] = per_port.get((n.src, n.src_port), 0) + 1
-            per_pin[(n.dst, n.dst_pin)] = per_pin.get((n.dst, n.dst_pin), 0) + 1
-        for key, cnt in per_port.items():
-            if cnt > 1:
-                raise StructuralError(f"fan-out {cnt} at output port {key}")
-        for key, cnt in per_pin.items():
-            if cnt > 1:
-                raise StructuralError(f"{cnt} drivers on input pin {key}")
-        for c in self.cells.values():
-            want = DATA_PINS[c.kind]
-            have = sum(1 for (cid, pin), _ in per_pin.items()
-                       if cid == c.id and pin != "clk")
-            if have != want:
-                raise StructuralError(
-                    f"cell {c.id} ({c.kind}) has {have} data inputs, expected {want}")
-            if c.kind in CLOCKED_KINDS and self.clock is not None:
-                if (c.id, "clk") not in per_pin:
-                    raise StructuralError(f"clocked cell {c.id} has no clock net")
-        self._depths()  # raises on cycles / imbalance
-
-    def _depths(self) -> dict:
-        """Clocked depth of every cell output along data nets.
-
-        Raises when converging paths disagree, which doubles as the
-        balance check; the topological order detects cycles.
-        """
-        fanin: dict = {cid: [] for cid in self.cells}
-        for n in self.data_nets():
-            fanin[n.dst].append(n)
-        depth: dict = {}
-        order = []
-        seen = set()
-
-        def visit(cid, stack):
-            if cid in seen:
-                return
-            if cid in stack:
-                raise StructuralError(f"cycle through {cid}")
-            stack.add(cid)
-            for n in fanin[cid]:
-                visit(n.src, stack)
-            stack.discard(cid)
-            seen.add(cid)
-            order.append(cid)
-
-        for cid in self.cells:
-            visit(cid, set())
-        for cid in order:
-            c = self.cells[cid]
-            if c.kind in (INPUT, CLOCK_INPUT):
-                depth[cid] = 0
-                continue
-            ins = [depth[n.src] for n in fanin[cid]]
-            if not ins:
-                depth[cid] = 0
-                continue
-            if c.kind in CLOCKED_KINDS:
-                if len(set(ins)) > 1:
-                    raise StructuralError(
-                        f"unbalanced inputs at {cid}: depths {sorted(set(ins))}")
-                depth[cid] = ins[0] + 1
-            else:
-                if len(set(ins)) > 1:
-                    raise StructuralError(
-                        f"unbalanced inputs at {cid}: depths {sorted(set(ins))}")
-                depth[cid] = ins[0]
-        if self.outputs:
-            out_depths = {depth[o] for o in self.outputs}
-            if len(out_depths) > 1:
-                raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
-        return depth
+        """Check pins, fan-out one, acyclicity and path balance."""
+        compile(self)
 
     def depth(self) -> int:
         """Clocked cells on any input-to-output path (the pipeline latency)."""
-        d = self._depths()
-        return max((d[o] for o in self.outputs), default=0)
+        return compile(self).latency
 
     # -- serialization ----------------------------------------------------
 
@@ -242,3 +162,143 @@ class Netlist:
         except json.JSONDecodeError as e:
             raise StructuralError(f"netlist JSON malformed: {e}") from e
         return cls.from_dict(doc)
+
+
+# -- compilation ----------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A validated netlist as an integer-indexed levelized schedule.
+
+    Cells are numbered in ``net.cells`` insertion order.  Output port ``p``
+    of cell ``i`` is slot ``2 * i + p``.  ``order`` lists every cell after
+    the cells driving its data and clock pins, level by level, so one pass
+    in that order evaluates the whole netlist.  A clock splitter's parent
+    branch is its data driver; ``clock`` holds the slot on each clocked
+    cell's clock pin.  Programs are shared between equal netlists and
+    compare by identity.
+    """
+
+    cell_ids: tuple  # cell index -> id
+    kinds: tuple     # cell index -> kind
+    drivers: tuple   # cell index -> driver slot per data pin
+    clock: tuple     # cell index -> driver slot of the clock pin, or None
+    depth: tuple     # cell index -> clocked cells crossed up to its output
+    order: tuple     # cell indices, drivers first
+    inputs: tuple    # cell index per message bit
+    outputs: tuple   # cell index per output bit
+    latency: int
+
+
+_PROGRAMS: dict = {}
+
+
+def compile(net: Netlist) -> Program:
+    """The validated, levelized program of ``net``, built once per content.
+
+    Keyed by the netlist's content (cells, nets, ports and clock), not by
+    object or name, so re-synthesized copies share one program and a
+    netlist mutated after use is compiled afresh.  The key holds what
+    ``content_hash`` digests except the name, at a small fraction of its
+    cost (``ppv.sample_chip`` compiles once per chip).  Raises
+    :class:`StructuralError` on an ill-formed netlist and caches nothing.
+    """
+    key = (tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
+           tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),
+           tuple(net.inputs), tuple(net.outputs), net.clock)
+    prog = _PROGRAMS.get(key)
+    if prog is None:
+        prog = _PROGRAMS[key] = _compile(net)
+    return prog
+
+
+def _compile(net: Netlist) -> Program:
+    ids = tuple(net.cells)
+    index = {cid: i for i, cid in enumerate(ids)}
+    kinds = tuple(c.kind for c in net.cells.values())
+    for cid, kind in zip(ids, kinds):
+        if kind not in DATA_PINS:
+            raise StructuralError(f"cell {cid} has unknown kind {kind!r}")
+    pins = [{} for _ in ids]
+    clock = [None] * len(ids)
+    used = set()
+    for n in net.nets:
+        if n.src not in index or n.dst not in index:
+            raise StructuralError(f"net references unknown cell: {n}")
+        s, d = index[n.src], index[n.dst]
+        if not 0 <= n.src_port < OUT_PORTS[kinds[s]]:
+            raise StructuralError(f"cell {n.src} ({kinds[s]}) has no output port {n.src_port}")
+        slot = 2 * s + n.src_port
+        if slot in used:
+            raise StructuralError(f"fan-out above one at output port {(n.src, n.src_port)}")
+        used.add(slot)
+        if n.dst_pin == "clk":
+            if kinds[d] not in CLOCKED_KINDS:
+                raise StructuralError(f"clock net into unclocked cell {n.dst}")
+            if clock[d] is not None:
+                raise StructuralError(f"more than one driver on input pin {(n.dst, 'clk')}")
+            clock[d] = slot
+        else:
+            if n.dst_pin in pins[d]:
+                raise StructuralError(f"more than one driver on input pin {(n.dst, n.dst_pin)}")
+            pins[d][n.dst_pin] = slot
+    for i, cid in enumerate(ids):
+        want = DATA_PINS[kinds[i]]
+        if set(pins[i]) != set(range(want)):
+            raise StructuralError(
+                f"cell {cid} ({kinds[i]}) has {len(pins[i])} data inputs on pins "
+                f"{sorted(pins[i], key=str)}, expected {want}")
+        if kinds[i] in CLOCKED_KINDS and net.clock is not None and clock[i] is None:
+            raise StructuralError(f"clocked cell {cid} has no clock net")
+    if sorted(net.inputs) != sorted(cid for cid, k in zip(ids, kinds) if k == INPUT):
+        raise StructuralError("inputs must list every INPUT cell exactly once")
+    for cid in net.outputs:
+        if cid not in index:
+            raise StructuralError(f"output {cid!r} is not a cell")
+    if net.clock is not None and (net.clock not in index
+                                  or kinds[index[net.clock]] != CLOCK_INPUT):
+        raise StructuralError(f"clock {net.clock!r} is not a CLOCK_INPUT cell")
+    drivers = tuple(tuple(p[pin] for pin in range(len(p))) for p in pins)
+
+    # levelize: a cell joins the level after the last of its drivers
+    deps = [[slot >> 1 for slot in srcs] + ([clock[i] >> 1] if clock[i] is not None else [])
+            for i, srcs in enumerate(drivers)]
+    sinks = [[] for _ in ids]
+    for i, ds in enumerate(deps):
+        for d in ds:
+            sinks[d].append(i)
+    pending = [len(ds) for ds in deps]
+    order = []
+    level = [i for i in range(len(ids)) if not pending[i]]
+    while level:
+        order += level
+        nxt = []
+        for i in level:
+            for j in sinks[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    nxt.append(j)
+        level = nxt
+    if len(order) < len(ids):
+        # walk back through unscheduled drivers until a cell repeats
+        i, seen = next(j for j, p in enumerate(pending) if p), set()
+        while i not in seen:
+            seen.add(i)
+            i = next(d for d in deps[i] if pending[d])
+        raise StructuralError(f"cycle through {ids[i]}")
+
+    # clocked depth; converging paths must agree (the balance check)
+    depth = [0] * len(ids)
+    for i in order:
+        ins = {depth[slot >> 1] for slot in drivers[i]}
+        if len(ins) > 1:
+            raise StructuralError(f"unbalanced inputs at {ids[i]}: depths {sorted(ins)}")
+        depth[i] = (ins.pop() if ins else 0) + (kinds[i] in CLOCKED_KINDS)
+    out_depths = {depth[index[o]] for o in net.outputs}
+    if len(out_depths) > 1:
+        raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
+    return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock),
+                   depth=tuple(depth), order=tuple(order),
+                   inputs=tuple(index[cid] for cid in net.inputs),
+                   outputs=tuple(index[cid] for cid in net.outputs),
+                   latency=max(out_depths, default=0))

@@ -185,68 +185,33 @@ class _FaultEngine:
     """Vectorized per-message evaluator of a netlist with cell faults.
 
     Messages are independent, so the two-stage pipeline is evaluated as one
-    dataflow pass per message; a clock-splitter misfire silences the cells
-    it feeds for the message currently at their stage (the one-cycle skew
-    between stages is statistically irrelevant for i.i.d. messages).
+    dataflow pass per message over the compiled program.  The clock tree is
+    evaluated like data: the clock input carries a 1, a misfiring clock
+    splitter drops the pulse on its designated branch, and a clocked cell
+    whose clock pulse was dropped emits 0 for the message currently at its
+    stage (the one-cycle skew between stages is statistically irrelevant
+    for i.i.d. messages).
     """
 
-    def __init__(self, net: Netlist):
-        net.validate()
+    def __init__(self, net: Netlist, prog: nl.Program):
         self.net = net
-        self.cell_ids = tuple(net.cells)
-        self.index = {cid: i for i, cid in enumerate(self.cell_ids)}
-        self.kinds = [net.cells[cid].kind for cid in self.cell_ids]
-        self.splitters = [cid for cid in self.cell_ids
-                          if net.cells[cid].kind == nl.SPLITTER]
-        self.spl_pos = {cid: i for i, cid in enumerate(self.splitters)}
-
-        self.driver = {}
-        for n in net.data_nets():
-            self.driver[(n.dst, n.dst_pin)] = (n.src, n.src_port)
-        fanin = {cid: [] for cid in net.cells}
-        for n in net.data_nets():
-            fanin[n.dst].append(n.src)
-        order, seen = [], set()
-
-        def visit(cid):
-            if cid in seen:
-                return
-            seen.add(cid)
-            for s in fanin[cid]:
-                visit(s)
-            order.append(cid)
-
-        for cid in net.cells:
-            visit(cid)
-        self.order = order
-
-        # clock path of each clocked cell: (splitter engine position, branch)
-        self.clock_path = {}
-        if net.clock is not None:
-            clock_nets = {(n.dst, n.dst_pin): (n.src, n.src_port)
-                          for n in net.nets if n.dst_pin == "clk"}
-            spl_in = {n.dst: (n.src, n.src_port) for n in net.nets
-                      if net.cells[n.dst].kind == nl.SPLITTER
-                      and n.dst_pin == 0 and net.cells[n.dst].role == "clock"}
-            for cid in net.clocked_cells():
-                path = []
-                src, port = clock_nets[(cid, "clk")]
-                while self.net.cells[src].kind == nl.SPLITTER:
-                    path.append((self.spl_pos[src], port))
-                    src, port = spl_in[src]
-                self.clock_path[cid] = path
+        self.prog = prog
+        self.index = {cid: i for i, cid in enumerate(prog.cell_ids)}
+        self.spl_pos = {i: j for j, i in enumerate(
+            i for i, kind in enumerate(prog.kinds) if kind == nl.SPLITTER)}
+        self.msg_bit = {i: j for j, i in enumerate(prog.inputs)}
 
     @property
     def n_cells(self) -> int:
-        return len(self.cell_ids)
+        return len(self.prog.cell_ids)
 
     @property
     def n_splitters(self) -> int:
-        return len(self.splitters)
+        return len(self.spl_pos)
 
     def margins_vector(self, cfg: PpvConfig) -> np.ndarray:
         m = np.full(self.n_cells, np.inf)
-        for i, kind in enumerate(self.kinds):
+        for i, kind in enumerate(self.prog.kinds):
             if kind in _FAULTABLE:
                 m[i] = cfg.margins[kind]
         return m
@@ -257,51 +222,32 @@ class _FaultEngine:
         Shapes: deviations (C, cells), branch_sel (C, splitters),
         misfire_u (C, cells, M), messages (C, M, k) -> received (C, M, n).
         """
+        prog = self.prog
         C, M = messages.shape[0], messages.shape[1]
         faulty = np.abs(deviations) > self.margins_vector(cfg)[None, :]
         mis = (misfire_u < cfg.q) & faulty[:, :, None]
-
-        kill = {}
-        if cfg.clock_faults and self.clock_path:
-            for cid, path in self.clock_path.items():
-                k = np.zeros((C, M), dtype=bool)
-                for spl_pos, branch in path:
-                    ci = self.index[self.splitters[spl_pos]]
-                    k |= mis[:, ci, :] & (branch_sel[:, spl_pos] == branch)[:, None]
-                kill[cid] = k
-
-        val = {}
-        for cid in self.order:
-            kind = self.net.cells[cid].kind
-            ci = self.index[cid]
+        clock = prog.clock if cfg.clock_faults else (None,) * self.n_cells
+        val = [None] * (2 * self.n_cells)
+        for i in prog.order:
+            kind, src = prog.kinds[i], prog.drivers[i]
             if kind == nl.INPUT:
-                val[(cid, 0)] = messages[:, :, self.net.inputs.index(cid)]
+                v = messages[:, :, self.msg_bit[i]]
             elif kind == nl.CLOCK_INPUT:
-                val[(cid, 0)] = np.ones((C, M), dtype=np.uint8)
+                v = np.ones((C, M), dtype=np.uint8)
             elif kind == nl.XOR:
-                a = val[self.driver[(cid, 0)]]
-                b = val[self.driver[(cid, 1)]]
-                v = (a ^ b) ^ mis[:, ci, :]
-                if cid in kill:
-                    v = v & ~kill[cid]
-                val[(cid, 0)] = v
-            elif kind == nl.DFF:
-                v = val[self.driver[(cid, 0)]] & ~mis[:, ci, :]
-                if cid in kill:
-                    v = v & ~kill[cid]
-                val[(cid, 0)] = v
+                v = (val[src[0]] ^ val[src[1]]) ^ mis[:, i, :]
             elif kind == nl.SPLITTER:
-                if self.net.cells[cid].role == "clock":
-                    continue  # clock tree handled through kill masks
-                a = val[self.driver[(cid, 0)]]
-                sel = branch_sel[:, self.spl_pos[cid]]
-                drop = mis[:, ci, :]
-                val[(cid, 0)] = a & ~(drop & (sel == 0)[:, None])
-                val[(cid, 1)] = a & ~(drop & (sel == 1)[:, None])
-            elif kind == nl.SFQ2DC:
-                a = val[self.driver[(cid, 0)]]
-                val[(cid, 0)] = a & ~mis[:, ci, :]
-        received = np.stack([val[(o, 0)] for o in self.net.outputs], axis=-1)
+                a, drop = val[src[0]], mis[:, i, :]
+                sel = branch_sel[:, self.spl_pos[i]]
+                val[2 * i] = a & ~(drop & (sel == 0)[:, None])
+                val[2 * i + 1] = a & ~(drop & (sel == 1)[:, None])
+                continue
+            else:  # DFF and SFQ2DC drop their pulse
+                v = val[src[0]] & ~mis[:, i, :]
+            if clock[i] is not None:
+                v = v & val[clock[i]]
+            val[2 * i] = v
+        received = np.stack([val[2 * o] for o in prog.outputs], axis=-1)
         return received.astype(np.uint8)
 
 
@@ -311,19 +257,16 @@ _ENGINES: dict = {}
 def _engine(net: Netlist) -> _FaultEngine:
     """The fault engine of ``net``'s structure, built once per distinct netlist.
 
-    Keyed by the netlist's content (cells, nets, ports and clock) rather
-    than by object, so re-synthesized copies share one engine and a netlist
-    mutated after use gets a new one.  The key holds what ``content_hash``
-    digests except the name, at a small fraction of its cost
-    (``sample_chip`` looks the engine up once per chip).  The engine works
-    on a private copy, so a later mutation cannot reach a cached engine.
+    Keyed by the compiled program, which :func:`netlist.compile` shares
+    between netlists of equal content, so re-synthesized copies share one
+    engine and a netlist mutated after use gets a new one.  The engine
+    keeps a private copy of the netlist, so a later mutation cannot reach
+    a cached engine.
     """
-    key = (tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
-           tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),
-           tuple(net.inputs), tuple(net.outputs), net.clock)
-    eng = _ENGINES.get(key)
+    prog = nl.compile(net)
+    eng = _ENGINES.get(prog)
     if eng is None:
-        eng = _ENGINES[key] = _FaultEngine(copy.deepcopy(net))
+        eng = _ENGINES[prog] = _FaultEngine(copy.deepcopy(net), prog)
     return eng
 
 
@@ -353,7 +296,7 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     faulty = np.abs(dev) > eng.margins_vector(cfg)
     return ChipInstance(
         chip_index=chip_index,
-        cell_ids=eng.cell_ids,
+        cell_ids=eng.prog.cell_ids,
         deviations=dev,
         faulty=faulty,
         branch_sel=branch,

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from sfq_ecc import netlist as nl
-from sfq_ecc.codes import LinearCode, encode
-from sfq_ecc.netlist import Netlist, StructuralError
+from sfq_ecc.codes import LinearCode
+from sfq_ecc.netlist import Netlist
 
 
 @dataclass
 class SimResult:
     """Per-cycle output frames plus the pipeline latency in cycles."""
 
-    outputs: list          # one np.ndarray of output bits per cycle
+    outputs: np.ndarray    # (cycles, outputs) uint8, one row of output bits per cycle
     latency: int
     output_ids: list
 
@@ -33,115 +33,80 @@ def latency(net: Netlist) -> int:
     return net.depth()
 
 
-class _Engine:
-    """Reusable per-netlist evaluation order and wiring tables."""
-
-    def __init__(self, net: Netlist):
-        net.validate()
-        self.net = net
-        self.driver = {}
-        for n in net.data_nets():
-            self.driver[(n.dst, n.dst_pin)] = (n.src, n.src_port)
-        # topological order over data nets for the combinational sweep
-        fanin = {cid: [] for cid in net.cells}
-        for n in net.data_nets():
-            fanin[n.dst].append(n.src)
-        order, seen = [], set()
-
-        def visit(cid):
-            if cid in seen:
-                return
-            seen.add(cid)
-            for s in fanin[cid]:
-                visit(s)
-            order.append(cid)
-
-        for cid in net.cells:
-            visit(cid)
-        self.order = order
-
-    def run(self, frames, cycles: int):
-        """Simulate ``cycles`` cycles; messages beyond ``frames`` are zero."""
-        net = self.net
-        reg = {cid: 0 for cid in net.cells if net.cells[cid].kind in nl.CLOCKED_KINDS}
-        out_frames = []
-        val: dict = {}
-
-        def port_value(cell, port):
-            key = (cell, port)
-            return val[key]
-
-        for t in range(cycles):
-            frame = frames[t] if t < len(frames) else {i: 0 for i in net.inputs}
-            val = {}
-            for cid in self.order:
-                c = net.cells[cid]
-                if c.kind == nl.INPUT:
-                    val[(cid, 0)] = int(frame.get(cid, 0))
-                elif c.kind == nl.CLOCK_INPUT:
-                    val[(cid, 0)] = 1
-                elif c.kind in nl.CLOCKED_KINDS:
-                    val[(cid, 0)] = reg[cid]
-                elif c.kind == nl.SPLITTER:
-                    src = self.driver[(cid, 0)]
-                    v = port_value(*src)
-                    val[(cid, 0)] = v
-                    val[(cid, 1)] = v
-                elif c.kind == nl.SFQ2DC:
-                    val[(cid, 0)] = port_value(*self.driver[(cid, 0)])
-            next_reg = {}
-            for cid in reg:
-                kind = net.cells[cid].kind
-                if kind == nl.XOR:
-                    a = port_value(*self.driver[(cid, 0)])
-                    b = port_value(*self.driver[(cid, 1)])
-                    next_reg[cid] = a ^ b
-                else:  # DFF
-                    next_reg[cid] = port_value(*self.driver[(cid, 0)])
-            reg = next_reg
-            out_frames.append(
-                np.array([val[(o, 0)] for o in net.outputs], dtype=np.uint8))
-        return out_frames
+def _delayed(x: np.ndarray) -> np.ndarray:
+    """What a clocked cell emits: its input one cycle later, 0 at cycle 0."""
+    y = np.zeros_like(x)
+    y[1:] = x[:-1]
+    return y
 
 
 def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     """Drive ``frames`` (one dict input-id -> bit per cycle) through the netlist.
 
     A new message may be injected every cycle; outputs appear ``latency``
-    cycles after their message.  Raises :class:`StructuralError` before
-    simulating anything if the netlist is unbalanced or ill-formed.
+    cycles after their message, and cycles beyond ``frames`` carry zero
+    messages.  Raises :class:`StructuralError` before simulating anything
+    if the netlist is unbalanced or ill-formed.
+
+    Every port holds one array over all cycles, and the compiled program
+    fills them in one levelized pass: a clocked cell's output is its input
+    shifted by one cycle.
     """
-    eng = _Engine(net)
-    depth = net.depth()
+    prog = nl.compile(net)
     if cycles is None:
-        cycles = len(frames) + depth
-    return SimResult(outputs=eng.run(frames, cycles), latency=depth,
-                     output_ids=list(net.outputs))
+        cycles = len(frames) + prog.latency
+    frames = frames[:cycles]
+    val = [None] * (2 * len(prog.kinds))
+    for i in prog.order:
+        kind, src = prog.kinds[i], prog.drivers[i]
+        if kind == nl.INPUT:
+            v = np.zeros(cycles, dtype=np.uint8)
+            v[:len(frames)] = [f.get(prog.cell_ids[i], 0) for f in frames]
+        elif kind == nl.CLOCK_INPUT:
+            v = np.ones(cycles, dtype=np.uint8)
+        elif kind == nl.XOR:
+            v = _delayed(val[src[0]] ^ val[src[1]])
+        elif kind == nl.DFF:
+            v = _delayed(val[src[0]])
+        else:  # splitters and converters pass their input on within the cycle
+            v = val[src[0]]
+        val[2 * i] = val[2 * i + 1] = v
+    outputs = np.zeros((cycles, len(prog.outputs)), dtype=np.uint8)
+    for j, o in enumerate(prog.outputs):
+        outputs[:, j] = val[2 * o]
+    return SimResult(outputs=outputs, latency=prog.latency, output_ids=list(net.outputs))
 
 
 def message_frames(net: Netlist, messages) -> list:
-    """Turn message bit-vectors into per-cycle input frames."""
-    frames = []
-    for m in messages:
-        m = np.asarray(m, dtype=np.uint8)
-        if m.size != len(net.inputs):
-            raise ValueError(f"message length {m.size} != {len(net.inputs)} inputs")
-        frames.append({inp: int(b) for inp, b in zip(net.inputs, m)})
-    return frames
+    """Turn message bit-vectors (a 2-D array or a list of rows) into input frames."""
+    k = len(net.inputs)
+    try:
+        msgs = np.asarray(messages, dtype=np.uint8)
+        msgs = msgs.reshape(len(msgs), k)
+    except ValueError:
+        for m in messages:  # name the first message of the wrong width
+            size = np.asarray(m).size
+            if size != k:
+                raise ValueError(f"message length {size} != {k} inputs") from None
+        raise
+    return [dict(zip(net.inputs, row)) for row in msgs.tolist()]
 
 
 def verify_equivalence(net: Netlist, code: LinearCode):
     """Exhaustively compare netlist simulation against matrix encoding.
 
-    Returns ``(True, None)`` or ``(False, counterexample_message)``.
+    All 2^k messages go through one pipelined stream; a netlist that passes
+    validation is balanced, so each codeword depends on its own message
+    only.  Returns ``(True, None)`` or ``(False, counterexample_message)``.
     """
-    depth = net.depth()
-    for idx in range(2**code.k):
-        m = code.messages[idx]
-        res = simulate(net, message_frames(net, [m]), cycles=depth + 1)
-        got = res.outputs[depth]
-        if not np.array_equal(got, encode(code, m)):
-            return False, m.copy()
+    res = simulate(net, message_frames(net, code.messages))
+    got = res.outputs[res.latency:]
+    want = (code.messages @ code.G) % 2
+    if got.shape != want.shape:
+        return False, code.messages[0].copy()
+    bad = np.flatnonzero((got != want).any(axis=1))
+    if bad.size:
+        return False, code.messages[bad[0]].copy()
     return True, None
 
 
@@ -157,9 +122,7 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
         raise ValueError("clock frequency must be positive")
     period = 1.0 / clock_ghz
     base = np.floor(epoch_ns / period) * period if epoch_ns else 0.0
-    rows = []
-    for t, frame in enumerate(result.outputs):
-        stamp = base + t * period
-        for oid, bit in zip(result.output_ids, frame):
-            rows.append((stamp, oid, int(bit)))
-    return rows
+    stamps = [base + t * period for t in range(len(result.outputs))]
+    return [(stamp, oid, bit)
+            for stamp, frame in zip(stamps, np.asarray(result.outputs).tolist())
+            for oid, bit in zip(result.output_ids, frame)]

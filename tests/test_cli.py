@@ -96,6 +96,15 @@ def test_simulate_corrupt_netlist(tmp_path):
     assert run(["simulate", str(bad), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
 
 
+def test_simulate_unknown_cell_kind(tmp_path):
+    run(["synth", "hamming74", "--out", str(tmp_path)])
+    path = tmp_path / "hamming74_netlist.json"
+    doc = json.loads(path.read_text())
+    doc["cells"][0]["kind"] = "NAND"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+
+
 def test_mc_no_faults_all_perfect(tmp_path):
     cfg = {"spread": 0.2, "q": 0.5,
            "margins": {"XOR": 0.2, "DFF": 0.2, "SPLITTER": 0.2, "SFQ2DC": 0.2},

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfq_ecc import netlist as nl
 from sfq_ecc import ppv
@@ -408,19 +409,76 @@ def test_mutated_netlist_gets_fresh_engine():
     assert np.array_equal(got, encode(setup.code, m)[::-1])
 
 
-def test_engine_matches_cycle_simulator_fault_free():
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ppv.SETUP_NAMES),
+       msgs=arrays(np.uint8, st.tuples(st.integers(0, 30), st.just(4)),
+                   elements=st.integers(0, 1)),
+       q=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
+    # every deviation inside its margin: misfire draws and branches are inert
     from sfq_ecc.sim import message_frames, simulate
 
-    rng = np.random.default_rng(21)
-    cfg = no_fault_cfg(n_messages=16)
-    for name in ("hamming74", "hamming84", "rm13"):
-        setup = make_setup(name)
-        eng = _engine(setup.netlist)
-        msgs = rng.integers(0, 2, (16, 4)).astype(np.uint8)
-        dev = np.zeros((1, eng.n_cells))
-        branch = np.zeros((1, eng.n_splitters), dtype=np.int64)
-        mis = np.ones((1, eng.n_cells, 16))
-        got = eng.run(dev, branch, mis, msgs[None, :, :], cfg)[0]
-        res = simulate(setup.netlist, message_frames(setup.netlist, msgs))
-        for t in range(16):
-            assert np.array_equal(got[t], res.outputs[t + 2]), (name, t)
+    net = make_setup(name).netlist
+    eng = _engine(net)
+    rng = np.random.default_rng(seed)
+    cfg = PpvConfig(margins=margins(), q=q, n_messages=max(1, len(msgs)))
+    dev = rng.uniform(-0.2, 0.2, (1, eng.n_cells))
+    branch = rng.integers(0, 2, (1, eng.n_splitters))
+    mis = rng.random((1, eng.n_cells, len(msgs)))
+    got = eng.run(dev, branch, mis, msgs[None, :, :], cfg)[0]
+    res = simulate(net, message_frames(net, msgs))
+    assert np.array_equal(got, np.asarray(res.outputs)[res.latency:])
+
+
+def clock_subtree(net, splitter, branch):
+    """Clocked cells whose clock pulse passes ``branch`` of ``splitter``."""
+    below, todo = set(), [(splitter, branch)]
+    while todo:
+        src, port = todo.pop()
+        for n in net.nets:
+            if (n.src, n.src_port) != (src, port):
+                continue
+            if net.cells[n.dst].kind == nl.SPLITTER:
+                todo += [(n.dst, 0), (n.dst, 1)]
+            else:
+                assert n.dst_pin == "clk"
+                below.add(n.dst)
+    return below
+
+
+def silenced_encoding(net, message, silenced):
+    """Fault-free evaluation of one message with ``silenced`` cells emitting 0."""
+    driver = {(n.dst, n.dst_pin): n.src for n in net.nets if n.dst_pin != "clk"}
+
+    def value(cid):
+        kind = net.cells[cid].kind
+        if cid in silenced:
+            return 0
+        if kind == nl.INPUT:
+            return int(message[net.inputs.index(cid)])
+        if kind == nl.XOR:
+            return value(driver[(cid, 0)]) ^ value(driver[(cid, 1)])
+        return value(driver[(cid, 0)])
+
+    return [value(o) for o in net.outputs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["rm13", "hamming74", "hamming84"]), data=st.data())
+def test_dropping_clock_splitter_silences_its_subtree(name, data):
+    setup = make_setup(name)
+    net = setup.netlist
+    splitters = [c.id for c in net.cells.values() if c.kind == nl.SPLITTER]
+    clock_splitters = [c.id for c in net.cells.values() if c.role == "clock"]
+    spl = data.draw(st.sampled_from(clock_splitters))
+    branch = data.draw(st.integers(0, 1))
+    silenced = clock_subtree(net, spl, branch)
+    assert silenced
+    cfg = PpvConfig(margins=margins(), q=1.0)
+    sel = np.zeros(len(splitters), dtype=np.int64)
+    sel[splitters.index(spl)] = branch
+    chip = dataclasses.replace(chip_with_only(setup, cfg, spl), branch_sel=sel)
+    for m in setup.code.messages:
+        got = inject_and_run(net, chip, m, cfg)
+        assert got.tolist() == silenced_encoding(net, m, silenced), (spl, branch, m)

@@ -1,7 +1,12 @@
 """Cycle-accurate simulation: latency, pipelining, timeline export."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfq_ecc import netlist as nl
 from sfq_ecc.codes import encode, make_code
@@ -13,11 +18,21 @@ from sfq_ecc.sim import (
     to_timeline,
     verify_equivalence,
 )
+from sfq_ecc.ppv import baseline_no_encoder
 from sfq_ecc.synth import synthesize
 
 
 def run_messages(net, messages, cycles=None):
     return simulate(net, message_frames(net, messages), cycles=cycles)
+
+
+@functools.cache
+def encoder(name):
+    """(netlist, generator) of a code's encoder; "none" is the uncoded wire."""
+    if name == "none":
+        return baseline_no_encoder(), np.eye(4, dtype=np.uint8)
+    code = make_code(name)
+    return synthesize(code), code.G
 
 
 def test_figure_vector_appears_after_two_cycles():
@@ -41,16 +56,33 @@ def test_back_to_back_messages():
     assert "".join(map(str, res.outputs[3])) == "00000000"
 
 
-def test_pipeline_matches_per_cycle_encoding():
-    rng = np.random.default_rng(42)
-    for name in ("hamming74", "hamming84", "rm13"):
-        code = make_code(name)
-        net = synthesize(code)
-        msgs = rng.integers(0, 2, (300, 4)).astype(np.uint8)
-        res = run_messages(net, msgs)
-        expected = (msgs @ code.G) % 2
-        for t in range(len(msgs)):
-            assert np.array_equal(res.outputs[t + 2], expected[t]), (name, t)
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["none", "hamming74", "hamming84", "rm13"]),
+       msgs=arrays(np.uint8, st.tuples(st.integers(0, 40), st.just(4)),
+                   elements=st.integers(0, 1)),
+       cycles=st.one_of(st.none(), st.integers(0, 50)))
+def test_pipeline_matches_per_cycle_encoding(name, msgs, cycles):
+    # the stream is (msgs @ G) % 2 delayed by the latency, zero elsewhere
+    net, G = encoder(name)
+    res = run_messages(net, msgs, cycles=cycles)
+    lat = res.latency
+    total = len(msgs) + lat if cycles is None else cycles
+    want = np.zeros((total, G.shape[1]), dtype=np.uint8)
+    shown = max(0, min(len(msgs), total - lat))
+    want[lat:lat + shown] = ((msgs @ G) % 2)[:shown]
+    assert lat == (0 if name == "none" else 2)
+    got = np.asarray(res.outputs)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_message_frames_rejects_wrong_width():
+    net = synthesize(make_code("hamming84"))
+    for bad in (np.zeros((3, 5), dtype=np.uint8), [np.zeros(4), np.zeros(3)]):
+        with pytest.raises(ValueError, match="message length"):
+            message_frames(net, bad)
+    assert message_frames(net, []) == []
+    assert message_frames(net, [[1, 0, 1, 1]]) == [{"m1": 1, "m2": 0, "m3": 1, "m4": 1}]
 
 
 @pytest.mark.parametrize("name", ["hamming74", "hamming84", "rm13"])
@@ -102,6 +134,63 @@ def test_verify_equivalence_catches_swapped_nets():
     assert cex is not None
     assert not np.array_equal(
         simulate(net, message_frames(net, [cex])).outputs[2], encode(code, cex))
+
+
+def test_rewired_netlist_is_recompiled():
+    # a netlist mutated after it was simulated must not reuse its old program
+    net = synthesize(make_code("hamming84"))
+    m = np.array([1, 0, 1, 1])
+    before = run_messages(net, [m]).outputs[2].tolist()
+    a = net.driver_of("o0")
+    b = net.driver_of("o2")
+    net.nets.remove(a)
+    net.nets.remove(b)
+    net.connect(a.src, "o2", src_port=a.src_port)
+    net.connect(b.src, "o0", src_port=b.src_port)
+    after = run_messages(net, [m]).outputs[2].tolist()
+    before[0], before[2] = before[2], before[0]
+    assert after == before != [0, 1, 1, 0, 0, 1, 1, 0]
+
+
+def two_input_xor(name, first_delay):
+    """m1 (through ``first_delay`` DFFs) and m2 (through one) into one XOR."""
+    net = Netlist(name)
+    net.add_cell("m1", nl.INPUT)
+    net.add_cell("m2", nl.INPUT)
+    net.inputs = ["m1", "m2"]
+    src = "m1"
+    for i in range(first_delay):
+        net.connect(src, net.add_cell(f"a{i}", nl.DFF))
+        src = f"a{i}"
+    net.connect(src, net.add_cell("x0", nl.XOR), dst_pin=0)
+    net.connect("m2", net.add_cell("b0", nl.DFF))
+    net.connect("b0", "x0", dst_pin=1)
+    net.outputs = ["x0"]
+    return net
+
+
+def test_unbalanced_netlist_rejected_after_balanced_namesake():
+    balanced = two_input_xor("pair", first_delay=1)
+    balanced.validate()
+    assert latency(balanced) == 2
+    with pytest.raises(StructuralError, match="unbalanced"):
+        two_input_xor("pair", first_delay=2).validate()
+
+
+def test_cycle_is_reported():
+    net = Netlist("loop")
+    net.add_cell("m1", nl.INPUT)
+    net.inputs = ["m1"]
+    net.add_cell("x0", nl.XOR)
+    net.add_cell("s0", nl.SPLITTER)
+    net.connect("m1", "x0", dst_pin=0)
+    net.connect("x0", "s0")
+    net.connect("s0", "x0", src_port=0, dst_pin=1)
+    net.add_cell("o0", nl.SFQ2DC)
+    net.connect("s0", "o0", src_port=1)
+    net.outputs = ["o0"]
+    with pytest.raises(StructuralError, match="cycle through"):
+        net.validate()
 
 
 def test_unbalanced_netlist_fails_before_simulation():

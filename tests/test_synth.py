@@ -196,6 +196,80 @@ def test_unbalanced_netlist_rejected():
         net.validate()
 
 
+def one_dff():
+    """m1 -> DFF -> converter, with the DFF on the clock input."""
+    net = Netlist("one_dff")
+    net.add_cell("m1", nl.INPUT)
+    net.inputs = ["m1"]
+    net.add_cell("clk", nl.CLOCK_INPUT)
+    net.clock = "clk"
+    net.add_cell("d0", nl.DFF)
+    net.connect("m1", "d0")
+    net.connect("clk", "d0", dst_pin="clk")
+    net.add_cell("o0", nl.SFQ2DC)
+    net.connect("d0", "o0")
+    net.outputs = ["o0"]
+    return net
+
+
+def unknown_kind(net):
+    net.add_cell("z0", "NAND")
+
+
+def missing_output_port(net):
+    net.nets[-1] = nl.Net("d0", 1, "o0", 0)
+
+
+def misnumbered_pin(net):
+    net.nets[0] = nl.Net("m1", 0, "d0", 1)
+
+
+def second_driver(net):
+    net.add_cell("m2", nl.INPUT)
+    net.inputs.append("m2")
+    net.connect("m2", "d0")
+
+
+def clock_into_converter(net):
+    net.add_cell("clk2", nl.CLOCK_INPUT)
+    net.connect("clk2", "o0", dst_pin="clk")
+
+
+def no_clock_net(net):
+    net.nets.pop(1)
+
+
+def unlisted_input(net):
+    net.inputs = []
+
+
+def unknown_output(net):
+    net.outputs = ["o9"]
+
+
+def clock_is_data(net):
+    net.clock = "m1"
+
+
+@pytest.mark.parametrize("defect, message", [
+    (unknown_kind, "unknown kind"),
+    (missing_output_port, "no output port 1"),
+    (misnumbered_pin, "data inputs on pins"),
+    (second_driver, "more than one driver"),
+    (clock_into_converter, "clock net into unclocked cell"),
+    (no_clock_net, "no clock net"),
+    (unlisted_input, "inputs must list"),
+    (unknown_output, "not a cell"),
+    (clock_is_data, "not a CLOCK_INPUT"),
+])
+def test_malformed_netlist_rejected(defect, message):
+    net = one_dff()
+    net.validate()
+    defect(net)
+    with pytest.raises(StructuralError, match=message):
+        net.validate()
+
+
 def test_attach_converters_checks_width():
     code = make_code("hamming84")
     net = place_splitters(balance(build_dag(boolean_forms(make_code("hamming74")))))
