@@ -30,7 +30,6 @@ from sfq_ecc.codes import (
     decode,
     encode,
     make_code,
-    min_distance,
 )
 from sfq_ecc.netlist import Netlist, StructuralError
 from sfq_ecc.synth import synthesize
@@ -61,7 +60,6 @@ __all__ = [
     "encode",
     "latency",
     "make_code",
-    "min_distance",
     "monte_carlo",
     "simulate",
     "synthesize",

@@ -7,17 +7,23 @@ package (CLI, configs, reports):
 * ``hamming84``  -- the extended (8,4,4) Hamming code (overall parity bit),
 * ``rm13``      -- the first-order (8,4,4) Reed-Muller code.
 
-Codewords are computed as ``(message @ G) % 2``.  Decoding supports a
-detect-only mode and per-code correction modes: complete syndrome decoding
-for hamming74, parity-plus-syndrome decoding for hamming84, and
-correlation (nearest-codeword) decoding for rm13.  Exhaustive error-pattern
-classification and capability summaries are derived from these decoders by
-enumeration, never hard-coded.
+Codewords are computed as ``(message @ G) % 2``.  Every code decodes by
+nearest-codeword lookup: its constructor tabulates, for each of the 2^n
+received words, the distance to the nearest codeword, the lowest-index
+nearest message and whether that nearest codeword is tied.  Detect-only
+mode delivers exact codewords only; correct mode delivers the unique
+nearest codeword and refuses ties.  rm13, whose correlation decoder can
+pick among equally correlated codewords, is built with ``resolves_ties``:
+under ``optimistic`` tie-breaking it delivers the lowest-index tied
+codeword.  For the built-in codes this is exactly complete syndrome
+decoding (hamming74), parity-plus-syndrome decoding (hamming84, which never
+resolves its distance-2 ties) and correlation decoding (rm13).  Exhaustive
+error-pattern classification and capability summaries are read off the
+same table, never hard-coded.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -32,9 +38,10 @@ UNCORRECTABLE = "uncorrectable"
 DETECT_ONLY = "detect_only"
 CORRECT = "correct"
 
-# Tie handling for rm13 correlation decoding.
+# Tie handling in correct mode, for codes built with ``resolves_ties``.
 TIE_CONSERVATIVE = "conservative"  # ties are reported uncorrectable
 TIE_OPTIMISTIC = "optimistic"      # ties resolve to the lowest-index candidate
+TIE_POLICIES = (TIE_CONSERVATIVE, TIE_OPTIMISTIC)
 
 _G_HAMMING84 = np.array(
     [
@@ -53,10 +60,11 @@ def bits(s) -> np.ndarray:
         if not s or any(ch not in "01" for ch in s):
             raise ValueError(f"not a bit string: {s!r}")
         return np.array([int(ch) for ch in s], dtype=np.uint8)
-    a = np.asarray(s, dtype=np.uint8)
-    if a.ndim != 1 or not np.isin(a, (0, 1)).all():
+    a = np.asarray(s)
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.5
+    if a.ndim != 1 or not ((a == 0) | (a == 1)).all():
         raise ValueError("bit vector must be one-dimensional over {0,1}")
-    return a
+    return a.astype(np.uint8)
 
 
 def bitstr(a) -> str:
@@ -64,14 +72,27 @@ def bitstr(a) -> str:
     return "".join(str(int(b)) for b in np.asarray(a).ravel())
 
 
+def pack(bits) -> np.ndarray:
+    """Index of each bit vector along the last axis, first bit most significant."""
+    bits = np.asarray(bits)
+    weights = 1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return bits.astype(np.int64) @ weights
+
+
+def _unpack(words, width: int) -> np.ndarray:
+    """Inverse of :func:`pack`: ``width`` uint8 bits per index."""
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.asarray(words)[..., None] >> shifts) & 1).astype(np.uint8)
+
+
 def _row_reduce(G: np.ndarray):
     """Row-reduce ``G`` over GF(2), pivoting left-to-right.
 
-    Returns ``(G_sys, R, pivots)`` with ``G_sys = (R @ G) % 2`` in reduced
-    row-echelon form and ``pivots`` the pivot column of each row.
+    Returns ``(G_sys, pivots)`` with ``G_sys`` the reduced row-echelon form
+    of ``G`` and ``pivots`` the pivot column of each row.
     """
     k, n = G.shape
-    A = np.concatenate([G.copy() % 2, np.eye(k, dtype=np.uint8)], axis=1)
+    A = G.copy() % 2
     pivots = []
     row = 0
     for col in range(n):
@@ -93,7 +114,7 @@ def _row_reduce(G: np.ndarray):
         row += 1
     if row < k:
         raise ValueError("generator matrix does not have full row rank")
-    return A[:, :n], A[:, n:], pivots
+    return A, pivots
 
 
 class LinearCode:
@@ -102,21 +123,26 @@ class LinearCode:
     Attributes ``name``, ``n``, ``k``, ``G`` and the cached minimum distance
     ``d_min`` describe the code; the constructor also precomputes the
     codebook, a parity-check matrix derived by Gaussian elimination (pivot
-    order fixed left-to-right), and the syndrome lookup used for decoding.
-    Instances are immutable in use: every operation is a pure function, so
-    codes are safe to share across threads.
+    order fixed left-to-right), and the nearest-codeword table every decoder
+    reads: per received word (indexed by :func:`pack`) the nearest
+    ``distance``, the lowest-index ``nearest`` message and whether the
+    nearest codeword is ``tied``.  ``resolves_ties`` lets correct mode
+    deliver a tied word under :data:`TIE_OPTIMISTIC`.  Instances are
+    immutable in use: every operation is a pure function, so codes are safe
+    to share across threads.
     """
 
-    def __init__(self, name: str, G: np.ndarray):
+    def __init__(self, name: str, G: np.ndarray, *, resolves_ties: bool = False):
         G = np.asarray(G, dtype=np.uint8) % 2
         self.name = name
+        self.resolves_ties = resolves_ties
         self.k, self.n = G.shape
+        if self.n + self.k > 20:
+            raise ValueError("the nearest-codeword table is limited to n + k <= 20")
         self.G = G
         G.setflags(write=False)
 
-        G_sys, R, pivots = _row_reduce(G)
-        self._R = R
-        self._pivots = pivots
+        G_sys, pivots = _row_reduce(G)
         # H = [P^T | I] in the coordinate system that puts pivot columns first.
         others = [c for c in range(self.n) if c not in pivots]
         P = G_sys[:, others]
@@ -127,21 +153,19 @@ class LinearCode:
         self.H = H
         H.setflags(write=False)
 
-        msgs = np.array(
-            [[(m >> (self.k - 1 - i)) & 1 for i in range(self.k)] for m in range(2**self.k)],
-            dtype=np.uint8,
-        )
-        self.messages = msgs
-        self.codebook = (msgs @ G) % 2
+        self.messages = _unpack(np.arange(2**self.k), self.k)
+        self.codebook = (self.messages @ G) % 2
         self._codeword_index = {self.codebook[m].tobytes(): m for m in range(2**self.k)}
-        self.d_min = int(min(int(c.sum()) for c in self.codebook[1:]))
+        self.d_min = int(self.codebook[1:].sum(axis=1).min())
 
-        # syndrome -> error position, for single-error syndrome decoding
-        self._syndrome_pos = {}
-        for pos in range(self.n):
-            e = np.zeros(self.n, dtype=np.uint8)
-            e[pos] = 1
-            self._syndrome_pos[self.syndrome(e).tobytes()] = pos
+        words = np.arange(2**self.n)
+        dist = _unpack(words, self.n).sum(axis=1)[words[:, None] ^ pack(self.codebook)]
+        self.distance = dist.min(axis=1)
+        # the lowest message index among ties; int16 keeps batch lookups small
+        self.nearest = dist.argmin(axis=1).astype(np.int16)
+        self.tied = (dist == self.distance[:, None]).sum(axis=1) > 1
+        for table in (self.distance, self.nearest, self.tied):
+            table.setflags(write=False)
 
     def __repr__(self):
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, d_min={self.d_min})"
@@ -156,6 +180,24 @@ class LinearCode:
         """Message index for an exact codeword, or None."""
         return self._codeword_index.get(np.asarray(codeword, dtype=np.uint8).tobytes())
 
+    def decode_table(self, mode: str = CORRECT, tie_break: str = TIE_CONSERVATIVE):
+        """Message index delivered per received word (indexed by :func:`pack`), -1 if refused.
+
+        ``detect_only`` delivers exact codewords only.  ``correct`` delivers
+        the nearest codeword unless it is tied; a code that resolves ties
+        delivers the lowest-index tied one under ``optimistic``.
+        """
+        if tie_break not in TIE_POLICIES:
+            raise ValueError(f"unknown tie_break {tie_break!r}; expected one of "
+                             f"{', '.join(TIE_POLICIES)}")
+        if mode == DETECT_ONLY:
+            refused = self.distance > 0
+        elif mode == CORRECT:
+            refused = self.tied & (not (self.resolves_ties and tie_break == TIE_OPTIMISTIC))
+        else:
+            raise ValueError(f"unknown decode mode {mode!r}")
+        return np.where(refused, -1, self.nearest)
+
     @property
     def is_perfect(self) -> bool:
         """True when Hamming spheres of radius 1 tile the whole space."""
@@ -169,6 +211,9 @@ def make_code(name: str) -> LinearCode:
     the last position; hamming74 drops that last column.  rm13 evaluates
     (all-ones, x1, x2, x3) over the 3-cube, points enumerated 000..111 in
     lexicographic order, which keeps every derived artifact deterministic.
+    Only rm13 resolves ties: its correlation decoder may pick among equally
+    close codewords, where the parity-plus-syndrome decoder of hamming84
+    never does.
     """
     if name == "hamming84":
         return LinearCode(name, _G_HAMMING84)
@@ -177,12 +222,8 @@ def make_code(name: str) -> LinearCode:
     if name == "rm13":
         points = [((p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(8)]
         G = np.array([[1] * 8] + [[pt[i] for pt in points] for i in range(3)], dtype=np.uint8)
-        return LinearCode(name, G)
+        return LinearCode(name, G, resolves_ties=True)
     raise ValueError(f"unknown code {name!r}; expected one of {', '.join(CODE_NAMES)}")
-
-
-# syndrome decoder of hamming84's first seven bits, built once
-_INNER_HAMMING74 = make_code("hamming74")
 
 
 def encode(code: LinearCode, message) -> np.ndarray:
@@ -191,13 +232,6 @@ def encode(code: LinearCode, message) -> np.ndarray:
     if m.size != code.k:
         raise ValueError(f"message length {m.size} != k={code.k} for {code.name}")
     return (m @ code.G) % 2
-
-
-def min_distance(code: LinearCode) -> int:
-    """Minimum Hamming weight over all nonzero codewords (exhaustive)."""
-    if code.k > 20:
-        raise ValueError("exhaustive enumeration limited to k <= 20")
-    return code.d_min
 
 
 @dataclass(frozen=True)
@@ -243,87 +277,25 @@ class DecodeOutcome:
         return self.message is not None
 
 
-def _decode_detect_only(code: LinearCode, r: np.ndarray) -> DecodeOutcome:
-    idx = code.message_of(r)
-    if idx is None:
-        return DecodeOutcome(None, UNCORRECTABLE)
-    return DecodeOutcome(code.messages[idx].copy(), CLEAN)
-
-
-def _decode_hamming74(code: LinearCode, r: np.ndarray) -> DecodeOutcome:
-    s = code.syndrome(r)
-    if not s.any():
-        return DecodeOutcome(code.messages[code.message_of(r)].copy(), CLEAN)
-    fixed = r.copy()
-    fixed[code._syndrome_pos[s.tobytes()]] ^= 1
-    return DecodeOutcome(code.messages[code.message_of(fixed)].copy(), CORRECTED)
-
-
-def _decode_hamming84(code: LinearCode, r: np.ndarray, inner: LinearCode) -> DecodeOutcome:
-    parity_ok = int(r.sum()) % 2 == 0
-    s = inner.syndrome(r[:7])
-    if parity_ok and not s.any():
-        return DecodeOutcome(code.messages[code.message_of(r)].copy(), CLEAN)
-    if parity_ok:
-        # even-weight error beyond single-bit reach: flag, do not guess
-        return DecodeOutcome(None, UNCORRECTABLE)
-    fixed = r.copy()
-    if s.any():
-        fixed[inner._syndrome_pos[s.tobytes()]] ^= 1
-    else:
-        fixed[7] ^= 1  # only the parity bit itself is off
-    return DecodeOutcome(code.messages[code.message_of(fixed)].copy(), CORRECTED)
-
-
-def _decode_rm13(code: LinearCode, r: np.ndarray, tie_break: str) -> DecodeOutcome:
-    # correlate +/-1 images: corr = n - 2 * hamming distance
-    corr = (1 - 2 * r.astype(np.int16)) @ (1 - 2 * code.codebook.astype(np.int16)).T
-    best = corr.max()
-    winners = np.flatnonzero(corr == best)
-    if winners.size > 1:
-        if tie_break == TIE_CONSERVATIVE:
-            return DecodeOutcome(None, UNCORRECTABLE)
-        winners = winners[:1]  # lowest message index among the closest candidates
-    idx = int(winners[0])
-    status = CLEAN if best == code.n else CORRECTED
-    return DecodeOutcome(code.messages[idx].copy(), status)
-
-
-def _decode_nearest(code: LinearCode, r: np.ndarray) -> DecodeOutcome:
-    dist = np.count_nonzero(code.codebook != r, axis=1)
-    best = dist.min()
-    winners = np.flatnonzero(dist == best)
-    if winners.size > 1:
-        return DecodeOutcome(None, UNCORRECTABLE)
-    status = CLEAN if best == 0 else CORRECTED
-    return DecodeOutcome(code.messages[int(winners[0])].copy(), status)
-
-
 def decode(code: LinearCode, received, mode: str = CORRECT,
            tie_break: str = TIE_CONSERVATIVE) -> DecodeOutcome:
-    """Decode a received n-bit word.
+    """Decode a received n-bit word by one lookup in the code's table.
 
     ``detect_only`` reports clean for exact codewords and uncorrectable for
-    everything else.  ``correct`` applies the code's own decoder: complete
-    syndrome decoding (hamming74), parity-plus-syndrome (hamming84), or
-    full correlation against all 16 codewords (rm13).  ``tie_break`` only
-    affects rm13, whose distance-2 ties are refused by default and resolved
-    to the lowest-index closest codeword under ``optimistic``.
+    everything else.  ``correct`` delivers the unique nearest codeword:
+    clean at distance 0, corrected beyond, uncorrectable on a tie.
+    ``tie_break`` only affects codes built with ``resolves_ties`` (rm13),
+    whose ties resolve to the lowest-index nearest codeword under
+    ``optimistic``.
     """
     r = bits(received)
     if r.size != code.n:
         raise ValueError(f"received length {r.size} != n={code.n} for {code.name}")
-    if mode == DETECT_ONLY:
-        return _decode_detect_only(code, r)
-    if mode != CORRECT:
-        raise ValueError(f"unknown decode mode {mode!r}")
-    if code.name == "hamming74":
-        return _decode_hamming74(code, r)
-    if code.name == "hamming84":
-        return _decode_hamming84(code, r, _INNER_HAMMING74)
-    if code.name == "rm13":
-        return _decode_rm13(code, r, tie_break)
-    return _decode_nearest(code, r)
+    w = int(pack(r))
+    m = int(code.decode_table(mode, tie_break)[w])
+    if m < 0:
+        return DecodeOutcome(None, UNCORRECTABLE)
+    return DecodeOutcome(code.messages[m].copy(), CLEAN if code.distance[w] == 0 else CORRECTED)
 
 
 @dataclass(frozen=True)
@@ -360,22 +332,16 @@ def analyze_patterns(code: LinearCode, mode: str, weight: int,
     sent_idx = code.message_of(sent)
     if sent_idx is None:
         raise ValueError("base_codeword is not a codeword")
-    true_msg = code.messages[sent_idx]
 
-    buckets = {"undetected": 0, "detected": 0, "corrected": 0, "miscorrected": 0}
-    for flips in itertools.combinations(range(code.n), weight):
-        r = sent.copy()
-        r[list(flips)] ^= 1
-        out = decode(code, r, mode, tie_break)
-        if out.status == UNCORRECTABLE:
-            buckets["detected"] += 1
-        elif np.array_equal(out.message, true_msg):
-            buckets["corrected"] += 1
-        elif out.status == CLEAN:
-            buckets["undetected"] += 1
-        else:
-            buckets["miscorrected"] += 1
-    return PatternAnalysis(weight=weight, total=comb(code.n, weight), **buckets)
+    flips = np.arange(2**code.n)
+    received = pack(sent) ^ flips[_unpack(flips, code.n).sum(axis=1) == weight]
+    got = code.decode_table(mode, tie_break)[received]
+    detected = int((got < 0).sum())
+    corrected = int((got == sent_idx).sum())
+    undetected = int(((got != sent_idx) & (code.distance[received] == 0)).sum())
+    return PatternAnalysis(weight=weight, total=comb(code.n, weight), undetected=undetected,
+                           detected=detected, corrected=corrected,
+                           miscorrected=len(received) - detected - corrected - undetected)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ bit-identical regardless of execution order or worker count.
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,10 +34,10 @@ from sfq_ecc.codes import (
     CORRECT,
     TIE_CONSERVATIVE,
     TIE_OPTIMISTIC,
-    UNCORRECTABLE,
+    TIE_POLICIES,
     LinearCode,
-    decode,
     make_code,
+    pack,
 )
 from sfq_ecc.netlist import Netlist
 from sfq_ecc.synth import synthesize
@@ -64,12 +66,14 @@ class PpvConfig:
     that flags a word uncorrectable still failed to deliver the message,
     so the message counts as erroneous.  Calibrated configs may flip it to
     erasure accounting (see :func:`calibrate_fault_model`).  ``tie_break``
-    selects the rm13 tie policy used by the Monte Carlo decoder.
+    selects the tie policy of the Monte Carlo decoder (only rm13 resolves
+    ties).  ``margins`` is stored as a read-only copy, so neither the
+    caller's dict nor the config can change after validation.
     """
 
     spread: float = 0.20
     distribution: str = "uniform"  # or "gaussian" (truncated at +-spread)
-    margins: dict = field(default_factory=lambda: {
+    margins: Mapping = field(default_factory=lambda: {
         nl.XOR: 0.15, nl.DFF: 0.15, nl.SPLITTER: 0.15, nl.SFQ2DC: 0.15})
     q: float = 0.1
     master_seed: int = 20240
@@ -88,6 +92,10 @@ class PpvConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.n_chips < 1 or self.n_messages < 1:
             raise ValueError("n_chips and n_messages must be at least 1")
+        if self.tie_break not in TIE_POLICIES:
+            raise ValueError(f"unknown tie_break {self.tie_break!r}; expected one of "
+                             f"{', '.join(TIE_POLICIES)}")
+        object.__setattr__(self, "margins", MappingProxyType(dict(self.margins)))
         for kind in _FAULTABLE:
             if kind not in self.margins:
                 raise ValueError(f"margins missing kind {kind}")
@@ -107,6 +115,9 @@ class PpvConfig:
             "tie_break": self.tie_break,
             "clock_faults": self.clock_faults,
         }
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
+        return type(self).from_dict, (self.to_dict(),)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PpvConfig":
@@ -316,58 +327,14 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     return received[0, 0]
 
 
-# -- vectorized decoding -----------------------------------------------------
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[-1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ weights
-
-
-def _decode_table(code: LinearCode, tie_break: str):
-    """Per received-word lookup: delivered message index, -1 for erasure.
-
-    Built by running the scalar decoder over all 2^n words, so the batch
-    decoder used in Monte Carlo runs is the reference decoder by
-    construction.
-    """
-    n = code.n
-    table = np.full(2**n, -1, dtype=np.int16)
-    erasure = np.zeros(2**n, dtype=bool)
-    for w in range(2**n):
-        r = np.array([(w >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-        out = decode(code, r, CORRECT, tie_break)
-        if out.status == UNCORRECTABLE:
-            erasure[w] = True
-        else:
-            table[w] = code.message_of((np.asarray(out.message) @ code.G) % 2)
-    return table, erasure
-
-
-_TABLES: dict = {}
-
-
-def _tables(code: LinearCode, tie_break: str):
-    # the scalar decoder is chosen by name and the table indexes messages
-    # through G, so a renamed or row-permuted code needs its own table
-    key = (code.name, code.G.shape, code.G.tobytes(), tie_break)
-    if key not in _TABLES:
-        _TABLES[key] = _decode_table(code, tie_break)
-    return _TABLES[key]
-
-
 def _count_errors(setup: EncoderSetup, received, messages, cfg: PpvConfig):
     """Erroneous-message mask per (chip, message)."""
-    sent_idx = _pack(messages)
+    sent_idx = pack(messages)
     if setup.code is None:
-        return _pack(received) != sent_idx
-    table, erasure = _tables(setup.code, cfg.tie_break)
-    words = _pack(received)
-    delivered = table[words]
+        return pack(received) != sent_idx
+    delivered = setup.code.decode_table(CORRECT, cfg.tie_break)[pack(received)]
     wrong = delivered != sent_idx
-    if cfg.count_detected_errors:
-        return wrong | erasure[words]
-    return wrong & ~erasure[words]
+    return wrong if cfg.count_detected_errors else wrong & (delivered >= 0)
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:

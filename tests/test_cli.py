@@ -139,6 +139,7 @@ def test_mc_rejects_bad_config(tmp_path):
     ["--chips", "0"],
     ["--messages", "0"],
     {"bogus": 1},
+    {"tie_break": "bogus"},
 ])
 def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
     argv = ["mc", "--out", str(tmp_path)]

@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sfq_ecc.codes import (
     CORRECT,
@@ -16,6 +19,7 @@ from sfq_ecc.codes import (
     TIE_CONSERVATIVE,
     TIE_OPTIMISTIC,
     UNCORRECTABLE,
+    LinearCode,
     analyze_patterns,
     bits,
     bitstr,
@@ -24,7 +28,6 @@ from sfq_ecc.codes import (
     decode,
     encode,
     make_code,
-    min_distance,
 )
 
 ALL_CODES = ("hamming74", "hamming84", "rm13")
@@ -37,6 +40,32 @@ def all_words(n):
 
 def distances(code, word):
     return np.count_nonzero(code.codebook != word, axis=1)
+
+
+@st.composite
+def full_rank_codes(draw, resolves_ties=False):
+    """Any full-rank generator with n <= 8, under a name no built-in code has."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    G = draw(arrays(np.uint8, (k, n), elements=st.integers(0, 1)))
+    try:
+        return LinearCode("custom", G, resolves_ties=resolves_ties)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def single_error_codes(draw):
+    """Codes with d_min >= 3: G = [I | P] with P's rows distinct and of weight
+    >= 2 (so the columns of H are distinct and nonzero), columns permuted."""
+    r = draw(st.integers(3, 4))
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.sampled_from([v for v in range(2**r) if bin(v).count("1") >= 2]),
+                         min_size=k, max_size=k, unique=True))
+    P = np.array([[(v >> (r - 1 - j)) & 1 for j in range(r)] for v in rows], dtype=np.uint8)
+    G = np.concatenate([np.eye(k, dtype=np.uint8), P], axis=1)
+    perm = draw(st.permutations(range(k + r)))
+    return LinearCode("custom", G[:, perm])
 
 
 # --- construction -----------------------------------------------------------
@@ -59,6 +88,12 @@ def test_unknown_code_rejected():
         make_code("bogus")
 
 
+def test_decode_table_size_is_bounded():
+    # the table holds 2^(n+k) distances; a (12,11) code would need 2^23
+    with pytest.raises(ValueError, match="n \\+ k"):
+        LinearCode("big", np.eye(11, 12, dtype=np.uint8))
+
+
 def test_hamming84_is_hamming74_plus_overall_parity():
     g84 = make_code("hamming84").G
     assert np.array_equal(g84[:, :7], make_code("hamming74").G)
@@ -68,13 +103,13 @@ def test_hamming84_is_hamming74_plus_overall_parity():
 @pytest.mark.parametrize("name,dmin", [("hamming74", 3), ("hamming84", 4), ("rm13", 4)])
 def test_min_distance(name, dmin):
     code = make_code(name)
-    assert min_distance(code) == dmin
+    assert code.d_min == dmin
     # brute force over all nonzero codewords
     assert min(int(c.sum()) for c in code.codebook[1:]) == dmin
 
 
 def test_min_distance_extension_relation():
-    assert min_distance(make_code("hamming84")) == min_distance(make_code("hamming74")) + 1
+    assert make_code("hamming84").d_min == make_code("hamming74").d_min + 1
 
 
 @pytest.mark.parametrize("name,weights", [
@@ -88,6 +123,27 @@ def test_weight_enumerator(name, weights):
     for c in code.codebook:
         got[int(c.sum())] = got.get(int(c.sum()), 0) + 1
     assert got == weights
+
+
+# --- bit vectors ------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [
+    [0.5, 1, 1, 1],              # a cast to uint8 would truncate it to 0111
+    np.array([256, 0, 1, 1]),    # a cast to uint8 would wrap it to 0011
+    [-1, 0, 1, 1],               # a cast to uint8 raises OverflowError
+    [[0, 1], [1, 0]],
+    "10a1",
+    ["0", "1"],
+])
+def test_bits_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        bits(bad)
+
+
+def test_bits_accepts_booleans_and_integers():
+    for good in ([True, False, True, True], np.array([1, 0, 1, 1], dtype=np.int64), "1011"):
+        out = bits(good)
+        assert out.dtype == np.uint8 and bitstr(out) == "1011"
 
 
 # --- encoding ---------------------------------------------------------------
@@ -111,6 +167,13 @@ def test_encode_hamming74_derived_vector():
 def test_encode_length_mismatch():
     with pytest.raises(ValueError):
         encode(make_code("hamming84"), "101")
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=full_rank_codes(), data=st.data())
+def test_encoding_is_linear(code, data):
+    a, b = (data.draw(arrays(np.uint8, code.k, elements=st.integers(0, 1))) for _ in "ab")
+    assert np.array_equal(encode(code, a ^ b), encode(code, a) ^ encode(code, b))
 
 
 def test_encode_matches_matrix_for_all_messages():
@@ -164,10 +227,11 @@ def test_hamming74_decode_is_nearest_codeword():
 
 
 def test_hamming84_decode_matches_distance_profile():
+    # hamming84 never resolves a tie, not even under the optimistic policy
     code = make_code("hamming84")
-    for r in all_words(8):
+    for r, ties in itertools.product(all_words(8), (TIE_CONSERVATIVE, TIE_OPTIMISTIC)):
         d = distances(code, r)
-        out = decode(code, r, CORRECT)
+        out = decode(code, r, CORRECT, ties)
         dmin = int(d.min())
         if dmin == 0:
             assert out.status == "clean"
@@ -194,6 +258,56 @@ def test_rm13_decode_matches_distance_profile():
         else:
             assert np.array_equal(out.message, code.messages[int(winners[0])])
             assert (out.status == "clean") == (d.min() == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=st.booleans().flatmap(lambda r: full_rank_codes(resolves_ties=r)),
+       ties=st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]))
+def test_decode_is_the_codebook_distance_oracle(code, ties):
+    # ties are refused unless the code resolves them and the policy lets it
+    for r in all_words(code.n):
+        d = distances(code, r)
+        winners = np.flatnonzero(d == d.min())
+        out = decode(code, r, CORRECT, ties)
+        if winners.size > 1 and not (code.resolves_ties and ties == TIE_OPTIMISTIC):
+            assert out.status == UNCORRECTABLE and out.message is None
+        else:
+            assert np.array_equal(out.message, code.messages[winners[0]])
+            assert out.status == ("clean" if d.min() == 0 else "corrected")
+        exact = decode(code, r, DETECT_ONLY, ties)
+        assert exact.status == ("clean" if d.min() == 0 else UNCORRECTABLE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=single_error_codes())
+def test_single_errors_repaired_when_dmin_at_least_3(code):
+    assert code.d_min >= 3
+    for m in range(2**code.k):
+        for pos in range(code.n):
+            r = code.codebook[m].copy()
+            r[pos] ^= 1
+            out = decode(code, r, CORRECT)
+            assert out.status == "corrected"
+            assert np.array_equal(out.message, code.messages[m])
+
+
+def test_decoder_follows_generator_and_tie_attribute_not_name():
+    rm13, h84 = make_code("rm13"), make_code("hamming84")
+    renamed = LinearCode("renamed", rm13.G, resolves_ties=True)
+    impostor = LinearCode("rm13", h84.G)
+    for r, ties in itertools.product(all_words(8), (TIE_CONSERVATIVE, TIE_OPTIMISTIC)):
+        for code, twin in ((renamed, rm13), (impostor, h84)):
+            got, want = decode(code, r, CORRECT, ties), decode(twin, r, CORRECT, ties)
+            assert got.status == want.status
+            assert got.delivered == want.delivered
+            assert not got.delivered or np.array_equal(got.message, want.message)
+
+
+@pytest.mark.parametrize("kw", [{"mode": "bogus"}, {"tie_break": "bogus"},
+                                {"mode": DETECT_ONLY, "tie_break": "bogus"}])
+def test_decode_rejects_unknown_mode_and_tie_break(kw):
+    with pytest.raises(ValueError, match="bogus"):
+        decode(make_code("rm13"), "00000000", **kw)
 
 
 def test_detect_only_is_exact_codeword_membership():
@@ -293,6 +407,26 @@ def test_linearity_over_base_codewords():
                 for m in (1, 7, 12):
                     base = encode(code, code.messages[m])
                     assert analyze_patterns(code, mode, t, base_codeword=base) == ref
+
+
+def test_patterns_match_per_pattern_decoding():
+    # reference: decode every pattern one at a time
+    for name, mode, ties in itertools.product(ALL_CODES, (DETECT_ONLY, CORRECT),
+                                              (TIE_CONSERVATIVE, TIE_OPTIMISTIC)):
+        code = make_code(name)
+        for t, m in itertools.product(range(code.n + 1), (0, 9)):
+            sent = code.codebook[m]
+            want = {"undetected": 0, "detected": 0, "corrected": 0, "miscorrected": 0}
+            for flips in itertools.combinations(range(code.n), t):
+                r = sent.copy()
+                r[list(flips)] ^= 1
+                out = decode(code, r, mode, ties)
+                want["detected" if out.status == UNCORRECTABLE
+                     else "corrected" if np.array_equal(out.message, code.messages[m])
+                     else "undetected" if out.status == "clean"
+                     else "miscorrected"] += 1
+            got = analyze_patterns(code, mode, t, tie_break=ties, base_codeword=sent)
+            assert got.__dict__ == {"weight": t, "total": sum(want.values()), **want}
 
 
 def test_rm13_weight2_four_way_tie_structure():

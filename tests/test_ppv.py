@@ -1,6 +1,8 @@
 """Process-variation fault injection: chips, trials, CDFs, calibration plumbing."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from sfq_ecc.ppv import (
     CdfSeries,
     EncoderSetup,
     PpvConfig,
-    _decode_table,
     _engine,
     _error_counts_many,
     baseline_no_encoder,
@@ -76,6 +77,23 @@ def test_config_rejects_bad_values():
         PpvConfig(n_messages=0)
     with pytest.raises(ValueError, match="bogus"):
         PpvConfig.from_dict({"q": 0.2, "bogus": 1})
+    with pytest.raises(ValueError, match="tie_break"):
+        PpvConfig(tie_break="bogus")
+
+
+def test_config_margins_are_frozen():
+    caller = margins()
+    cfg = PpvConfig(margins=caller)
+    with pytest.raises(TypeError):
+        cfg.margins["XOR"] = -1.0
+    caller["XOR"] = -1.0
+    assert cfg.margins["XOR"] == 0.2
+    # the frozen copy changes neither the record nor equality, replace or copies
+    assert cfg.to_dict()["margins"] == margins() and type(cfg.to_dict()["margins"]) is dict
+    assert cfg == PpvConfig(margins=margins())
+    assert dataclasses.replace(cfg, q=cfg.q) == cfg
+    assert dataclasses.replace(cfg, margins=margins(XOR=0.1)).margins["XOR"] == 0.1
+    assert pickle.loads(pickle.dumps(cfg)) == cfg == copy.deepcopy(cfg)
 
 
 def test_config_roundtrip():
@@ -351,23 +369,7 @@ def test_csv_shape():
     assert series.to_csv() == "n,cdf\n0,0.5\n1,0.75\n2,1\n"
 
 
-# --- vectorized decoding vs the scalar decoder ---------------------------------------
-
-@pytest.mark.parametrize("name", ["hamming74", "hamming84", "rm13"])
-@pytest.mark.parametrize("ties", [TIE_CONSERVATIVE, TIE_OPTIMISTIC])
-def test_decode_table_matches_scalar_decoder(name, ties):
-    code = make_code(name)
-    table, erasure = _decode_table(code, ties)
-    for w in range(2**code.n):
-        r = np.array([(w >> (code.n - 1 - i)) & 1 for i in range(code.n)],
-                     dtype=np.uint8)
-        out = decode(code, r, CORRECT, ties)
-        if out.status == "uncorrectable":
-            assert erasure[w] and table[w] == -1
-        else:
-            assert not erasure[w]
-            assert np.array_equal(code.messages[table[w]], out.message)
-
+# --- decoding in the Monte Carlo -----------------------------------------------------
 
 def test_decode_table_follows_the_generator():
     # same name, rows permuted: the built-in table would deliver the wrong
