@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
 def _load_ppv_config(args) -> ppv.PpvConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-        cfg = ppv.PpvConfig.from_dict(doc.get("config", doc))
+        cfg = ppv.PpvConfig.from_dict(doc.get("config", doc) if isinstance(doc, dict) else doc)
     else:
         cfg = _default_ppv_config()
     over = {}

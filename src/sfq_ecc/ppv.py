@@ -17,15 +17,29 @@ A trial sends ``n_messages`` random messages through the faulted encoder and
 correct-mode decoding and counts wrong deliveries; repeating over
 ``n_chips`` independent chips yields the CDF of erroneous-message counts.
 All randomness derives from (master_seed, chip_index), so results are
-bit-identical regardless of execution order or worker count.
+bit-identical regardless of execution order, batch size or worker count.
+
+Each chip draws from its own PCG64 stream in a fixed order: one deviation
+per cell, one branch per splitter, the (n_messages, k) message bits, then
+a (cells, n_messages) block of misfire uniforms, row by row.  Only the rows
+of cells faulty under the weakest margins being scored are drawn; the
+others are skipped with ``bit_generator.advance``, which is exact because
+``Generator.random`` consumes one 64-bit output per double.  A chip batch
+is drawn once and scored under every config in bit-packed engine passes:
+configs stack along the rows, messages pack eight to a byte, and every
+gate is one bitwise operation over all of them (bit-parallel pattern fault
+simulation, as in Waicukauski et al., "Fault simulation for structured
+VLSI", 1985).
 """
 
 from __future__ import annotations
 
 import copy
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +51,6 @@ from sfq_ecc.codes import (
     TIE_POLICIES,
     LinearCode,
     make_code,
-    pack,
 )
 from sfq_ecc.netlist import Netlist
 from sfq_ecc.synth import synthesize
@@ -54,6 +67,13 @@ CALIBRATION_TARGETS = {
 }
 
 _FAULTABLE = (nl.XOR, nl.DFF, nl.SPLITTER, nl.SFQ2DC)
+
+
+def _require_number(name: str, value):
+    """``value`` if it is a real number (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,17 @@ class PpvConfig:
     clock_faults: bool = True
 
     def __post_init__(self):
+        for name in ("spread", "q"):
+            _require_number(name, getattr(self, name))
+        for name in ("master_seed", "n_chips", "n_messages"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("count_detected_errors", "clock_faults"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.margins, Mapping):
+            raise ValueError(f"margins must map cell kind to margin, got {self.margins!r}")
         if not 0 < self.spread <= 1:
             raise ValueError("spread must be in (0, 1]")
         if not 0 <= self.q <= 1:
@@ -92,6 +123,8 @@ class PpvConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.n_chips < 1 or self.n_messages < 1:
             raise ValueError("n_chips and n_messages must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.tie_break not in TIE_POLICIES:
             raise ValueError(f"unknown tie_break {self.tie_break!r}; expected one of "
                              f"{', '.join(TIE_POLICIES)}")
@@ -99,8 +132,12 @@ class PpvConfig:
         for kind in _FAULTABLE:
             if kind not in self.margins:
                 raise ValueError(f"margins missing kind {kind}")
-            if self.margins[kind] < 0:
+            if not _require_number(f"margin of {kind}", self.margins[kind]) >= 0:
                 raise ValueError("margins must be non-negative")
+        # margins in _FAULTABLE order, then inf for the kinds that never fault
+        kind_margins = np.array([self.margins[k] for k in _FAULTABLE] + [np.inf], dtype=float)
+        kind_margins.flags.writeable = False
+        object.__setattr__(self, "_kind_margins", kind_margins)
 
     def to_dict(self) -> dict:
         return {
@@ -121,12 +158,15 @@ class PpvConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PpvConfig":
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"a PPV config must be a mapping, got {doc!r}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown PPV config keys: {', '.join(map(str, unknown))}")
         doc = dict(doc)
-        if "margins" in doc:
-            doc["margins"] = {str(k): float(v) for k, v in doc["margins"].items()}
+        if isinstance(doc.get("margins"), Mapping):
+            doc["margins"] = {str(k): float(_require_number(f"margin of {k}", v))
+                              for k, v in doc["margins"].items()}
         return cls(**doc)
 
 
@@ -193,24 +233,28 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """Vectorized per-message evaluator of a netlist with cell faults.
+    """Bit-packed evaluator of a netlist with cell faults.
 
-    Messages are independent, so the two-stage pipeline is evaluated as one
-    dataflow pass per message over the compiled program.  The clock tree is
-    evaluated like data: the clock input carries a 1, a misfiring clock
-    splitter drops the pulse on its designated branch, and a clocked cell
-    whose clock pulse was dropped emits 0 for the message currently at its
-    stage (the one-cycle skew between stages is statistically irrelevant
-    for i.i.d. messages).
+    A row is one chip under one config; its messages are packed eight to a
+    byte along the last axis, so every gate is one bitwise operation on a
+    (rows, bytes) array.  Messages are independent, so the two-stage
+    pipeline is evaluated as one dataflow pass over the compiled program.
+    The clock tree is evaluated like data: the clock input carries a 1, a
+    misfiring clock splitter drops the pulse on its designated branch, and
+    a clocked cell whose clock pulse was dropped emits 0 for the message
+    currently at its stage (the one-cycle skew between stages is
+    statistically irrelevant for i.i.d. messages).
     """
 
     def __init__(self, net: Netlist, prog: nl.Program):
         self.net = net
         self.prog = prog
-        self.index = {cid: i for i, cid in enumerate(prog.cell_ids)}
         self.spl_pos = {i: j for j, i in enumerate(
             i for i, kind in enumerate(prog.kinds) if kind == nl.SPLITTER)}
         self.msg_bit = {i: j for j, i in enumerate(prog.inputs)}
+        # position in _FAULTABLE per cell; len(_FAULTABLE) for cells that never fault
+        self.kind_code = np.array([_FAULTABLE.index(k) if k in _FAULTABLE else len(_FAULTABLE)
+                                   for k in prog.kinds], dtype=np.intp)
 
     @property
     def n_cells(self) -> int:
@@ -221,45 +265,45 @@ class _FaultEngine:
         return len(self.spl_pos)
 
     def margins_vector(self, cfg: PpvConfig) -> np.ndarray:
-        m = np.full(self.n_cells, np.inf)
-        for i, kind in enumerate(self.prog.kinds):
-            if kind in _FAULTABLE:
-                m[i] = cfg.margins[kind]
-        return m
+        return cfg._kind_margins[self.kind_code]
 
-    def run(self, deviations, branch_sel, misfire_u, messages, cfg: PpvConfig):
-        """Evaluate all messages of all chips; returns received bits.
+    def run(self, mis, branch_sel, messages, clock_faults: bool = True) -> np.ndarray:
+        """Evaluate packed messages of every row; returns packed received bits.
 
-        Shapes: deviations (C, cells), branch_sel (C, splitters),
-        misfire_u (C, cells, M), messages (C, M, k) -> received (C, M, n).
+        Shapes, with W bytes of packed messages per row: mis (cells, rows, W)
+        misfire mask, branch_sel (rows, splitters), messages (k, rows, W)
+        -> received (n, rows, W).  Bits past the last message are don't-care.
         """
         prog = self.prog
-        C, M = messages.shape[0], messages.shape[1]
-        faulty = np.abs(deviations) > self.margins_vector(cfg)[None, :]
-        mis = (misfire_u < cfg.q) & faulty[:, :, None]
-        clock = prog.clock if cfg.clock_faults else (None,) * self.n_cells
+        live = mis.reshape(len(mis), -1).any(axis=1).tolist()
+        sel0 = np.where(branch_sel.T == 0, 0xFF, 0).astype(np.uint8)[:, :, None]
+        ones = np.full(messages.shape[1:], 0xFF, dtype=np.uint8)
+        clock = prog.clock if clock_faults else (None,) * self.n_cells
         val = [None] * (2 * self.n_cells)
         for i in prog.order:
             kind, src = prog.kinds[i], prog.drivers[i]
             if kind == nl.INPUT:
-                v = messages[:, :, self.msg_bit[i]]
+                v = messages[self.msg_bit[i]]
             elif kind == nl.CLOCK_INPUT:
-                v = np.ones((C, M), dtype=np.uint8)
+                v = ones
             elif kind == nl.XOR:
-                v = (val[src[0]] ^ val[src[1]]) ^ mis[:, i, :]
+                v = val[src[0]] ^ val[src[1]]
+                if live[i]:
+                    v ^= mis[i]
             elif kind == nl.SPLITTER:
-                a, drop = val[src[0]], mis[:, i, :]
-                sel = branch_sel[:, self.spl_pos[i]]
-                val[2 * i] = a & ~(drop & (sel == 0)[:, None])
-                val[2 * i + 1] = a & ~(drop & (sel == 1)[:, None])
+                a = val[src[0]]
+                if live[i]:
+                    drop0 = mis[i] & sel0[self.spl_pos[i]]
+                    val[2 * i], val[2 * i + 1] = a & ~drop0, a & ~(mis[i] ^ drop0)
+                else:
+                    val[2 * i] = val[2 * i + 1] = a
                 continue
             else:  # DFF and SFQ2DC drop their pulse
-                v = val[src[0]] & ~mis[:, i, :]
-            if clock[i] is not None:
+                v = val[src[0]] & ~mis[i] if live[i] else val[src[0]]
+            if clock[i] is not None and val[clock[i]] is not ones:
                 v = v & val[clock[i]]
             val[2 * i] = v
-        received = np.stack([val[2 * o] for o in prog.outputs], axis=-1)
-        return received.astype(np.uint8)
+        return np.stack([val[2 * o] for o in prog.outputs])
 
 
 _ENGINES: dict = {}
@@ -282,7 +326,16 @@ def _engine(net: Netlist) -> _FaultEngine:
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
-    """All randomness of one chip, in a fixed draw order."""
+    """All randomness of one chip, in a fixed draw order.
+
+    Deviations, splitter branches, messages, then a (cells, n_messages)
+    block of misfire uniforms.  Only the block's rows of cells faulty under
+    ``cfg`` are drawn; the stream skips every other row with ``advance``,
+    which relies on ``Generator.random`` taking exactly one 64-bit output
+    per double, so a drawn row equals the same row of the full block.
+    Returns (deviations, branches, messages, faulty cell indices, their
+    misfire rows).
+    """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chip_index)))
     if cfg.distribution == "uniform":
         dev = rng.uniform(-cfg.spread, cfg.spread, eng.n_cells)
@@ -294,17 +347,25 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
                 break
             dev[bad] = rng.normal(0.0, cfg.spread / 2.0, int(bad.sum()))
     branch = rng.integers(0, 2, eng.n_splitters)
-    k = len(eng.net.inputs)
-    msgs = rng.integers(0, 2, (cfg.n_messages, k), dtype=np.uint8)
-    mis_u = rng.random((eng.n_cells, cfg.n_messages))
-    return dev, branch, msgs, mis_u
+    k, n_msg = len(eng.net.inputs), cfg.n_messages
+    msgs = rng.integers(0, 2, (n_msg, k), dtype=np.uint8)
+    cells = (np.abs(dev) > eng.margins_vector(cfg)).nonzero()[0]
+    rows = np.empty((len(cells), n_msg))
+    pos = 0
+    for row, cell in zip(rows, cells.tolist()):
+        if cell > pos:
+            rng.bit_generator.advance((cell - pos) * n_msg)
+        rng.random(out=row)
+        pos = cell + 1
+    return dev, branch, msgs, cells, rows
 
 
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     """Draw one chip instance; deterministic in (master_seed, chip_index)."""
     eng = _engine(net)
-    dev, branch, _, _ = _chip_material(eng, cfg, chip_index)
-    faulty = np.abs(dev) > eng.margins_vector(cfg)
+    dev, branch, _, cells, _ = _chip_material(eng, cfg, chip_index)
+    faulty = np.zeros(eng.n_cells, dtype=bool)
+    faulty[cells] = True
     return ChipInstance(
         chip_index=chip_index,
         cell_ids=eng.prog.cell_ids,
@@ -320,31 +381,98 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     eng = _engine(net)
     rng = trial_rng if trial_rng is not None else np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    mis_u = rng.random((1, eng.n_cells, 1))
-    msgs = np.asarray(message, dtype=np.uint8).reshape(1, 1, -1)
-    received = eng.run(chip.deviations[None, :], chip.branch_sel[None, :],
-                       mis_u, msgs, cfg)
-    return received[0, 0]
+    fires = (rng.random(eng.n_cells) < cfg.q) & (np.abs(chip.deviations) > eng.margins_vector(cfg))
+    mis = np.packbits(fires.reshape(-1, 1, 1), axis=-1)
+    msgs = np.packbits(np.asarray(message, dtype=np.uint8).reshape(-1, 1, 1), axis=-1)
+    received = eng.run(mis, chip.branch_sel[None, :], msgs, cfg.clock_faults)
+    return np.unpackbits(received, axis=-1, count=1)[:, 0, 0]
 
 
-def _count_errors(setup: EncoderSetup, received, messages, cfg: PpvConfig):
-    """Erroneous-message mask per (chip, message)."""
-    sent_idx = pack(messages)
-    if setup.code is None:
-        return pack(received) != sent_idx
-    delivered = setup.code.decode_table(CORRECT, cfg.tie_break)[pack(received)]
-    wrong = delivered != sent_idx
-    return wrong if cfg.count_detected_errors else wrong & (delivered >= 0)
+class _Chips(NamedTuple):
+    """Material of a batch of chips, messages packed along the message axis."""
+
+    branch: np.ndarray  # (chips, splitters) designated branch per splitter
+    msgs: np.ndarray    # (k, chips, W) packed message bits
+    sent: np.ndarray    # (chips, M) index of each sent message
+    chip: np.ndarray    # (F,) chip of each drawn misfire row
+    cell: np.ndarray    # (F,) cell of each drawn misfire row
+    dev: np.ndarray     # (F,) |deviation| of that cell
+    u: np.ndarray       # (F, M) misfire uniforms
+
+
+def _draw(eng: _FaultEngine, cfg: PpvConfig, chips) -> _Chips:
+    """Draw ``chips`` with misfire rows for the cells faulty under ``cfg``."""
+    dev, branch, msgs, cells, rows = zip(*[_chip_material(eng, cfg, i) for i in chips])
+    msgs = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
+    chip = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    cell = np.concatenate(cells)
+    return _Chips(branch=np.array(branch), msgs=msgs, sent=_word_index(msgs, cfg.n_messages),
+                  chip=chip, cell=cell, dev=np.abs(np.array(dev)[chip, cell]),
+                  u=np.concatenate(rows))
+
+
+def _word_index(packed, n_messages: int) -> np.ndarray:
+    """Index of each word, first bit most significant (as :func:`codes.pack`).
+
+    ``packed`` holds one packed bit plane per word bit, (bits, rows, W);
+    returns (rows, n_messages).
+    """
+    planes = np.unpackbits(packed, axis=-1, count=n_messages)
+    words = planes[0].astype(np.min_scalar_type((1 << len(planes)) - 1))
+    for plane in planes[1:]:
+        words <<= 1
+        words |= plane
+    return words
+
+
+def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> np.ndarray:
+    """Whether a message counts as erroneous, per (sent index, received word)."""
+    delivered = (np.arange(1 << len(setup.netlist.outputs)) if setup.code is None
+                 else setup.code.decode_table(CORRECT, tie_break))
+    wrong = delivered != np.arange(1 << len(setup.netlist.inputs))[:, None]
+    return wrong if count_detected_errors else wrong & (delivered >= 0)
+
+
+def _count_errors(setup: EncoderSetup, received, sent, cfgs) -> np.ndarray:
+    """Erroneous messages per (config, chip).
+
+    ``received`` holds packed output bits (n, configs * chips, W), one block
+    of chips per config; ``sent`` the message index per (chip, message).
+    Each message is one lookup in its config's (sent, received) table.
+    """
+    accounting = [(c.tie_break, c.count_detected_errors) for c in cfgs]
+    variants = list(dict.fromkeys(accounting))
+    tables = np.stack([_wrong(setup, *v) for v in variants])
+    offset = np.array([variants.index(a) * tables[0].size for a in accounting])
+    words = _word_index(received, sent.shape[1]).reshape(len(cfgs), *sent.shape)
+    key = words + ((sent.astype(np.int32) << len(received)) + offset[:, None, None])
+    return np.take(tables, key).sum(axis=2)
+
+
+def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
+    """Erroneous-message counts (configs, chips) in one engine pass.
+
+    The configs, which must share ``clock_faults``, are stacked along the
+    rows: row ``i * chips + j`` is chip ``j`` under ``cfgs[i]``.
+    """
+    n_cfg, n_chip = len(cfgs), len(chips.sent)
+    mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
+    if len(chips.cell):
+        margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
+        faulty = chips.dev > margins
+        q = np.array([c.q for c in cfgs])[:, None, None]
+        fires = (chips.u < q) & faulty[:, :, None]
+        rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
+        mis[chips.cell, rows] = np.packbits(fires, axis=-1)
+    received = eng.run(mis, np.tile(chips.branch, (n_cfg, 1)),
+                       np.tile(chips.msgs, (1, n_cfg, 1)), cfgs[0].clock_faults)
+    return _count_errors(setup, received, chips.sent, cfgs)
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """Erroneous messages out of n_messages for one chip."""
     eng = _engine(setup.netlist)
-    dev, branch, msgs, mis_u = _chip_material(eng, cfg, chip.chip_index)
-    received = eng.run(dev[None, :], branch[None, :], mis_u[None, :, :],
-                       msgs[None, :, :], cfg)
-    errors = _count_errors(setup, received, msgs[None, :, :], cfg)
-    return int(errors.sum())
+    return int(_score(eng, setup, _draw(eng, cfg, [chip.chip_index]), [cfg])[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarray:
@@ -352,30 +480,30 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
 
     Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
-    spread, distribution, message count): each batch of chips is drawn once
-    and scored under every config (common random numbers), and its buffers
-    are reused for the next batch.
+    spread, distribution, message count): each batch of chips is drawn once,
+    with misfire rows for the cells faulty under the weakest margin of each
+    kind, and scored under every config (common random numbers).  Configs
+    sharing ``clock_faults`` are stacked into engine passes of at most
+    ``batch`` rows.
     """
     cfg0 = cfgs[0]
     material = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages)
     if any(material(c) != material(cfg0) for c in cfgs):
         raise ValueError("configs scored together must share their chip material")
     eng = _engine(setup.netlist)
-    n_chips, n_msg = cfg0.n_chips, cfg0.n_messages
-    size = min(batch, n_chips)
-    devs = np.empty((size, eng.n_cells))
-    branches = np.empty((size, eng.n_splitters), dtype=np.int64)
-    msgs = np.empty((size, n_msg, len(eng.net.inputs)), dtype=np.uint8)
-    mis = np.empty((size, eng.n_cells, n_msg))
+    weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
+    n_chips = cfg0.n_chips
+    per_pass = max(1, batch // min(batch, n_chips))
+    passes = []
+    for flag in (True, False):
+        same = [i for i, c in enumerate(cfgs) if c.clock_faults == flag]
+        passes += [same[p:p + per_pass] for p in range(0, len(same), per_pass)]
     out = np.empty((len(cfgs), n_chips), dtype=np.int64)
     for start in range(0, n_chips, batch):
-        c = min(batch, n_chips - start)
-        for j in range(c):
-            devs[j], branches[j], msgs[j], mis[j] = _chip_material(eng, cfg0, start + j)
-        d, b, m, u = devs[:c], branches[:c], msgs[:c], mis[:c]
-        for i, cfg in enumerate(cfgs):
-            received = eng.run(d, b, u, m, cfg)
-            out[i, start:start + c] = _count_errors(setup, received, m, cfg).sum(axis=1)
+        stop = min(start + batch, n_chips)
+        chips = _draw(eng, weakest, range(start, stop))
+        for idx in passes:
+            out[idx, start:stop] = _score(eng, setup, chips, [cfgs[i] for i in idx])
     return out
 
 

@@ -140,10 +140,20 @@ def test_mc_rejects_bad_config(tmp_path):
     ["--messages", "0"],
     {"bogus": 1},
     {"tie_break": "bogus"},
+    {"q": "0.1"},
+    {"spread": None},
+    {"margins": ["XOR"]},
+    {"margins": {"XOR": "0.1", "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1}},
+    {"count_detected_errors": "no"},
+    {"clock_faults": 1},
+    {"n_chips": True},
+    {"n_messages": 10.0},
+    {"master_seed": "7"},
+    [{"q": 0.1}],
 ])
 def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
     argv = ["mc", "--out", str(tmp_path)]
-    if isinstance(case, dict):
+    if not isinstance(case, list) or not isinstance(case[0], str):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(case))
         argv += ["--config", str(path)]

@@ -56,7 +56,7 @@ def chip_with_only(setup, cfg, cell_id, dev=1.0):
     eng = _engine(setup.netlist)
     chip = sample_chip(setup.netlist, cfg, 0)
     d = np.zeros(eng.n_cells)
-    d[eng.index[cell_id]] = dev
+    d[eng.prog.cell_ids.index(cell_id)] = dev
     return dataclasses.replace(chip, deviations=d, faulty=np.abs(d) > 0.5)
 
 
@@ -79,6 +79,19 @@ def test_config_rejects_bad_values():
         PpvConfig.from_dict({"q": 0.2, "bogus": 1})
     with pytest.raises(ValueError, match="tie_break"):
         PpvConfig(tie_break="bogus")
+    for bad in ({"q": "0.1"}, {"spread": None}, {"q": True}, {"margins": ["XOR"]},
+                {"margins": margins(XOR="0.1")}, {"margins": margins(XOR=float("nan"))},
+                {"n_chips": True}, {"n_messages": 10.0}, {"master_seed": "7"},
+                {"master_seed": -1}, {"count_detected_errors": "no"}, {"clock_faults": 1}):
+        with pytest.raises(ValueError):
+            PpvConfig(**bad)
+        with pytest.raises(ValueError):
+            PpvConfig.from_dict(bad)
+    with pytest.raises(ValueError):
+        PpvConfig.from_dict([("q", 0.1)])
+    # ints stay ints in float fields, so a written config reads back unchanged
+    cfg = PpvConfig.from_dict({"spread": 1, "q": 0, "margins": margins(XOR=0)})
+    assert cfg.to_dict()["spread"] == 1 and type(cfg.to_dict()["spread"]) is int
 
 
 def test_config_margins_are_frozen():
@@ -165,7 +178,7 @@ def test_inputs_and_clock_never_fault():
     eng = _engine(setup.netlist)
     chip = sample_chip(setup.netlist, cfg, 3)
     for cid in setup.netlist.inputs + [setup.netlist.clock]:
-        assert not chip.faulty[eng.index[cid]]
+        assert not chip.faulty[eng.prog.cell_ids.index(cid)]
 
 
 # --- single-message injection ------------------------------------------------------
@@ -315,6 +328,141 @@ def test_many_configs_match_one_at_a_time(name, knobs, n_chips, batch, seed):
         assert np.array_equal(row, error_counts(setup, cfg))
 
 
+def reference_material(eng, cfg, chip_index):
+    """The draw order of a chip with its full (cells, n_messages) misfire block."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chip_index)))
+    if cfg.distribution == "uniform":
+        dev = rng.uniform(-cfg.spread, cfg.spread, eng.n_cells)
+    else:
+        dev = rng.normal(0.0, cfg.spread / 2.0, eng.n_cells)
+        while (np.abs(dev) > cfg.spread).any():
+            bad = np.abs(dev) > cfg.spread
+            dev[bad] = rng.normal(0.0, cfg.spread / 2.0, int(bad.sum()))
+    branch = rng.integers(0, 2, eng.n_splitters)
+    msgs = rng.integers(0, 2, (cfg.n_messages, len(eng.net.inputs)), dtype=np.uint8)
+    return dev, branch, msgs, rng.random((eng.n_cells, cfg.n_messages))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ppv.SETUP_NAMES),
+       distribution=st.sampled_from(["uniform", "gaussian"]),
+       margin=st.lists(st.floats(0.0, 0.25), min_size=4, max_size=4),
+       n_messages=st.sampled_from([1, 7, 8, 9, 65]),
+       seed=st.integers(0, 2**16),
+       chip=st.integers(0, 10**6))
+def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_messages,
+                                              seed, chip):
+    eng = _engine(make_setup(name).netlist)
+    cfg = PpvConfig(distribution=distribution, margins=dict(zip(KINDS, margin)),
+                    n_messages=n_messages, master_seed=seed)
+    dev, branch, msgs, cells, rows = ppv._chip_material(eng, cfg, chip)
+    ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
+    assert np.array_equal(dev, ref_dev) and np.array_equal(branch, ref_branch)
+    assert np.array_equal(msgs, ref_msgs)
+    assert cells.tolist() == np.flatnonzero(np.abs(dev) > eng.margins_vector(cfg)).tolist()
+    assert np.array_equal(rows, full[cells])
+
+
+def reference_counts(setup, cfg):
+    """Per-chip error counts by the unpacked algorithm, one message at a time.
+
+    Draws each chip's full misfire block and walks the netlist's nets for
+    every message, independent of the compiled program and the packed engine.
+    """
+    net = setup.netlist
+    eng = _engine(net)
+    ids = list(net.cells)
+    kind = {cid: net.cells[cid].kind for cid in ids}
+    driver = {(n.dst, n.dst_pin): (n.src, n.src_port) for n in net.nets}
+    splitters = [cid for cid in ids if kind[cid] == nl.SPLITTER]
+    counts = []
+    for chip in range(cfg.n_chips):
+        dev, branch, msgs, u = reference_material(eng, cfg, chip)
+        faulty = [kind[cid] in KINDS and abs(dev[i]) > cfg.margins[kind[cid]]
+                  for i, cid in enumerate(ids)]
+        errors = 0
+        for t, m in enumerate(msgs):
+            fires = {cid for i, cid in enumerate(ids) if faulty[i] and u[i, t] < cfg.q}
+            memo = {}
+
+            def out(cid, port):
+                if (cid, port) not in memo:
+                    k = kind[cid]
+                    if k == nl.INPUT:
+                        v = int(m[net.inputs.index(cid)])
+                    elif k == nl.CLOCK_INPUT:
+                        v = 1
+                    elif k == nl.XOR:
+                        v = out(*driver[(cid, 0)]) ^ out(*driver[(cid, 1)]) ^ (cid in fires)
+                    elif k == nl.SPLITTER:
+                        dropped = cid in fires and branch[splitters.index(cid)] == port
+                        v = 0 if dropped else out(*driver[(cid, 0)])
+                    else:
+                        v = 0 if cid in fires else out(*driver[(cid, 0)])
+                    if cfg.clock_faults and (cid, "clk") in driver:
+                        v &= out(*driver[(cid, "clk")])
+                    memo[(cid, port)] = v
+                return memo[(cid, port)]
+
+            word = [out(o, 0) for o in net.outputs]
+            if setup.code is None:
+                errors += word != m.tolist()
+            else:
+                got = decode(setup.code, word, CORRECT, cfg.tie_break).message
+                if got is None:
+                    errors += cfg.count_detected_errors
+                else:
+                    errors += not np.array_equal(got, m)
+        counts.append(errors)
+    return counts
+
+
+def random_cfgs(knobs, **common):
+    return [PpvConfig(margins=dict(zip(KINDS, m)), q=q, count_detected_errors=det,
+                      tie_break=ties, clock_faults=clock, **common)
+            for m, q, det, ties, clock in knobs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(ppv.SETUP_NAMES),
+    knobs=st.lists(st.tuples(
+        st.lists(st.floats(0.1, 0.2), min_size=4, max_size=4),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
+        st.booleans(),
+    ), min_size=1, max_size=4),
+    distribution=st.sampled_from(["uniform", "gaussian"]),
+    n_chips=st.integers(1, 9),
+    n_messages=st.integers(1, 19),
+    batch=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_error_counts_match_reference_evaluator(name, knobs, distribution, n_chips,
+                                                n_messages, batch, seed):
+    setup = make_setup(name)
+    cfgs = random_cfgs(knobs, distribution=distribution, n_chips=n_chips,
+                       n_messages=n_messages, master_seed=seed)
+    many = _error_counts_many(setup, cfgs, batch=batch)
+    for row, cfg in zip(many, cfgs):
+        assert row.tolist() == reference_counts(setup, cfg)
+
+
+def test_error_counts_match_reference_beyond_one_pass():
+    # 12 configs x 26 chips = 312 rows: more than one 250-row engine pass
+    rng = np.random.default_rng(4)
+    knobs = [(rng.uniform(0.12, 0.2, 4), float(rng.uniform()), bool(i % 2),
+              (TIE_CONSERVATIVE, TIE_OPTIMISTIC)[i % 3 == 0], i % 4 != 1)
+             for i in range(12)]
+    setup = make_setup("rm13")
+    cfgs = random_cfgs(knobs, n_chips=26, n_messages=9, master_seed=5)
+    many = _error_counts_many(setup, cfgs)
+    for row, cfg in zip(many, cfgs):
+        assert row.tolist() == reference_counts(setup, cfg)
+    assert many.sum() > 0
+
+
 def test_many_configs_need_shared_chip_material():
     setup = make_setup("rm13")
     with pytest.raises(ValueError):
@@ -425,10 +573,14 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
     eng = _engine(net)
     rng = np.random.default_rng(seed)
     cfg = PpvConfig(margins=margins(), q=q, n_messages=max(1, len(msgs)))
-    dev = rng.uniform(-0.2, 0.2, (1, eng.n_cells))
+    dev = rng.uniform(-0.2, 0.2, eng.n_cells)
     branch = rng.integers(0, 2, (1, eng.n_splitters))
-    mis = rng.random((1, eng.n_cells, len(msgs)))
-    got = eng.run(dev, branch, mis, msgs[None, :, :], cfg)[0]
+    fires = (rng.random((eng.n_cells, len(msgs))) < q) & (
+        np.abs(dev) > eng.margins_vector(cfg))[:, None]
+    mis = np.packbits(fires[:, None, :], axis=-1)
+    packed = np.packbits(msgs.T[:, None, :], axis=-1)
+    received = eng.run(mis, branch, packed, cfg.clock_faults)
+    got = np.unpackbits(received, axis=-1, count=len(msgs))[:, 0, :].T
     res = simulate(net, message_frames(net, msgs))
     assert np.array_equal(got, np.asarray(res.outputs)[res.latency:])
 
