@@ -54,6 +54,9 @@ _G_HAMMING84 = np.array(
 )
 
 
+_BIT_VALUES = frozenset((0, 1))
+
+
 def bits(s) -> np.ndarray:
     """Coerce a bit string like ``"1011"`` (or any 0/1 sequence) to uint8."""
     if isinstance(s, str):
@@ -61,8 +64,10 @@ def bits(s) -> np.ndarray:
             raise ValueError(f"not a bit string: {s!r}")
         return np.array([int(ch) for ch in s], dtype=np.uint8)
     a = np.asarray(s)
-    # checked before the cast, which would wrap 256 to 0 and truncate 0.5
-    if a.ndim != 1 or not ((a == 0) | (a == 1)).all():
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.5;
+    # set membership compares by ==, so 1.0 and True pass as they would in
+    # ``((a == 0) | (a == 1)).all()``, at a fraction of its cost on short vectors
+    if a.ndim != 1 or not _BIT_VALUES.issuperset(a.tolist()):
         raise ValueError("bit vector must be one-dimensional over {0,1}")
     return a.astype(np.uint8)
 
@@ -127,7 +132,8 @@ class LinearCode:
     reads: per received word (indexed by :func:`pack`) the nearest
     ``distance``, the lowest-index ``nearest`` message and whether the
     nearest codeword is ``tied``.  ``resolves_ties`` lets correct mode
-    deliver a tied word under :data:`TIE_OPTIMISTIC`.  Instances are
+    deliver a tied word under :data:`TIE_OPTIMISTIC`.  The decode table of
+    each (mode, tie policy) is derived from it once, here.  Instances are
     immutable in use: every operation is a pure function, so codes are safe
     to share across threads.
     """
@@ -164,7 +170,16 @@ class LinearCode:
         # the lowest message index among ties; int16 keeps batch lookups small
         self.nearest = dist.argmin(axis=1).astype(np.int16)
         self.tied = (dist == self.distance[:, None]).sum(axis=1) > 1
-        for table in (self.distance, self.nearest, self.tied):
+        exact = np.where(self.distance > 0, -1, self.nearest)
+        unique = np.where(self.tied, -1, self.nearest)
+        self._decode_tables = {
+            (DETECT_ONLY, TIE_CONSERVATIVE): exact,
+            (DETECT_ONLY, TIE_OPTIMISTIC): exact,
+            (CORRECT, TIE_CONSERVATIVE): unique,
+            (CORRECT, TIE_OPTIMISTIC): self.nearest if resolves_ties else unique,
+        }
+        self._weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        for table in (self.distance, self.nearest, self.tied, exact, unique, self._weights):
             table.setflags(write=False)
 
     def __repr__(self):
@@ -183,6 +198,7 @@ class LinearCode:
     def decode_table(self, mode: str = CORRECT, tie_break: str = TIE_CONSERVATIVE):
         """Message index delivered per received word (indexed by :func:`pack`), -1 if refused.
 
+        The tables are built once per code and are read-only.
         ``detect_only`` delivers exact codewords only.  ``correct`` delivers
         the nearest codeword unless it is tied; a code that resolves ties
         delivers the lowest-index tied one under ``optimistic``.
@@ -190,13 +206,9 @@ class LinearCode:
         if tie_break not in TIE_POLICIES:
             raise ValueError(f"unknown tie_break {tie_break!r}; expected one of "
                              f"{', '.join(TIE_POLICIES)}")
-        if mode == DETECT_ONLY:
-            refused = self.distance > 0
-        elif mode == CORRECT:
-            refused = self.tied & (not (self.resolves_ties and tie_break == TIE_OPTIMISTIC))
-        else:
+        if mode not in (DETECT_ONLY, CORRECT):
             raise ValueError(f"unknown decode mode {mode!r}")
-        return np.where(refused, -1, self.nearest)
+        return self._decode_tables[mode, tie_break]
 
     @property
     def is_perfect(self) -> bool:
@@ -291,7 +303,7 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
     r = bits(received)
     if r.size != code.n:
         raise ValueError(f"received length {r.size} != n={code.n} for {code.name}")
-    w = int(pack(r))
+    w = int(r.dot(code._weights))
     m = int(code.decode_table(mode, tie_break)[w])
     if m < 0:
         return DecodeOutcome(None, UNCORRECTABLE)

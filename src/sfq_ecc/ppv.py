@@ -603,6 +603,9 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     scored at ``search_chips`` chips, locally refined, and finalists
     re-scored at the full configured chip count.
     """
+    if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
+            or refine_rounds < 0):
+        raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
     targets = dict(CALIBRATION_TARGETS if targets is None else targets)
     for name, t in targets.items():
         if not 0 <= t <= 1:

@@ -41,27 +41,32 @@ def _delayed(x: np.ndarray) -> np.ndarray:
 
 
 def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
-    """Drive ``frames`` (one dict input-id -> bit per cycle) through the netlist.
+    """Drive ``frames`` through the netlist, one message per cycle.
 
-    A new message may be injected every cycle; outputs appear ``latency``
-    cycles after their message, and cycles beyond ``frames`` carry zero
-    messages.  Raises :class:`StructuralError` before simulating anything
-    if the netlist is unbalanced or ill-formed.
+    ``frames`` is a (messages, k) array of bits, as :func:`message_frames`
+    returns it; column j drives ``net.inputs[j]``.  A list of rows or ``[]``
+    is accepted and checked the same way.  A new message may be injected
+    every cycle; outputs appear ``latency`` cycles after their message, and
+    cycles beyond ``frames`` carry zero messages.  Raises
+    :class:`StructuralError` before simulating anything if the netlist is
+    unbalanced or ill-formed.
 
     Every port holds one array over all cycles, and the compiled program
     fills them in one levelized pass: a clocked cell's output is its input
     shifted by one cycle.
     """
     prog = nl.compile(net)
+    frames = message_frames(net, frames)
     if cycles is None:
         cycles = len(frames) + prog.latency
     frames = frames[:cycles]
+    column = {cell: j for j, cell in enumerate(prog.inputs)}
     val = [None] * (2 * len(prog.kinds))
     for i in prog.order:
         kind, src = prog.kinds[i], prog.drivers[i]
         if kind == nl.INPUT:
             v = np.zeros(cycles, dtype=np.uint8)
-            v[:len(frames)] = [f.get(prog.cell_ids[i], 0) for f in frames]
+            v[:len(frames)] = frames[:, column[i]]
         elif kind == nl.CLOCK_INPUT:
             v = np.ones(cycles, dtype=np.uint8)
         elif kind == nl.XOR:
@@ -77,19 +82,31 @@ def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     return SimResult(outputs=outputs, latency=prog.latency, output_ids=list(net.outputs))
 
 
-def message_frames(net: Netlist, messages) -> list:
-    """Turn message bit-vectors (a 2-D array or a list of rows) into input frames."""
+def message_frames(net: Netlist, messages) -> np.ndarray:
+    """Message bit-vectors (a 2-D array or a list of rows) as checked input frames.
+
+    Returns a (messages, k) uint8 array; column j is the bit for
+    ``net.inputs[j]``.  Raises ``ValueError`` on a
+    message of the wrong width or on any value other than 0 or 1, the rule
+    of :func:`sfq_ecc.codes.bits`, checked once over the whole array.
+    """
     k = len(net.inputs)
     try:
-        msgs = np.asarray(messages, dtype=np.uint8)
-        msgs = msgs.reshape(len(msgs), k)
-    except ValueError:
+        msgs = np.asarray(messages)
+        if msgs.shape[:1] == (0,):
+            msgs = msgs.reshape(0, k)
+    except ValueError:  # ragged rows
+        msgs = None
+    if msgs is None or msgs.shape[1:] != (k,):
         for m in messages:  # name the first message of the wrong width
             size = np.asarray(m).size
             if size != k:
-                raise ValueError(f"message length {size} != {k} inputs") from None
-        raise
-    return [dict(zip(net.inputs, row)) for row in msgs.tolist()]
+                raise ValueError(f"message length {size} != {k} inputs")
+        raise ValueError(f"messages must be rows of {k} bits")
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.5
+    if not ((msgs == 0) | (msgs == 1)).all():
+        raise ValueError("message bits must be 0 or 1")
+    return msgs.astype(np.uint8, copy=False)
 
 
 def verify_equivalence(net: Netlist, code: LinearCode):
@@ -99,7 +116,7 @@ def verify_equivalence(net: Netlist, code: LinearCode):
     validation is balanced, so each codeword depends on its own message
     only.  Returns ``(True, None)`` or ``(False, counterexample_message)``.
     """
-    res = simulate(net, message_frames(net, code.messages))
+    res = simulate(net, code.messages)
     got = res.outputs[res.latency:]
     want = (code.messages @ code.G) % 2
     if got.shape != want.shape:
@@ -117,12 +134,28 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     fixes which clock period injection happened in, and each subsequent
     edge is one period later.  Sub-period analog offsets are outside this
     model, so timestamps are aligned to edges (exact to within one period).
+    Every stamp is a plain ``float``.  Raises ``ValueError`` on a clock or
+    epoch that is not finite, a clock that is not positive, or stamps that
+    overflow the float range.
     """
+    if not (np.isfinite(clock_ghz) and np.isfinite(epoch_ns)):
+        raise ValueError(f"clock frequency and epoch must be finite: {clock_ghz} GHz, "
+                         f"{epoch_ns} ns")
     if clock_ghz <= 0:
         raise ValueError("clock frequency must be positive")
+    frames = np.asarray(result.outputs)
+    cycles, width = frames.shape
+    if len(result.output_ids) != width:
+        raise ValueError(f"{len(result.output_ids)} output ids for {width} output bits")
     period = 1.0 / clock_ghz
-    base = np.floor(epoch_ns / period) * period if epoch_ns else 0.0
-    stamps = [base + t * period for t in range(len(result.outputs))]
-    return [(stamp, oid, bit)
-            for stamp, frame in zip(stamps, np.asarray(result.outputs).tolist())
-            for oid, bit in zip(result.output_ids, frame)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.floor(epoch_ns / period) * period if epoch_ns else 0.0
+        stamps = base + np.arange(cycles) * period
+    if not np.isfinite(stamps).all():  # a period or epoch beyond the float range
+        raise ValueError(f"time stamps at {clock_ghz} GHz from epoch {epoch_ns} ns "
+                         f"are not finite")
+    # one float object per cycle, shared by the cycle's rows: a float per row
+    # would hold 24 bytes more per row at the peak
+    stamps = stamps.astype(object)
+    return list(zip(np.repeat(stamps, width).tolist(), list(result.output_ids) * cycles,
+                    frames.ravel().tolist()))

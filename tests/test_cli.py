@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sfq_ecc.cli import (
@@ -11,6 +12,7 @@ from sfq_ecc.cli import (
     EXIT_VALIDATION,
     main,
 )
+from sfq_ecc.codes import make_code
 
 
 def run(argv):
@@ -88,6 +90,37 @@ def test_simulate_no_messages_header_only(tmp_path):
     assert run(["simulate", str(tmp_path / "hamming74_netlist.json"),
                 "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / "timeline.csv").read_text() == "time_ns,net_id,value\n"
+
+
+@pytest.mark.parametrize("code", ["hamming74", "hamming84", "rm13"])
+def test_simulate_output_bytes(tmp_path, capsys, code):
+    # stdout and timeline.csv rebuilt from matrix encoding, at a clock whose
+    # period is no round number
+    run(["synth", code, "--out", str(tmp_path)])
+    capsys.readouterr()
+    messages = ["1011", "0110", "1111", "0001"]
+    assert run(["simulate", str(tmp_path / f"{code}_netlist.json"), "--code", code,
+                *[a for m in messages for a in ("--message", m)],
+                "--clock-ghz", "3.3", "--out", str(tmp_path)]) == EXIT_OK
+    G = make_code(code).G
+    frames = [[0] * G.shape[1]] * 2 + [list((np.array(list(m), dtype=int) @ G) % 2)
+                                       for m in messages]
+    stdout = ["latency: 2 cycles at 3.3 GHz", *[f"message {m}" for m in messages],
+              *[f"cycle {c}: {''.join(map(str, f))}" for c, f in enumerate(frames)],
+              f"timeline -> {tmp_path / 'timeline.csv'}"]
+    assert capsys.readouterr().out == "\n".join(stdout) + "\n"
+    csv = "time_ns,net_id,value\n" + "".join(
+        f"{c * (1.0 / 3.3):.6g},o{j},{b}\n" for c, f in enumerate(frames)
+        for j, b in enumerate(f))
+    assert (tmp_path / "timeline.csv").read_text() == csv
+
+
+@pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "1e-320"])
+def test_simulate_rejects_non_finite_clock(tmp_path, clock):
+    run(["synth", "hamming84", "--out", str(tmp_path)])
+    assert run(["simulate", str(tmp_path / "hamming84_netlist.json"), "--message", "1011",
+                f"--clock-ghz={clock}", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "timeline.csv").exists()
 
 
 def test_simulate_corrupt_netlist(tmp_path):
@@ -183,6 +216,19 @@ def test_calibrate_unreachable_targets_flagged(tmp_path):
     assert code == EXIT_NONCONVERGED
     doc = json.loads((tmp_path / "ppv_calibrated.json").read_text())
     assert not doc["converged"]  # config still written, with a warning
+
+
+def test_calibrate_rejects_negative_refine_rounds(tmp_path):
+    assert run(["calibrate", "--refine-rounds", "-1", "--chips", "40",
+                "--search-chips", "30", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "ppv_calibrated.json").exists()
+
+
+def test_calibrate_rejects_non_integer_refine_rounds(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        run(["calibrate", "--refine-rounds", "1.5", "--out", str(tmp_path)])
+    assert e.value.code == EXIT_VALIDATION
+    assert not (tmp_path / "ppv_calibrated.json").exists()
 
 
 def test_calibrate_malformed_targets(tmp_path):

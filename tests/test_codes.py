@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from sfq_ecc.codes import (
     CORRECT,
@@ -144,6 +144,23 @@ def test_bits_accepts_booleans_and_integers():
     for good in ([True, False, True, True], np.array([1, 0, 1, 1], dtype=np.int64), "1011"):
         out = bits(good)
         assert out.dtype == np.uint8 and bitstr(out) == "1011"
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.sampled_from([np.bool_, np.uint8, np.int16, np.int64, np.float64]).flatmap(
+    lambda dtype: arrays(dtype, st.integers(0, 9), elements=st.one_of(
+        st.sampled_from([0, 1]), from_dtype(np.dtype(dtype))))))
+def test_bits_accepts_exactly_the_elementwise_bit_rule(a):
+    # the rule bits implemented as one vectorized comparison, kept as its oracle
+    want = bool(((a == 0) | (a == 1)).all())
+    for given_as in (a, a.tolist()):
+        if want:
+            out = bits(given_as)
+            assert out.dtype == np.uint8 and np.array_equal(out, a)
+            assert not np.shares_memory(out, a)
+        else:
+            with pytest.raises(ValueError):
+                bits(given_as)
 
 
 # --- encoding ---------------------------------------------------------------
@@ -304,10 +321,22 @@ def test_decoder_follows_generator_and_tie_attribute_not_name():
 
 
 @pytest.mark.parametrize("kw", [{"mode": "bogus"}, {"tie_break": "bogus"},
-                                {"mode": DETECT_ONLY, "tie_break": "bogus"}])
+                                {"mode": DETECT_ONLY, "tie_break": "bogus"},
+                                {"mode": ["bogus"]}])
 def test_decode_rejects_unknown_mode_and_tie_break(kw):
     with pytest.raises(ValueError, match="bogus"):
         decode(make_code("rm13"), "00000000", **kw)
+
+
+def test_decode_tables_are_built_once_and_read_only():
+    for name, mode, ties in itertools.product(ALL_CODES, (DETECT_ONLY, CORRECT),
+                                              (TIE_CONSERVATIVE, TIE_OPTIMISTIC)):
+        code = make_code(name)
+        table = code.decode_table(mode, ties)
+        assert code.decode_table(mode, ties) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 5
+        assert table[0] == 0
 
 
 def test_detect_only_is_exact_codeword_membership():

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import json
 import pickle
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -480,6 +482,28 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
 
     monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
     assert calibrate_fault_model(base=base, search_chips=10, refine_chips=20) == shared
+
+
+@pytest.mark.parametrize("rounds", [-1, 1.5, True, "2"])
+def test_calibration_rejects_bad_refine_rounds(rounds):
+    # a negative count skipped every polish step and reported non-convergence
+    with pytest.raises(ValueError, match="refine_rounds"):
+        calibrate_fault_model(base=PpvConfig(n_chips=4), search_chips=2,
+                              refine_chips=2, refine_rounds=rounds)
+
+
+def test_shipped_calibration_holds_across_seeds():
+    # the claim of the shipped config is not a property of its own seed alone
+    doc = json.loads(resources.files("sfq_ecc").joinpath("data/ppv_calibrated.json")
+                     .read_text())
+    cfg, targets = PpvConfig.from_dict(doc["config"]), doc["targets"]
+    for seed in range(1, 6):
+        run = dataclasses.replace(cfg, master_seed=seed)
+        probs = {name: float((error_counts(make_setup(name), run) == 0).mean())
+                 for name in ppv.SETUP_NAMES}
+        assert probs["none"] < probs["rm13"] < probs["hamming74"] < probs["hamming84"], \
+            (seed, probs)
+        assert max(abs(probs[k] - targets[k]) for k in targets) <= 0.05, (seed, probs)
 
 
 def test_batch_size_does_not_change_results():

@@ -12,6 +12,7 @@ from sfq_ecc import netlist as nl
 from sfq_ecc.codes import encode, make_code
 from sfq_ecc.netlist import Netlist, StructuralError
 from sfq_ecc.sim import (
+    SimResult,
     latency,
     message_frames,
     simulate,
@@ -78,11 +79,36 @@ def test_pipeline_matches_per_cycle_encoding(name, msgs, cycles):
 
 def test_message_frames_rejects_wrong_width():
     net = synthesize(make_code("hamming84"))
-    for bad in (np.zeros((3, 5), dtype=np.uint8), [np.zeros(4), np.zeros(3)]):
+    for bad in (np.zeros((3, 5), dtype=np.uint8), [np.zeros(4), np.zeros(3)],
+                np.array([1, 0, 1, 1])):
         with pytest.raises(ValueError, match="message length"):
             message_frames(net, bad)
-    assert message_frames(net, []) == []
-    assert message_frames(net, [[1, 0, 1, 1]]) == [{"m1": 1, "m2": 0, "m3": 1, "m4": 1}]
+    with pytest.raises(ValueError, match="rows of 4 bits"):
+        message_frames(net, np.zeros((1, 2, 2), dtype=np.uint8))
+    for empty in ([], np.zeros((0, 4), dtype=np.int64)):
+        got = message_frames(net, empty)
+        assert got.dtype == np.uint8 and got.shape == (0, 4)
+    got = message_frames(net, [[1, 0, 1, 1]])
+    assert got.dtype == np.uint8 and got.tolist() == [[1, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("bad", [[[2, 0, 0, 0]], [[0.5, 1, 1, 1]], [[256, 0, 0, 0]],
+                                 [[1, 0, -1, 0]], [[1, 0, float("nan"), 0]],
+                                 [["1", "0", "1", "1"]]])
+def test_message_frames_rejects_non_bits(bad):
+    # a cast first would wrap 256 to 0 and truncate 0.5 to 0
+    net = synthesize(make_code("hamming84"))
+    with pytest.raises(ValueError, match="0 or 1"):
+        message_frames(net, bad)
+    with pytest.raises(ValueError, match="0 or 1"):
+        simulate(net, bad)
+
+
+def test_frame_column_drives_the_listed_input():
+    net = synthesize(make_code("hamming84"))
+    want = run_messages(net, [[1, 0, 0, 0]]).outputs
+    net.inputs = net.inputs[::-1]
+    assert np.array_equal(run_messages(net, [[0, 0, 0, 1]]).outputs, want)
 
 
 @pytest.mark.parametrize("name", ["hamming74", "hamming84", "rm13"])
@@ -243,3 +269,50 @@ def test_timeline_rejects_bad_clock():
     res = run_messages(net, [np.zeros(4, dtype=np.uint8)])
     with pytest.raises(ValueError):
         to_timeline(res, clock_ghz=0.0)
+
+
+@pytest.mark.parametrize("clock_ghz,epoch_ns", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                                (5.0, float("nan")), (5.0, float("-inf")),
+                                                (1e-320, 0.0), (1e308, 1e3)])
+def test_timeline_rejects_non_finite_clock_or_epoch(clock_ghz, epoch_ns):
+    # nan stamped every row nan, an infinite clock stamped every row 0, and
+    # a period or epoch / period beyond the float range gave nan or inf stamps
+    net = synthesize(make_code("hamming84"))
+    res = run_messages(net, [np.zeros(4, dtype=np.uint8)])
+    with pytest.raises(ValueError, match="finite"):
+        to_timeline(res, clock_ghz, epoch_ns)
+
+
+def test_timeline_rejects_ids_that_do_not_match_the_outputs():
+    # a flat row layout would pair every later bit with the wrong id
+    res = SimResult(outputs=np.zeros((3, 4), dtype=np.uint8), latency=0,
+                    output_ids=["o0", "o1", "o2"])
+    with pytest.raises(ValueError, match="output ids"):
+        to_timeline(res, clock_ghz=5.0)
+
+
+def reference_timeline(result, clock_ghz, epoch_ns=0.0):
+    """The per-bit comprehension ``to_timeline`` was built on, kept as its oracle."""
+    period = 1.0 / clock_ghz
+    base = np.floor(epoch_ns / period) * period if epoch_ns else 0.0
+    stamps = [base + t * period for t in range(len(result.outputs))]
+    return [(stamp, oid, bit)
+            for stamp, frame in zip(stamps, np.asarray(result.outputs).tolist())
+            for oid, bit in zip(result.output_ids, frame)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(outputs=arrays(np.uint8, st.tuples(st.integers(0, 30), st.integers(1, 8)),
+                      elements=st.integers(0, 1)),
+       clock_ghz=st.floats(1e-3, 1e3),
+       epoch_ns=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+def test_timeline_matches_per_bit_reference(outputs, clock_ghz, epoch_ns):
+    res = SimResult(outputs=outputs, latency=0,
+                    output_ids=[f"o{i}" for i in range(outputs.shape[1])])
+    rows = to_timeline(res, clock_ghz, epoch_ns)
+    assert rows == reference_timeline(res, clock_ghz, epoch_ns)
+    width = outputs.shape[1]
+    for c in range(len(outputs)):  # the rows of a cycle share one plain float
+        cycle = rows[c * width:(c + 1) * width]
+        assert type(cycle[0][0]) is float and all(r[0] is cycle[0][0] for r in cycle)
+    assert all(type(r[1]) is str and type(r[2]) is int for r in rows)
