@@ -5,9 +5,11 @@ duplicates one pulse to two branches, ``SFQ2DC`` drives one codeword bit to
 the DC interface, and ``INPUT``/``CLOCK_INPUT`` are sources.  Nets connect
 exactly one driver port to exactly one sink pin; a validated netlist has
 fan-out one everywhere, an acyclic data graph, and the same clocked depth on
-every input-to-converter path.  :func:`compile` checks those rules and
-turns the netlist into the levelized program that validation, cycle
-simulation and fault injection all run on.
+every input-to-converter path.  The clock tree (the ``CLOCK_INPUT`` cells
+and the ``"clock"`` splitters they feed) drives only clock pins and its own
+splitters, and only it drives a clock pin.  :func:`compile` checks those
+rules and turns the netlist into the levelized program that validation,
+cycle simulation and fault injection all run on.
 
 Serialization is a versioned JSON document with stable cell ids, so two
 synthesis runs of the same code diff cleanly.
@@ -49,7 +51,9 @@ class Net:
     """Directed edge driver-port -> sink-pin.
 
     ``pin`` counts data pins 0..; the clock pin of a clocked cell is the
-    string ``"clk"`` so data and clock graphs separate cleanly.
+    string ``"clk"`` so data and clock graphs separate cleanly: a net from
+    the clock tree ends on a clock pin or a clock splitter, and a net into a
+    clock pin starts on the clock tree.
     """
 
     src: str
@@ -140,19 +144,32 @@ class Netlist:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Netlist":
+        if not isinstance(doc, dict):
+            raise StructuralError(f"netlist JSON must be an object, got {type(doc).__name__}")
         if doc.get("version") != SERIAL_VERSION:
             raise StructuralError(f"unsupported netlist version {doc.get('version')!r}")
         nl = cls(name=doc.get("name", "netlist"))
-        for c in doc["cells"]:
-            nl.add_cell(c["id"], c["kind"], c.get("role", ""))
-        for n in doc["nets"]:
-            src, src_port = n["from"].rsplit(":", 1)
-            dst, dst_pin = n["to"].rsplit(":", 1)
-            pin: object = dst_pin if dst_pin == "clk" else int(dst_pin)
-            nl.connect(src, dst, int(src_port), pin)
-        nl.outputs = list(doc["outputs"])
-        nl.inputs = list(doc.get("inputs", []))
-        nl.clock = doc.get("clock")
+        entry = None
+        try:
+            for entry in doc["cells"]:
+                cell = (entry["id"], entry["kind"], entry.get("role", ""))
+                if not all(isinstance(x, str) for x in cell):
+                    raise TypeError("cell id, kind and role must be strings")
+                nl.add_cell(*cell)
+            for entry in doc["nets"]:
+                src, src_port = entry["from"].rsplit(":", 1)
+                dst, dst_pin = entry["to"].rsplit(":", 1)
+                pin: object = dst_pin if dst_pin == "clk" else int(dst_pin)
+                nl.connect(src, dst, int(src_port), pin)
+            entry = None
+            nl.outputs = list(doc["outputs"])
+            nl.inputs = list(doc.get("inputs", []))
+            nl.clock = doc.get("clock")
+            if not all(isinstance(x, str) for x in [*nl.outputs, *nl.inputs, nl.clock or ""]):
+                raise TypeError("outputs, inputs and clock must name cells")
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            at = "" if entry is None else f" at {entry!r}"
+            raise StructuralError(f"malformed netlist JSON{at}: {type(e).__name__} {e}") from e
         return nl
 
     @classmethod
@@ -175,8 +192,8 @@ class Program:
     the cells driving its data and clock pins, level by level, so one pass
     in that order evaluates the whole netlist.  A clock splitter's parent
     branch is its data driver; ``clock`` holds the slot on each clocked
-    cell's clock pin.  Programs are shared between equal netlists and
-    compare by identity.
+    cell's clock pin, which only the ``clock_tree`` cells drive.  Programs
+    are shared between equal netlists and compare by identity.
     """
 
     cell_ids: tuple  # cell index -> id
@@ -187,6 +204,8 @@ class Program:
     order: tuple     # cell indices, drivers first
     inputs: tuple    # cell index per message bit
     outputs: tuple   # cell index per output bit
+    splitters: tuple   # cell index per splitter, in a chip's branch order
+    clock_tree: tuple  # cell indices of the clock inputs and clock splitters
     latency: int
 
 
@@ -216,6 +235,7 @@ def _compile(net: Netlist) -> Program:
     ids = tuple(net.cells)
     index = {cid: i for i, cid in enumerate(ids)}
     kinds = tuple(c.kind for c in net.cells.values())
+    roles = [c.role for c in net.cells.values()]
     for cid, kind in zip(ids, kinds):
         if kind not in DATA_PINS:
             raise StructuralError(f"cell {cid} has unknown kind {kind!r}")
@@ -287,13 +307,26 @@ def _compile(net: Netlist) -> Program:
             i = next(d for d in deps[i] if pending[d])
         raise StructuralError(f"cycle through {ids[i]}")
 
-    # clocked depth; converging paths must agree (the balance check)
+    # clocked depth (converging paths must agree: the balance check) and the clock tree
     depth = [0] * len(ids)
+    tree = [False] * len(ids)
     for i in order:
+        tree[i] = kinds[i] == CLOCK_INPUT or (kinds[i] == SPLITTER and tree[drivers[i][0] >> 1])
+        if kinds[i] == SPLITTER and tree[i] != (roles[i] == "clock"):
+            raise StructuralError(f"splitter {ids[i]} has role {roles[i]!r} but is "
+                                  f"{'on' if tree[i] else 'off'} the clock tree")
+        if not tree[i] and any(tree[slot >> 1] for slot in drivers[i]):
+            raise StructuralError(f"clock tree drives data pin of {ids[i]}")
+        if clock[i] is not None and not tree[clock[i] >> 1]:
+            raise StructuralError(f"clock pin of {ids[i]} driven by {ids[clock[i] >> 1]}, "
+                                  f"off the clock tree")
         ins = {depth[slot >> 1] for slot in drivers[i]}
         if len(ins) > 1:
             raise StructuralError(f"unbalanced inputs at {ids[i]}: depths {sorted(ins)}")
         depth[i] = (ins.pop() if ins else 0) + (kinds[i] in CLOCKED_KINDS)
+    for o in net.outputs:
+        if tree[index[o]]:
+            raise StructuralError(f"output {o} is on the clock tree")
     out_depths = {depth[index[o]] for o in net.outputs}
     if len(out_depths) > 1:
         raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
@@ -301,4 +334,6 @@ def _compile(net: Netlist) -> Program:
                    depth=tuple(depth), order=tuple(order),
                    inputs=tuple(index[cid] for cid in net.inputs),
                    outputs=tuple(index[cid] for cid in net.outputs),
+                   splitters=tuple(i for i, k in enumerate(kinds) if k == SPLITTER),
+                   clock_tree=tuple(i for i, t in enumerate(tree) if t),
                    latency=max(out_depths, default=0))

@@ -25,11 +25,12 @@ a (cells, n_messages) block of misfire uniforms, row by row.  Only the rows
 of cells faulty under the weakest margins being scored are drawn; the
 others are skipped with ``bit_generator.advance``, which is exact because
 ``Generator.random`` consumes one 64-bit output per double.  A chip batch
-is drawn once and scored under every config in bit-packed engine passes:
-configs stack along the rows, messages pack eight to a byte, and every
-gate is one bitwise operation over all of them (bit-parallel pattern fault
-simulation, as in Waicukauski et al., "Fault simulation for structured
-VLSI", 1985).
+is drawn once and scored under every config in bit-packed passes of
+:func:`sfq_ecc.sim.evaluate`: configs stack along the rows, messages pack
+eight to a byte, and every gate is one bitwise operation over all of them
+(bit-parallel pattern fault simulation, as in Waicukauski et al., "Fault
+simulation for structured VLSI", 1985).  A config with
+``clock_faults=False`` clears the misfires of its clock-tree cells.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from sfq_ecc.codes import (
     make_code,
 )
 from sfq_ecc.netlist import Netlist
+from sfq_ecc.sim import evaluate
 from sfq_ecc.synth import synthesize
 
 SETUP_NAMES = ("none", "rm13", "hamming74", "hamming84")
@@ -233,28 +235,19 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """Bit-packed evaluator of a netlist with cell faults.
+    """Per-netlist data of the bit-packed fault evaluation.
 
-    A row is one chip under one config; its messages are packed eight to a
-    byte along the last axis, so every gate is one bitwise operation on a
-    (rows, bytes) array.  Messages are independent, so the two-stage
-    pipeline is evaluated as one dataflow pass over the compiled program.
-    The clock tree is evaluated like data: the clock input carries a 1, a
-    misfiring clock splitter drops the pulse on its designated branch, and
-    a clocked cell whose clock pulse was dropped emits 0 for the message
-    currently at its stage (the one-cycle skew between stages is
-    statistically irrelevant for i.i.d. messages).
+    ``on_clock`` marks the clock tree, whose misfires a config with
+    ``clock_faults=False`` clears before :func:`sfq_ecc.sim.evaluate` runs.
     """
 
     def __init__(self, net: Netlist, prog: nl.Program):
         self.net = net
         self.prog = prog
-        self.spl_pos = {i: j for j, i in enumerate(
-            i for i, kind in enumerate(prog.kinds) if kind == nl.SPLITTER)}
-        self.msg_bit = {i: j for j, i in enumerate(prog.inputs)}
         # position in _FAULTABLE per cell; len(_FAULTABLE) for cells that never fault
         self.kind_code = np.array([_FAULTABLE.index(k) if k in _FAULTABLE else len(_FAULTABLE)
                                    for k in prog.kinds], dtype=np.intp)
+        self.on_clock = np.isin(np.arange(len(prog.kinds)), prog.clock_tree)
 
     @property
     def n_cells(self) -> int:
@@ -262,48 +255,19 @@ class _FaultEngine:
 
     @property
     def n_splitters(self) -> int:
-        return len(self.spl_pos)
+        return len(self.prog.splitters)
 
     def margins_vector(self, cfg: PpvConfig) -> np.ndarray:
         return cfg._kind_margins[self.kind_code]
 
-    def run(self, mis, branch_sel, messages, clock_faults: bool = True) -> np.ndarray:
+    def run(self, mis, branch_sel, messages) -> np.ndarray:
         """Evaluate packed messages of every row; returns packed received bits.
 
         Shapes, with W bytes of packed messages per row: mis (cells, rows, W)
         misfire mask, branch_sel (rows, splitters), messages (k, rows, W)
         -> received (n, rows, W).  Bits past the last message are don't-care.
         """
-        prog = self.prog
-        live = mis.reshape(len(mis), -1).any(axis=1).tolist()
-        sel0 = np.where(branch_sel.T == 0, 0xFF, 0).astype(np.uint8)[:, :, None]
-        ones = np.full(messages.shape[1:], 0xFF, dtype=np.uint8)
-        clock = prog.clock if clock_faults else (None,) * self.n_cells
-        val = [None] * (2 * self.n_cells)
-        for i in prog.order:
-            kind, src = prog.kinds[i], prog.drivers[i]
-            if kind == nl.INPUT:
-                v = messages[self.msg_bit[i]]
-            elif kind == nl.CLOCK_INPUT:
-                v = ones
-            elif kind == nl.XOR:
-                v = val[src[0]] ^ val[src[1]]
-                if live[i]:
-                    v ^= mis[i]
-            elif kind == nl.SPLITTER:
-                a = val[src[0]]
-                if live[i]:
-                    drop0 = mis[i] & sel0[self.spl_pos[i]]
-                    val[2 * i], val[2 * i + 1] = a & ~drop0, a & ~(mis[i] ^ drop0)
-                else:
-                    val[2 * i] = val[2 * i + 1] = a
-                continue
-            else:  # DFF and SFQ2DC drop their pulse
-                v = val[src[0]] & ~mis[i] if live[i] else val[src[0]]
-            if clock[i] is not None and val[clock[i]] is not ones:
-                v = v & val[clock[i]]
-            val[2 * i] = v
-        return np.stack([val[2 * o] for o in prog.outputs])
+        return evaluate(self.prog, messages, mis, branch_sel)
 
 
 _ENGINES: dict = {}
@@ -381,10 +345,11 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     eng = _engine(net)
     rng = trial_rng if trial_rng is not None else np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    fires = (rng.random(eng.n_cells) < cfg.q) & (np.abs(chip.deviations) > eng.margins_vector(cfg))
+    faulty = np.abs(chip.deviations) > eng.margins_vector(cfg)
+    fires = (rng.random(eng.n_cells) < cfg.q) & faulty & (cfg.clock_faults | ~eng.on_clock)
     mis = np.packbits(fires.reshape(-1, 1, 1), axis=-1)
     msgs = np.packbits(np.asarray(message, dtype=np.uint8).reshape(-1, 1, 1), axis=-1)
-    received = eng.run(mis, chip.branch_sel[None, :], msgs, cfg.clock_faults)
+    received = eng.run(mis, chip.branch_sel[None, :], msgs)
     return np.unpackbits(received, axis=-1, count=1)[:, 0, 0]
 
 
@@ -452,20 +417,22 @@ def _count_errors(setup: EncoderSetup, received, sent, cfgs) -> np.ndarray:
 def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
     """Erroneous-message counts (configs, chips) in one engine pass.
 
-    The configs, which must share ``clock_faults``, are stacked along the
-    rows: row ``i * chips + j`` is chip ``j`` under ``cfgs[i]``.
+    The configs are stacked along the rows: row ``i * chips + j`` is chip
+    ``j`` under ``cfgs[i]``.  A config without clock faults never misfires a
+    clock-tree cell.
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
     mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
     if len(chips.cell):
         margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
-        faulty = chips.dev > margins
+        clock_ok = np.array([c.clock_faults for c in cfgs])[:, None]
+        faulty = (chips.dev > margins) & (clock_ok | ~eng.on_clock[chips.cell])
         q = np.array([c.q for c in cfgs])[:, None, None]
         fires = (chips.u < q) & faulty[:, :, None]
         rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
         mis[chips.cell, rows] = np.packbits(fires, axis=-1)
     received = eng.run(mis, np.tile(chips.branch, (n_cfg, 1)),
-                       np.tile(chips.msgs, (1, n_cfg, 1)), cfgs[0].clock_faults)
+                       np.tile(chips.msgs, (1, n_cfg, 1)))
     return _count_errors(setup, received, chips.sent, cfgs)
 
 
@@ -482,9 +449,8 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
     spread, distribution, message count): each batch of chips is drawn once,
     with misfire rows for the cells faulty under the weakest margin of each
-    kind, and scored under every config (common random numbers).  Configs
-    sharing ``clock_faults`` are stacked into engine passes of at most
-    ``batch`` rows.
+    kind, and scored under every config (common random numbers).  The
+    configs are stacked into engine passes of at most ``batch`` rows.
     """
     cfg0 = cfgs[0]
     material = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages)
@@ -494,16 +460,12 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
     weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
     n_chips = cfg0.n_chips
     per_pass = max(1, batch // min(batch, n_chips))
-    passes = []
-    for flag in (True, False):
-        same = [i for i, c in enumerate(cfgs) if c.clock_faults == flag]
-        passes += [same[p:p + per_pass] for p in range(0, len(same), per_pass)]
     out = np.empty((len(cfgs), n_chips), dtype=np.int64)
     for start in range(0, n_chips, batch):
         stop = min(start + batch, n_chips)
         chips = _draw(eng, weakest, range(start, stop))
-        for idx in passes:
-            out[idx, start:stop] = _score(eng, setup, chips, [cfgs[i] for i in idx])
+        for p in range(0, len(cfgs), per_pass):
+            out[p:p + per_pass, start:stop] = _score(eng, setup, chips, cfgs[p:p + per_pass])
     return out
 
 
@@ -606,6 +568,8 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
             or refine_rounds < 0):
         raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
+    if not _require_number("threshold", threshold) >= 0:  # also false for NaN
+        raise ValueError(f"threshold must be a non-negative number: {threshold!r}")
     targets = dict(CALIBRATION_TARGETS if targets is None else targets)
     for name, t in targets.items():
         if not 0 <= t <= 1:

@@ -2,10 +2,11 @@
 
 A cycle is the atomic time unit: clocked cells (XOR, DFF) latch whatever is
 present on their data pins during cycle t and emit it at cycle t+1, while
-splitters and SFQ-to-DC converters are transparent within a cycle.  The
-clock network is treated as ideal here (fault injection is the business of
-:mod:`sfq_ecc.ppv`), so a balanced two-stage encoder delivers each codeword
-exactly two cycles after its message enters, one message per cycle.
+splitters and SFQ-to-DC converters are transparent within a cycle.  So a
+balanced two-stage encoder delivers each codeword exactly two cycles after
+its message enters, one message per cycle.  :func:`evaluate` is the one
+evaluator of a compiled netlist, fault-free for :func:`simulate` and with
+misfire masks for the fault injection of :mod:`sfq_ecc.ppv`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,47 @@ def latency(net: Netlist) -> int:
     return net.depth()
 
 
-def _delayed(x: np.ndarray) -> np.ndarray:
-    """What a clocked cell emits: its input one cycle later, 0 at cycle 0."""
-    y = np.zeros_like(x)
-    y[1:] = x[:-1]
-    return y
+def evaluate(prog: nl.Program, planes, mis=None, branch_sel=None) -> np.ndarray:
+    """Output bit planes (n, ...) of the program for input planes (k, ...).
+
+    Planes are uint8, packed or one bit per byte, one message per bit; the
+    messages are independent, so one levelized pass of bitwise operations
+    encodes them all.  Without ``mis`` the netlist is fault-free and its
+    clock ideal.  ``mis`` (cells, rows, W) marks misfires on planes (k, rows,
+    W), and ``branch_sel`` (rows, splitters) the branch each splitter drops,
+    with the fault semantics of :mod:`sfq_ecc.ppv`.
+    """
+    live, drop0 = [False] * len(prog.kinds), {}
+    if mis is not None:
+        live = mis.reshape(len(mis), -1).any(axis=1).tolist()
+        sel0 = np.where(branch_sel.T == 0, 0xFF, 0).astype(np.uint8)[:, :, None]
+        drop0 = {i: mis[i] & sel0[p] for p, i in enumerate(prog.splitters) if live[i]}
+    ones = np.full(planes.shape[1:], 0xFF, dtype=np.uint8)
+    val = [None] * (2 * len(prog.kinds))
+    for i in prog.order:
+        kind, src = prog.kinds[i], prog.drivers[i]
+        if kind == nl.INPUT:
+            v = planes[prog.inputs.index(i)]
+        elif kind == nl.CLOCK_INPUT:
+            v = ones
+        elif kind == nl.XOR:
+            v = val[src[0]] ^ val[src[1]]
+            if live[i]:
+                v ^= mis[i]
+        elif kind == nl.SPLITTER:
+            a = val[src[0]]
+            if live[i]:
+                val[2 * i], val[2 * i + 1] = a & ~drop0[i], a & ~(mis[i] ^ drop0[i])
+            else:
+                val[2 * i] = val[2 * i + 1] = a
+            continue
+        else:  # DFF and SFQ2DC drop their pulse
+            v = val[src[0]] & ~mis[i] if live[i] else val[src[0]]
+        if prog.clock[i] is not None and val[prog.clock[i]] is not ones:
+            v = v & val[prog.clock[i]]
+        val[2 * i] = v
+    outputs = [val[2 * o] for o in prog.outputs]
+    return np.array(outputs, np.uint8).reshape(len(outputs), *ones.shape)
 
 
 def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
@@ -51,34 +88,17 @@ def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     :class:`StructuralError` before simulating anything if the netlist is
     unbalanced or ill-formed.
 
-    Every port holds one array over all cycles, and the compiled program
-    fills them in one levelized pass: a clocked cell's output is its input
-    shifted by one cycle.
+    One :func:`evaluate` pass encodes the messages; codeword t lands at
+    cycle ``t + latency`` and every other cycle is 0, exact for a validated
+    netlist: it is balanced and every data path starts at an input.
     """
     prog = nl.compile(net)
     frames = message_frames(net, frames)
     if cycles is None:
         cycles = len(frames) + prog.latency
-    frames = frames[:cycles]
-    column = {cell: j for j, cell in enumerate(prog.inputs)}
-    val = [None] * (2 * len(prog.kinds))
-    for i in prog.order:
-        kind, src = prog.kinds[i], prog.drivers[i]
-        if kind == nl.INPUT:
-            v = np.zeros(cycles, dtype=np.uint8)
-            v[:len(frames)] = frames[:, column[i]]
-        elif kind == nl.CLOCK_INPUT:
-            v = np.ones(cycles, dtype=np.uint8)
-        elif kind == nl.XOR:
-            v = _delayed(val[src[0]] ^ val[src[1]])
-        elif kind == nl.DFF:
-            v = _delayed(val[src[0]])
-        else:  # splitters and converters pass their input on within the cycle
-            v = val[src[0]]
-        val[2 * i] = val[2 * i + 1] = v
+    frames = frames[:max(cycles - prog.latency, 0)]
     outputs = np.zeros((cycles, len(prog.outputs)), dtype=np.uint8)
-    for j, o in enumerate(prog.outputs):
-        outputs[:, j] = val[2 * o]
+    outputs[prog.latency:][:len(frames)] = evaluate(prog, np.ascontiguousarray(frames.T)).T
     return SimResult(outputs=outputs, latency=prog.latency, output_ids=list(net.outputs))
 
 

@@ -1,7 +1,7 @@
 """Encoder netlist synthesis under SFQ design rules.
 
 The pipeline is ``build_dag -> balance -> place_splitters -> clock_tree ->
-attach_converters``:
+attach_converters -> place_splitters``:
 
 1. ``build_dag`` turns the code's XOR forms into a two-level DAG, sharing
    subexpressions greedily: the most frequent message-index pair across all
@@ -16,6 +16,8 @@ attach_converters``:
 4. ``clock_tree`` fans a single clock input out to all clocked cells with
    exactly (clocked cells - 1) additional splitters.
 5. ``attach_converters`` terminates each codeword bit in one SFQ-to-DC cell.
+6. ``place_splitters`` again, for codeword bits that share a port (equal
+   generator columns) and so a driver of several converters.
 
 Every step is deterministic, so repeated synthesis of the same code yields
 an identical serialized netlist.
@@ -220,29 +222,25 @@ def place_splitters(net: Netlist) -> Netlist:
     branch 1 continues the chain; the final splitter feeds the last two
     sinks directly.  A port with f sinks costs exactly f - 1 splitters.
     """
-    counter = sum(1 for c in net.cells.values() if c.kind == nl.SPLITTER)
+    counter = sum(1 for c in net.cells.values() if c.role == "data")
+    by_port: dict = {}
+    for n in net.nets:
+        by_port.setdefault((n.src, n.src_port), []).append(n)
     for cid in list(net.cells):
         for port in range(nl.OUT_PORTS[net.cells[cid].kind]):
-            sinks = [n for n in net.nets if n.src == cid and n.src_port == port]
+            sinks = by_port.get((cid, port), [])
             if len(sinks) <= 1:
                 continue
             for n in sinks:
                 net.nets.remove(n)
             src, src_port = cid, port
-            for i, n in enumerate(sinks[:-1]):
-                if i < len(sinks) - 2:
-                    spl = net.add_cell(f"sd{counter}", nl.SPLITTER, role="data")
-                    counter += 1
-                    net.connect(src, spl, src_port=src_port)
-                    net.connect(spl, n.dst, src_port=0, dst_pin=n.dst_pin)
-                    src, src_port = spl, 1
-                else:
-                    spl = net.add_cell(f"sd{counter}", nl.SPLITTER, role="data")
-                    counter += 1
-                    net.connect(src, spl, src_port=src_port)
-                    net.connect(spl, n.dst, src_port=0, dst_pin=n.dst_pin)
-                    last = sinks[-1]
-                    net.connect(spl, last.dst, src_port=1, dst_pin=last.dst_pin)
+            for n in sinks[:-1]:
+                spl = net.add_cell(f"sd{counter}", nl.SPLITTER, role="data")
+                counter += 1
+                net.connect(src, spl, src_port=src_port)
+                net.connect(spl, n.dst, src_port=0, dst_pin=n.dst_pin)
+                src, src_port = spl, 1
+            net.connect(src, sinks[-1].dst, src_port=src_port, dst_pin=sinks[-1].dst_pin)
     return net
 
 
@@ -287,5 +285,6 @@ def synthesize(code: LinearCode) -> Netlist:
     net = place_splitters(net)
     net = clock_tree(net)
     net = attach_converters(net, code)
+    net = place_splitters(net)
     net.validate()
     return net

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sfq_ecc import netlist as nl
 from sfq_ecc.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
@@ -13,6 +14,7 @@ from sfq_ecc.cli import (
     main,
 )
 from sfq_ecc.codes import make_code
+from sfq_ecc.netlist import Netlist
 
 
 def run(argv):
@@ -136,6 +138,61 @@ def test_simulate_unknown_cell_kind(tmp_path):
     doc["cells"][0]["kind"] = "NAND"
     path.write_text(json.dumps(doc))
     assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+
+
+@pytest.mark.parametrize("doc", [
+    {"version": 1},
+    [],
+    {"version": 1, "cells": [{"id": "m1"}], "nets": [], "outputs": []},
+    {"version": 1, "cells": [{"id": "m1", "kind": "INPUT"}, {"id": "o0", "kind": "SFQ2DC"}],
+     "nets": [{"from": "m1", "to": "o0:0"}], "outputs": ["o0"], "inputs": ["m1"]},
+    {"version": 1, "cells": [{"id": "m1", "kind": ["INPUT"]}], "nets": [], "outputs": []},
+    {"version": 1, "cells": [{"id": "m1", "kind": "INPUT"}], "nets": [], "outputs": [["m1"]]},
+])
+def test_simulate_malformed_netlist_json(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+    assert "structural error:" in capsys.readouterr().err
+
+
+def gated_clock_pin():
+    """m2 through a data splitter into the clock pin of d0 and the data pin of d1."""
+    net = Netlist("gated")
+    net.add_cell("m1", nl.INPUT)
+    net.add_cell("m2", nl.INPUT)
+    net.inputs = ["m1", "m2"]
+    net.clock = net.add_cell("clk", nl.CLOCK_INPUT)
+    net.add_cell("d0", nl.DFF)
+    net.add_cell("d1", nl.DFF)
+    net.add_cell("s0", nl.SPLITTER, role="data")
+    net.connect("m1", "d0")
+    net.connect("m2", "s0")
+    net.connect("s0", "d0", src_port=0, dst_pin="clk")
+    net.connect("s0", "d1", src_port=1)
+    net.connect("clk", "d1", dst_pin="clk")
+    net.outputs = [net.add_cell("o0", nl.SFQ2DC), net.add_cell("o1", nl.SFQ2DC)]
+    net.connect("d0", "o0")
+    net.connect("d1", "o1")
+    return net
+
+
+def clock_into_converter_data_pin():
+    net = Netlist("clock_data")
+    net.inputs = [net.add_cell("m1", nl.INPUT)]
+    net.clock = net.add_cell("clk", nl.CLOCK_INPUT)
+    net.outputs = [net.add_cell("o0", nl.SFQ2DC)]
+    net.connect("clk", "o0")
+    return net
+
+
+@pytest.mark.parametrize("build", [gated_clock_pin, clock_into_converter_data_pin])
+def test_simulate_rejects_mixed_clock_and_data(tmp_path, build):
+    net, path = build(), tmp_path / "mixed.json"
+    path.write_text(net.to_json())
+    assert run(["simulate", str(path), "--message", "1" * len(net.inputs),
+                "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+    assert not (tmp_path / "timeline.csv").exists()
 
 
 def test_mc_no_faults_all_perfect(tmp_path):

@@ -492,6 +492,14 @@ def test_calibration_rejects_bad_refine_rounds(rounds):
                               refine_chips=2, refine_rounds=rounds)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -0.01, "0.05", None, True])
+def test_calibration_rejects_bad_threshold(threshold):
+    # a NaN threshold ran the whole calibration and read as non-convergence
+    with pytest.raises(ValueError, match="threshold"):
+        calibrate_fault_model(base=PpvConfig(n_chips=4), search_chips=2,
+                              refine_chips=2, threshold=threshold)
+
+
 def test_shipped_calibration_holds_across_seeds():
     # the claim of the shipped config is not a property of its own seed alone
     doc = json.loads(resources.files("sfq_ecc").joinpath("data/ppv_calibrated.json")
@@ -590,11 +598,10 @@ def test_mutated_netlist_gets_fresh_engine():
        q=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**16))
 def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
-    # every deviation inside its margin: misfire draws and branches are inert
-    from sfq_ecc.sim import message_frames, simulate
-
-    net = make_setup(name).netlist
-    eng = _engine(net)
+    # every deviation inside its margin: misfire draws and branches are inert,
+    # so the engine encodes like the generator matrix (the identity uncoded)
+    setup = make_setup(name)
+    eng = _engine(setup.netlist)
     rng = np.random.default_rng(seed)
     cfg = PpvConfig(margins=margins(), q=q, n_messages=max(1, len(msgs)))
     dev = rng.uniform(-0.2, 0.2, eng.n_cells)
@@ -603,10 +610,10 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
         np.abs(dev) > eng.margins_vector(cfg))[:, None]
     mis = np.packbits(fires[:, None, :], axis=-1)
     packed = np.packbits(msgs.T[:, None, :], axis=-1)
-    received = eng.run(mis, branch, packed, cfg.clock_faults)
+    received = eng.run(mis, branch, packed)
     got = np.unpackbits(received, axis=-1, count=len(msgs))[:, 0, :].T
-    res = simulate(net, message_frames(net, msgs))
-    assert np.array_equal(got, np.asarray(res.outputs)[res.latency:])
+    G = np.eye(4, dtype=np.uint8) if setup.code is None else setup.code.G
+    assert np.array_equal(got, (msgs @ G) % 2)
 
 
 def clock_subtree(net, splitter, branch):
@@ -657,6 +664,9 @@ def test_dropping_clock_splitter_silences_its_subtree(name, data):
     sel = np.zeros(len(splitters), dtype=np.int64)
     sel[splitters.index(spl)] = branch
     chip = dataclasses.replace(chip_with_only(setup, cfg, spl), branch_sel=sel)
+    quiet = dataclasses.replace(cfg, clock_faults=False)
     for m in setup.code.messages:
         got = inject_and_run(net, chip, m, cfg)
         assert got.tolist() == silenced_encoding(net, m, silenced), (spl, branch, m)
+        # without clock faults the same chip encodes cleanly
+        assert inject_and_run(net, chip, m, quiet).tolist() == silenced_encoding(net, m, set())

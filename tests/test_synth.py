@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from sfq_ecc import netlist as nl
-from sfq_ecc.codes import boolean_forms, encode, make_code
+from sfq_ecc.codes import LinearCode, boolean_forms, encode, make_code
 from sfq_ecc.netlist import Netlist, StructuralError
+from sfq_ecc.sim import verify_equivalence
 from sfq_ecc.synth import (
     attach_converters,
     balance,
@@ -152,6 +155,31 @@ def test_every_path_crosses_two_clocked_cells():
         assert net.depth() == 2  # validate() inside already rejects imbalance
 
 
+@st.composite
+def full_rank_codes(draw):
+    """Generators with k <= 4, n <= 8, no zero column and full rank."""
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.integers(1, 2**k - 1), min_size=k, max_size=8))
+    G = np.array([[(c >> i) & 1 for c in cols] for i in range(k)], dtype=np.uint8)
+    try:
+        return LinearCode("random", G)
+    except ValueError:  # rank below k
+        reject()
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=full_rank_codes())
+# equal generator columns: codeword bits sharing a port need a splitter
+@example(code=LinearCode("rep", [[1, 1, 1]]))
+@example(code=LinearCode("shared", [[1, 0, 1, 1], [0, 1, 1, 1]]))
+def test_random_codes_synthesize_and_round_trip(code):
+    net = synthesize(code)
+    assert verify_equivalence(net, code) == (True, None)
+    back = Netlist.from_json(net.to_json())
+    assert back.content_hash() == net.content_hash()
+    assert nl.compile(back) is nl.compile(net)
+
+
 def test_synthesis_is_deterministic():
     for name in GOLDEN:
         a = synthesize(make_code(name))
@@ -251,6 +279,35 @@ def clock_is_data(net):
     net.clock = "m1"
 
 
+def data_into_clock_pin(net):
+    net.add_cell("m2", nl.INPUT)
+    net.inputs.append("m2")
+    net.nets[1] = nl.Net("m2", 0, "d0", "clk")
+
+
+def clock_into_data_pin(net):
+    net.add_cell("sc0", nl.SPLITTER, role="clock")
+    net.nets[1] = nl.Net("clk", 0, "sc0", 0)
+    net.connect("sc0", "d0", src_port=0, dst_pin="clk")
+    net.connect("sc0", net.add_cell("o1", nl.SFQ2DC), src_port=1)
+
+
+def clock_as_output(net):
+    net.outputs = ["clk"]
+
+
+def clock_splitter_with_data_role(net):
+    net.add_cell("s0", nl.SPLITTER, role="data")
+    net.nets[1] = nl.Net("clk", 0, "s0", 0)
+    net.connect("s0", "d0", dst_pin="clk")
+
+
+def data_splitter_with_clock_role(net):
+    net.add_cell("s0", nl.SPLITTER, role="clock")
+    net.nets[0] = nl.Net("m1", 0, "s0", 0)
+    net.connect("s0", "d0")
+
+
 @pytest.mark.parametrize("defect, message", [
     (unknown_kind, "unknown kind"),
     (missing_output_port, "no output port 1"),
@@ -261,6 +318,11 @@ def clock_is_data(net):
     (unlisted_input, "inputs must list"),
     (unknown_output, "not a cell"),
     (clock_is_data, "not a CLOCK_INPUT"),
+    (data_into_clock_pin, "clock pin of d0 driven by m2, off the clock tree"),
+    (clock_into_data_pin, "clock tree drives data pin of o1"),
+    (clock_as_output, "output clk is on the clock tree"),
+    (clock_splitter_with_data_role, "splitter s0 has role 'data' but is on the clock tree"),
+    (data_splitter_with_clock_role, "splitter s0 has role 'clock' but is off the clock tree"),
 ])
 def test_malformed_netlist_rejected(defect, message):
     net = one_dff()
