@@ -155,22 +155,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# command-line flag -> PpvConfig field it sets
+_OVERRIDES = {"seed": "master_seed", "chips": "n_chips", "messages": "n_messages",
+              "spread": "spread"}
+
+
+def _overridden(cfg: ppv.PpvConfig, args) -> ppv.PpvConfig:
+    """``cfg`` with the fields of the override flags given on the command line."""
+    return replace(cfg, **{field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+                           if getattr(args, flag, None) is not None})
+
+
 def _load_ppv_config(args) -> ppv.PpvConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         cfg = ppv.PpvConfig.from_dict(doc.get("config", doc) if isinstance(doc, dict) else doc)
     else:
         cfg = _default_ppv_config()
-    over = {}
-    if args.seed is not None:
-        over["master_seed"] = args.seed
-    if args.chips is not None:
-        over["n_chips"] = args.chips
-    if args.messages is not None:
-        over["n_messages"] = args.messages
-    if args.spread is not None:
-        over["spread"] = args.spread
-    return replace(cfg, **over) if over else cfg
+    return _overridden(cfg, args)
 
 
 def cmd_mc(args) -> int:
@@ -209,14 +211,7 @@ def cmd_calibrate(args) -> int:
             raise ValueError(f"expected {len(ppv.SETUP_NAMES)} targets "
                              f"(order: {', '.join(ppv.SETUP_NAMES)})")
         targets = dict(zip(ppv.SETUP_NAMES, vals))
-    base = ppv.PpvConfig()
-    if args.seed is not None:
-        base = replace(base, master_seed=args.seed)
-    if args.chips is not None:
-        base = replace(base, n_chips=args.chips)
-    if args.spread is not None:
-        base = replace(base, spread=args.spread)
-    res = ppv.calibrate_fault_model(targets, base=base,
+    res = ppv.calibrate_fault_model(targets, base=_overridden(ppv.PpvConfig(), args),
                                     search_chips=args.search_chips,
                                     refine_rounds=args.refine_rounds)
     out = _outdir(args)

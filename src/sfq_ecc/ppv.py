@@ -29,13 +29,12 @@ is drawn once and scored under every config in bit-packed passes of
 :func:`sfq_ecc.sim.evaluate`: configs stack along the rows, messages pack
 eight to a byte, and every gate is one bitwise operation over all of them
 (bit-parallel pattern fault simulation, as in Waicukauski et al., "Fault
-simulation for structured VLSI", 1985).  A config with
-``clock_faults=False`` clears the misfires of its clock-tree cells.
+simulation for structured VLSI", 1985); a single chip is a batch of one.
+A config with ``clock_faults=False`` clears the misfires of its clock-tree cells.
 """
 
 from __future__ import annotations
 
-import copy
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
@@ -54,7 +53,7 @@ from sfq_ecc.codes import (
     make_code,
 )
 from sfq_ecc.netlist import Netlist
-from sfq_ecc.sim import evaluate
+from sfq_ecc.sim import evaluate, message_frames
 from sfq_ecc.synth import synthesize
 
 SETUP_NAMES = ("none", "rm13", "hamming74", "hamming84")
@@ -174,11 +173,11 @@ class PpvConfig:
 
 @dataclass(frozen=True)
 class EncoderSetup:
-    """One transmit configuration: a netlist plus its decoder (None = raw)."""
+    """One transmit configuration: a netlist plus its code (identity = raw)."""
 
     name: str
     netlist: Netlist
-    code: LinearCode | None
+    code: LinearCode
 
 
 def baseline_no_encoder(width: int = 4) -> Netlist:
@@ -199,7 +198,7 @@ def baseline_no_encoder(width: int = 4) -> Netlist:
 
 def make_setup(name: str) -> EncoderSetup:
     if name in ("none", "baseline"):
-        return EncoderSetup("none", baseline_no_encoder(), None)
+        return EncoderSetup("none", baseline_no_encoder(), LinearCode("none", np.eye(4)))
     code = make_code(name)
     return EncoderSetup(name, synthesize(code), code)
 
@@ -237,17 +236,19 @@ class CdfSeries:
 class _FaultEngine:
     """Per-netlist data of the bit-packed fault evaluation.
 
+    Built per call on the program :func:`netlist.compile` caches by content.
     ``on_clock`` marks the clock tree, whose misfires a config with
-    ``clock_faults=False`` clears before :func:`sfq_ecc.sim.evaluate` runs.
+    ``clock_faults=False`` clears.
     """
 
-    def __init__(self, net: Netlist, prog: nl.Program):
+    def __init__(self, net: Netlist):
         self.net = net
-        self.prog = prog
+        self.prog = prog = nl.compile(net)
         # position in _FAULTABLE per cell; len(_FAULTABLE) for cells that never fault
         self.kind_code = np.array([_FAULTABLE.index(k) if k in _FAULTABLE else len(_FAULTABLE)
                                    for k in prog.kinds], dtype=np.intp)
-        self.on_clock = np.isin(np.arange(len(prog.kinds)), prog.clock_tree)
+        self.on_clock = np.zeros(len(prog.kinds), dtype=bool)
+        self.on_clock[list(prog.clock_tree)] = True
 
     @property
     def n_cells(self) -> int:
@@ -268,25 +269,6 @@ class _FaultEngine:
         -> received (n, rows, W).  Bits past the last message are don't-care.
         """
         return evaluate(self.prog, messages, mis, branch_sel)
-
-
-_ENGINES: dict = {}
-
-
-def _engine(net: Netlist) -> _FaultEngine:
-    """The fault engine of ``net``'s structure, built once per distinct netlist.
-
-    Keyed by the compiled program, which :func:`netlist.compile` shares
-    between netlists of equal content, so re-synthesized copies share one
-    engine and a netlist mutated after use gets a new one.  The engine
-    keeps a private copy of the netlist, so a later mutation cannot reach
-    a cached engine.
-    """
-    prog = nl.compile(net)
-    eng = _ENGINES.get(prog)
-    if eng is None:
-        eng = _ENGINES[prog] = _FaultEngine(copy.deepcopy(net), prog)
-    return eng
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
@@ -326,7 +308,7 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
 
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     """Draw one chip instance; deterministic in (master_seed, chip_index)."""
-    eng = _engine(net)
+    eng = _FaultEngine(net)
     dev, branch, _, cells, _ = _chip_material(eng, cfg, chip_index)
     faulty = np.zeros(eng.n_cells, dtype=bool)
     faulty[cells] = True
@@ -337,20 +319,6 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
         faulty=faulty,
         branch_sel=branch,
     )
-
-
-def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
-                   trial_rng=None) -> np.ndarray:
-    """Send one message through the faulted netlist; returns received bits."""
-    eng = _engine(net)
-    rng = trial_rng if trial_rng is not None else np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    faulty = np.abs(chip.deviations) > eng.margins_vector(cfg)
-    fires = (rng.random(eng.n_cells) < cfg.q) & faulty & (cfg.clock_faults | ~eng.on_clock)
-    mis = np.packbits(fires.reshape(-1, 1, 1), axis=-1)
-    msgs = np.packbits(np.asarray(message, dtype=np.uint8).reshape(-1, 1, 1), axis=-1)
-    received = eng.run(mis, chip.branch_sel[None, :], msgs)
-    return np.unpackbits(received, axis=-1, count=1)[:, 0, 0]
 
 
 class _Chips(NamedTuple):
@@ -392,8 +360,7 @@ def _word_index(packed, n_messages: int) -> np.ndarray:
 
 def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> np.ndarray:
     """Whether a message counts as erroneous, per (sent index, received word)."""
-    delivered = (np.arange(1 << len(setup.netlist.outputs)) if setup.code is None
-                 else setup.code.decode_table(CORRECT, tie_break))
+    delivered = setup.code.decode_table(CORRECT, tie_break)
     wrong = delivered != np.arange(1 << len(setup.netlist.inputs))[:, None]
     return wrong if count_detected_errors else wrong & (delivered >= 0)
 
@@ -414,12 +381,22 @@ def _count_errors(setup: EncoderSetup, received, sent, cfgs) -> np.ndarray:
     return np.take(tables, key).sum(axis=2)
 
 
-def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
-    """Erroneous-message counts (configs, chips) in one engine pass.
+def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, u) -> _Chips:
+    """``chip`` as a batch of one: ``msgs`` (M, k) bits, ``u`` (cells, M) uniforms."""
+    if tuple(chip.cell_ids) != eng.prog.cell_ids:
+        raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
+    packed = np.packbits(msgs.T[:, None, :], axis=-1)
+    return _Chips(branch=chip.branch_sel[None, :], msgs=packed,
+                  sent=_word_index(packed, len(msgs)), chip=np.zeros(eng.n_cells, np.intp),
+                  cell=np.arange(eng.n_cells), dev=np.abs(chip.deviations), u=u)
 
-    The configs are stacked along the rows: row ``i * chips + j`` is chip
-    ``j`` under ``cfgs[i]``.  A config without clock faults never misfires a
-    clock-tree cell.
+
+def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
+    """Packed received words (n, configs * chips, W) of one engine pass.
+
+    Row ``i * chips + j`` is chip ``j`` under ``cfgs[i]``.  A drawn cell beyond
+    its margin misfires where its uniform is below ``q``, except on the clock
+    tree under a config without clock faults.
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
     mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
@@ -431,15 +408,38 @@ def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.nd
         fires = (chips.u < q) & faulty[:, :, None]
         rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
         mis[chips.cell, rows] = np.packbits(fires, axis=-1)
-    received = eng.run(mis, np.tile(chips.branch, (n_cfg, 1)),
-                       np.tile(chips.msgs, (1, n_cfg, 1)))
-    return _count_errors(setup, received, chips.sent, cfgs)
+    return eng.run(mis, np.tile(chips.branch, (n_cfg, 1)), np.tile(chips.msgs, (1, n_cfg, 1)))
+
+
+def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
+    """Erroneous-message counts (configs, chips) in one engine pass."""
+    return _count_errors(setup, _received(eng, chips, cfgs), chips.sent, cfgs)
+
+
+def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
+                   trial_rng=None) -> np.ndarray:
+    """Received bits of one message (checked, one bit per input) on ``chip``.
+
+    A batch of one; each cell's misfire uniform comes from ``trial_rng``.
+    """
+    eng = _FaultEngine(net)
+    rng = trial_rng if trial_rng is not None else np.random.default_rng(
+        np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
+    one = _one_chip(eng, chip, message_frames(net, [message]), rng.random((eng.n_cells, 1)))
+    return np.unpackbits(_received(eng, one, [cfg]), axis=-1, count=1)[:, 0, 0]
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
-    """Erroneous messages out of n_messages for one chip."""
-    eng = _engine(setup.netlist)
-    return int(_score(eng, setup, _draw(eng, cfg, [chip.chip_index]), [cfg])[0, 0])
+    """Erroneous messages out of n_messages for ``chip`` as given (a batch of one).
+
+    Messages and misfire uniforms come from the stream of ``chip.chip_index``.
+    """
+    eng = _FaultEngine(setup.netlist)
+    every = replace(cfg, margins=dict.fromkeys(_FAULTABLE, 0.0))
+    _, _, msgs, cells, rows = _chip_material(eng, every, chip.chip_index)
+    u = np.ones((eng.n_cells, cfg.n_messages))  # 1.0 never fires
+    u[cells] = rows
+    return int(_score(eng, setup, _one_chip(eng, chip, msgs, u), [cfg])[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarray:
@@ -456,7 +456,7 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
     material = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages)
     if any(material(c) != material(cfg0) for c in cfgs):
         raise ValueError("configs scored together must share their chip material")
-    eng = _engine(setup.netlist)
+    eng = _FaultEngine(setup.netlist)
     weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
     n_chips = cfg0.n_chips
     per_pass = max(1, batch // min(batch, n_chips))
@@ -570,9 +570,15 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
         raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
     if not _require_number("threshold", threshold) >= 0:  # also false for NaN
         raise ValueError(f"threshold must be a non-negative number: {threshold!r}")
+    if not isinstance(targets, (Mapping, type(None))):
+        raise ValueError(f"targets must map configuration name to probability: {targets!r}")
     targets = dict(CALIBRATION_TARGETS if targets is None else targets)
+    odd = sorted(set(targets) ^ set(SETUP_NAMES), key=str)
+    if odd:
+        raise ValueError(f"targets must name exactly {', '.join(SETUP_NAMES)}; "
+                         f"{odd[0]!r} is {'unknown' if odd[0] in targets else 'missing'}")
     for name, t in targets.items():
-        if not 0 <= t <= 1:
+        if not 0 <= _require_number(f"target for {name}", t) <= 1:
             raise ValueError(f"target for {name} must be in [0, 1]: {t}")
     # the ordering constraint only applies when the targets are ordered
     tvals = [targets[name] for name in SETUP_NAMES]

@@ -27,7 +27,7 @@ from sfq_ecc.ppv import (
     CdfSeries,
     EncoderSetup,
     PpvConfig,
-    _engine,
+    _FaultEngine,
     _error_counts_many,
     baseline_no_encoder,
     calibrate_fault_model,
@@ -55,7 +55,7 @@ def no_fault_cfg(**over):
 
 def chip_with_only(setup, cfg, cell_id, dev=1.0):
     """A chip whose single out-of-margin cell is ``cell_id``."""
-    eng = _engine(setup.netlist)
+    eng = _FaultEngine(setup.netlist)
     chip = sample_chip(setup.netlist, cfg, 0)
     d = np.zeros(eng.n_cells)
     d[eng.prog.cell_ids.index(cell_id)] = dev
@@ -155,7 +155,7 @@ def test_uniform_faulty_fraction_at_half_margin():
     # P(|U(-0.2, 0.2)| > 0.1) = 0.5; aggregate over many chips x cells
     setup = make_setup("rm13")
     cfg = PpvConfig(margins={k: 0.1 for k in KINDS}, master_seed=123)
-    eng = _engine(setup.netlist)
+    eng = _FaultEngine(setup.netlist)
     faultable = np.isfinite(eng.margins_vector(cfg))
     total = hits = 0
     for idx in range(2200):  # 2200 chips x 49 faultable cells > 1e5 draws
@@ -177,7 +177,7 @@ def test_gaussian_deviations_stay_inside_spread():
 def test_inputs_and_clock_never_fault():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins={k: 0.0 for k in KINDS})
-    eng = _engine(setup.netlist)
+    eng = _FaultEngine(setup.netlist)
     chip = sample_chip(setup.netlist, cfg, 3)
     for cid in setup.netlist.inputs + [setup.netlist.clock]:
         assert not chip.faulty[eng.prog.cell_ids.index(cid)]
@@ -218,6 +218,16 @@ def test_faulty_cell_with_q_zero_behaves_clean():
         m = rng.integers(0, 2, 4).astype(np.uint8)
         assert np.array_equal(inject_and_run(setup.netlist, chip, m, cfg, rng),
                               encode(setup.code, m))
+
+
+@pytest.mark.parametrize("message", [[1, 0, 1, 1, 0], [1, 0, 1], [2, 0, 1, 1],
+                                     [0.5, 0, 0, 0], 1])
+def test_inject_rejects_malformed_message(message):
+    # a 5-bit message lost a bit, a 3-bit one raised IndexError, 2 and 0.5 were cast
+    setup = make_setup("hamming84")
+    chip = sample_chip(setup.netlist, PpvConfig(), 0)
+    with pytest.raises(ValueError, match="message"):
+        inject_and_run(setup.netlist, chip, message, PpvConfig())
 
 
 # --- trials -----------------------------------------------------------------------
@@ -275,6 +285,39 @@ def test_run_trial_matches_batch_path():
         for idx in range(cfg.n_chips):
             chip = sample_chip(setup.netlist, cfg, idx)
             assert run_trial(setup, chip, cfg) == batch[idx]
+
+
+def test_run_trial_scores_the_chip_it_is_given():
+    # the deviations of the chip count, not only its index
+    setup = make_setup("hamming84")
+    cfg = PpvConfig(margins={k: 0.05 for k in KINDS}, q=1.0, n_messages=40)
+    chip = sample_chip(setup.netlist, cfg, 0)
+    assert run_trial(setup, chip, cfg) > 0
+    clean = dataclasses.replace(chip, deviations=np.zeros_like(chip.deviations))
+    assert run_trial(setup, clean, cfg) == 0
+
+
+def test_run_trial_on_one_dropping_converter_counts_each_message():
+    cfg = PpvConfig(margins=margins(), q=1.0, n_messages=50, master_seed=7)
+    for name in ppv.SETUP_NAMES:
+        setup = make_setup(name)
+        msgs = reference_material(_FaultEngine(setup.netlist), cfg, 0)[2]
+        want = 0
+        for m in msgs:  # o1 drops every carried 1
+            word = encode(setup.code, m)
+            word[1] = 0
+            want += not np.array_equal(decode(setup.code, word, CORRECT).message, m)
+        assert run_trial(setup, chip_with_only(setup, cfg, "o1"), cfg) == want, name
+        assert want > 0 or name != "none"
+
+
+def test_chip_from_another_netlist_rejected():
+    setup, cfg = make_setup("hamming84"), PpvConfig()
+    other = sample_chip(make_setup("hamming74").netlist, cfg, 0)
+    with pytest.raises(ValueError, match="another netlist"):
+        run_trial(setup, other, cfg)
+    with pytest.raises(ValueError, match="another netlist"):
+        inject_and_run(setup.netlist, other, [1, 0, 1, 1], cfg)
 
 
 # --- monte carlo -------------------------------------------------------------------
@@ -354,7 +397,7 @@ def reference_material(eng, cfg, chip_index):
        chip=st.integers(0, 10**6))
 def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_messages,
                                               seed, chip):
-    eng = _engine(make_setup(name).netlist)
+    eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, margins=dict(zip(KINDS, margin)),
                     n_messages=n_messages, master_seed=seed)
     dev, branch, msgs, cells, rows = ppv._chip_material(eng, cfg, chip)
@@ -372,7 +415,7 @@ def reference_counts(setup, cfg):
     every message, independent of the compiled program and the packed engine.
     """
     net = setup.netlist
-    eng = _engine(net)
+    eng = _FaultEngine(net)
     ids = list(net.cells)
     kind = {cid: net.cells[cid].kind for cid in ids}
     driver = {(n.dst, n.dst_pin): (n.src, n.src_port) for n in net.nets}
@@ -407,14 +450,11 @@ def reference_counts(setup, cfg):
                 return memo[(cid, port)]
 
             word = [out(o, 0) for o in net.outputs]
-            if setup.code is None:
-                errors += word != m.tolist()
+            got = decode(setup.code, word, CORRECT, cfg.tie_break).message
+            if got is None:
+                errors += cfg.count_detected_errors
             else:
-                got = decode(setup.code, word, CORRECT, cfg.tie_break).message
-                if got is None:
-                    errors += cfg.count_detected_errors
-                else:
-                    errors += not np.array_equal(got, m)
+                errors += not np.array_equal(got, m)
         counts.append(errors)
     return counts
 
@@ -492,6 +532,22 @@ def test_calibration_rejects_bad_refine_rounds(rounds):
                               refine_chips=2, refine_rounds=rounds)
 
 
+@pytest.mark.parametrize("targets, key", [
+    ({"none": 0.8}, "rm13"),
+    ({**ppv.CALIBRATION_TARGETS, "bogus": 0.5}, "bogus"),
+    ({**ppv.CALIBRATION_TARGETS, "rm13": "0.8"}, "rm13"),
+    ({**ppv.CALIBRATION_TARGETS, "hamming74": True}, "hamming74"),
+    ({**ppv.CALIBRATION_TARGETS, "hamming84": float("nan")}, "hamming84"),
+    ({**ppv.CALIBRATION_TARGETS, "none": 1.2}, "none"),
+    ([0.8, 0.867, 0.898, 0.927], "targets must map"),
+])
+def test_calibration_rejects_bad_targets(targets, key):
+    # a missing or extra key raised KeyError, a string TypeError
+    with pytest.raises(ValueError, match=key):
+        calibrate_fault_model(targets, base=PpvConfig(n_chips=4), search_chips=2,
+                              refine_chips=2)
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), -0.01, "0.05", None, True])
 def test_calibration_rejects_bad_threshold(threshold):
     # a NaN threshold ran the whole calibration and read as non-convergence
@@ -562,28 +618,13 @@ def test_decode_table_follows_the_generator():
         assert (error_counts(setup, cfg) == 0).all()
 
 
-# --- engine cache ----------------------------------------------------------------------
-
-def test_engine_shared_by_equal_netlists():
-    first = {name: _engine(make_setup(name).netlist) for name in ppv.SETUP_NAMES}
-    size = len(ppv._ENGINES)
-    for _ in range(3):
-        for name in ppv.SETUP_NAMES:
-            setup = make_setup(name)
-            error_counts(setup, PpvConfig(n_chips=2, n_messages=5))
-            assert _engine(setup.netlist) is first[name]
-    assert len(ppv._ENGINES) == size
-
+# --- engine per netlist ----------------------------------------------------------------
 
 def test_mutated_netlist_gets_fresh_engine():
     setup = make_setup("hamming84")
     net = setup.netlist
-    before = _engine(net)
-    outputs = list(net.outputs)
-    net.outputs = outputs[::-1]
-    after = _engine(net)
-    assert after is not before
-    assert before.net.outputs == outputs and after.net.outputs == outputs[::-1]
+    error_counts(setup, PpvConfig(n_chips=2, n_messages=5))
+    net.outputs = list(net.outputs)[::-1]
     cfg = no_fault_cfg(n_chips=1)
     chip = sample_chip(net, cfg, 0)
     m = np.array([1, 0, 0, 0], dtype=np.uint8)
@@ -601,7 +642,7 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
     # every deviation inside its margin: misfire draws and branches are inert,
     # so the engine encodes like the generator matrix (the identity uncoded)
     setup = make_setup(name)
-    eng = _engine(setup.netlist)
+    eng = _FaultEngine(setup.netlist)
     rng = np.random.default_rng(seed)
     cfg = PpvConfig(margins=margins(), q=q, n_messages=max(1, len(msgs)))
     dev = rng.uniform(-0.2, 0.2, eng.n_cells)
@@ -612,8 +653,7 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
     packed = np.packbits(msgs.T[:, None, :], axis=-1)
     received = eng.run(mis, branch, packed)
     got = np.unpackbits(received, axis=-1, count=len(msgs))[:, 0, :].T
-    G = np.eye(4, dtype=np.uint8) if setup.code is None else setup.code.G
-    assert np.array_equal(got, (msgs @ G) % 2)
+    assert np.array_equal(got, (msgs @ setup.code.G) % 2)
 
 
 def clock_subtree(net, splitter, branch):
