@@ -11,7 +11,8 @@ exact solution and shipped as editable defaults rather than truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +44,17 @@ class CellLibrary:
     kinds: dict
 
     def __post_init__(self):
+        kinds = dict(self.kinds)
         for kind in KINDS:
-            if kind not in self.kinds:
+            if kind not in kinds:
                 raise ValueError(f"library is missing kind {kind}")
-            c = self.kinds[kind]
-            if c.jj <= 0 or c.power_uW <= 0 or c.area_mm2 <= 0:
-                raise ValueError(f"non-positive cost for {kind}: {c}")
+            c = kinds[kind]
+            if not all(math.isfinite(v) and v > 0 for v in (c.jj, c.power_uW, c.area_mm2)):
+                raise ValueError(f"costs for {kind} must be positive and finite: {c}")
             if int(c.jj) != c.jj:
-                raise ValueError(f"jj count for {kind} must be integral")
+                raise ValueError(f"jj count for {kind} must be integral: {c.jj}")
+            kinds[kind] = replace(c, jj=int(c.jj))
+        object.__setattr__(self, "kinds", kinds)
 
     def __getitem__(self, kind: str) -> CellKindCost:
         return self.kinds[kind]
@@ -205,7 +209,7 @@ def read_library(path) -> CellLibrary:
     for kind in KINDS:
         try:
             kinds[kind] = CellKindCost(
-                jj=int(values[f"{kind}.jj"]),
+                jj=values[f"{kind}.jj"],
                 power_uW=values[f"{kind}.power_uW"],
                 area_mm2=values[f"{kind}.area_mm2"],
             )

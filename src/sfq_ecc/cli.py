@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
             return EXIT_STRUCTURAL
     messages = [bits(m) for m in args.message]
     frames = message_frames(net, messages)
-    result = simulate(net, frames, cycles=len(frames) + net.depth() if len(frames) else 0)
+    result = simulate(net, frames, cycles=None if len(frames) else 0)
     rows = to_timeline(result, args.clock_ghz)
     out = _outdir(args)
     path = out / "timeline.csv"

@@ -90,48 +90,15 @@ def _unpack(words, width: int) -> np.ndarray:
     return ((np.asarray(words)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
-def _row_reduce(G: np.ndarray):
-    """Row-reduce ``G`` over GF(2), pivoting left-to-right.
-
-    Returns ``(G_sys, pivots)`` with ``G_sys`` the reduced row-echelon form
-    of ``G`` and ``pivots`` the pivot column of each row.
-    """
-    k, n = G.shape
-    A = G.copy() % 2
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == k:
-            break
-        hit = None
-        for r in range(row, k):
-            if A[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != row:
-            A[[row, hit]] = A[[hit, row]]
-        for r in range(k):
-            if r != row and A[r, col]:
-                A[r] ^= A[row]
-        pivots.append(col)
-        row += 1
-    if row < k:
-        raise ValueError("generator matrix does not have full row rank")
-    return A, pivots
-
-
 class LinearCode:
     """A binary linear block code defined by a k x n generator matrix.
 
     Attributes ``name``, ``n``, ``k``, ``G`` and the cached minimum distance
     ``d_min`` describe the code; the constructor also precomputes the
-    codebook, a parity-check matrix derived by Gaussian elimination (pivot
-    order fixed left-to-right), and the nearest-codeword table every decoder
-    reads: per received word (indexed by :func:`pack`) the nearest
-    ``distance``, the lowest-index ``nearest`` message and whether the
-    nearest codeword is ``tied``.  ``resolves_ties`` lets correct mode
+    codebook and the nearest-codeword table that membership, message lookup
+    and every decoder read: per received word (indexed by :func:`pack`) the
+    nearest ``distance``, the lowest-index ``nearest`` message and whether
+    the nearest codeword is ``tied``.  ``resolves_ties`` lets correct mode
     deliver a tied word under :data:`TIE_OPTIMISTIC`.  The decode table of
     each (mode, tie policy) is derived from it once, here.  Instances are
     immutable in use: every operation is a pure function, so codes are safe
@@ -148,21 +115,12 @@ class LinearCode:
         self.G = G
         G.setflags(write=False)
 
-        G_sys, pivots = _row_reduce(G)
-        # H = [P^T | I] in the coordinate system that puts pivot columns first.
-        others = [c for c in range(self.n) if c not in pivots]
-        P = G_sys[:, others]
-        H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
-        H[:, pivots] = P.T
-        H[:, others] = np.eye(self.n - self.k, dtype=np.uint8)
-        assert not ((G @ H.T) % 2).any()
-        self.H = H
-        H.setflags(write=False)
-
         self.messages = _unpack(np.arange(2**self.k), self.k)
         self.codebook = (self.messages @ G) % 2
-        self._codeword_index = {self.codebook[m].tobytes(): m for m in range(2**self.k)}
         self.d_min = int(self.codebook[1:].sum(axis=1).min())
+        # over GF(2), rank < k exactly when a nonzero message encodes to zero
+        if self.d_min == 0:
+            raise ValueError("generator matrix does not have full row rank")
 
         words = np.arange(2**self.n)
         dist = _unpack(words, self.n).sum(axis=1)[words[:, None] ^ pack(self.codebook)]
@@ -185,15 +143,20 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, d_min={self.d_min})"
 
-    def syndrome(self, word: np.ndarray) -> np.ndarray:
-        return (np.asarray(word, dtype=np.uint8) @ self.H.T) % 2
+    def _index(self, word) -> int:
+        """Table index (:func:`pack`) of an n-bit word; ``ValueError`` for anything else."""
+        r = bits(word)
+        if r.size != self.n:
+            raise ValueError(f"word length {r.size} != n={self.n} for {self.name}")
+        return int(r.dot(self._weights))
 
-    def is_codeword(self, word: np.ndarray) -> bool:
-        return not self.syndrome(word).any()
+    def is_codeword(self, word) -> bool:
+        return self.message_of(word) is not None
 
-    def message_of(self, codeword: np.ndarray):
-        """Message index for an exact codeword, or None."""
-        return self._codeword_index.get(np.asarray(codeword, dtype=np.uint8).tobytes())
+    def message_of(self, word):
+        """Message index of an exact codeword, None for any other n-bit word."""
+        w = self._index(word)
+        return int(self.nearest[w]) if self.distance[w] == 0 else None
 
     def decode_table(self, mode: str = CORRECT, tie_break: str = TIE_CONSERVATIVE):
         """Message index delivered per received word (indexed by :func:`pack`), -1 if refused.
@@ -300,10 +263,7 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
     whose ties resolve to the lowest-index nearest codeword under
     ``optimistic``.
     """
-    r = bits(received)
-    if r.size != code.n:
-        raise ValueError(f"received length {r.size} != n={code.n} for {code.name}")
-    w = int(r.dot(code._weights))
+    w = code._index(received)
     m = int(code.decode_table(mode, tie_break)[w])
     if m < 0:
         return DecodeOutcome(None, UNCORRECTABLE)

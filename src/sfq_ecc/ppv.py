@@ -205,7 +205,12 @@ def make_setup(name: str) -> EncoderSetup:
 
 @dataclass(frozen=True)
 class ChipInstance:
-    """One sampled chip: per-cell deviations and derived fault flags."""
+    """One sampled chip: per-cell deviations and derived fault flags.
+
+    ``faulty`` records the flags under the config the chip was sampled with,
+    and nothing reads it back: :func:`run_trial` and :func:`inject_and_run`
+    recompute faults from ``deviations`` under the config they score.
+    """
 
     chip_index: int
     cell_ids: tuple

@@ -1,8 +1,11 @@
 """Cell library calibration and cost reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sfq_ecc import celllib
 from sfq_ecc.celllib import (
     TABLE_TOTALS,
     CalibrationError,
@@ -140,8 +143,23 @@ def test_library_missing_kind(tmp_path):
         read_library(path)
 
 
-def test_library_rejects_nonpositive():
+@pytest.mark.parametrize("bad", [
+    CellKindCost(0, 1.0, 1.0),
+    CellKindCost(11.5, 1.0, 1.0),
+    CellKindCost(float("inf"), 1.0, 1.0),
+    CellKindCost(1, float("nan"), 1.0),
+    CellKindCost(1, 1.0, float("inf")),
+], ids=["zero_jj", "fractional_jj", "infinite_jj", "nan_power", "infinite_area"])
+def test_library_rejects_nonpositive(bad):
     kinds = {k: CellKindCost(1, 1.0, 1.0) for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC")}
-    kinds["DFF"] = CellKindCost(0, 1.0, 1.0)
+    kinds["DFF"] = bad
     with pytest.raises(ValueError):
         CellLibrary(kinds=kinds)
+
+
+def test_shipped_library_rewrites_byte_identical(tmp_path):
+    shipped = Path(celllib.__file__).parent / "data" / "cell_library.cfg"
+    lib = read_library(shipped)
+    assert all(type(lib[k].jj) is int for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC"))
+    write_library(lib, tmp_path / "cells.cfg")
+    assert (tmp_path / "cells.cfg").read_text() == shipped.read_text()

@@ -1,10 +1,12 @@
 """Command-line surface: artifacts, reports, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sfq_ecc import celllib
 from sfq_ecc import netlist as nl
 from sfq_ecc.cli import (
     EXIT_NONCONVERGED,
@@ -67,9 +69,18 @@ def test_synth_hamming74(tmp_path):
     assert cost["cells"]["XOR"] == 5 and cost["cells"]["DFF"] == 8
 
 
-def test_synth_bad_library(tmp_path):
+SHIPPED_LIBRARY = (Path(celllib.__file__).parent / "data" / "cell_library.cfg").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    "XOR.jj eleven\n",
+    SHIPPED_LIBRARY.replace("XOR.jj = 11", "XOR.jj = 11.5"),
+    SHIPPED_LIBRARY.replace("DFF.power_uW = 1.535935", "DFF.power_uW = nan"),
+    SHIPPED_LIBRARY.replace("SPLITTER.area_mm2 = 0.005439", "SPLITTER.area_mm2 = inf"),
+], ids=["not_key_value", "fractional_jj", "nan_power", "infinite_area"])
+def test_synth_bad_library(tmp_path, text):
     lib = tmp_path / "broken.cfg"
-    lib.write_text("XOR.jj eleven\n")
+    lib.write_text(text)
     assert run(["synth", "hamming84", "--library", str(lib),
                 "--out", str(tmp_path)]) == EXIT_VALIDATION
 

@@ -94,6 +94,16 @@ def test_decode_table_size_is_bounded():
         LinearCode("big", np.eye(11, 12, dtype=np.uint8))
 
 
+@settings(max_examples=60, deadline=None)
+@given(code=full_rank_codes(), data=st.data())
+def test_rank_deficient_generator_rejected(code, data):
+    # the XOR of an empty subset is a zero row, of one row a duplicate
+    subset = data.draw(st.lists(st.integers(0, code.k - 1), unique=True))
+    G = np.vstack([code.G, code.G[subset].sum(axis=0) % 2])
+    with pytest.raises(ValueError, match="full row rank"):
+        LinearCode("custom", G)
+
+
 def test_hamming84_is_hamming74_plus_overall_parity():
     g84 = make_code("hamming84").G
     assert np.array_equal(g84[:, :7], make_code("hamming74").G)
@@ -349,6 +359,34 @@ def test_detect_only_is_exact_codeword_membership():
             else:
                 assert out.status == UNCORRECTABLE
             assert out.status != "corrected"
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=full_rank_codes())
+def test_message_lookup_is_the_codebook_oracle(code):
+    # every word, as an array and as the bit string decode also accepts
+    index = {bitstr(c): m for m, c in enumerate(code.codebook)}
+    assert len(index) == 2**code.k
+    for r in all_words(code.n):
+        want = index.get(bitstr(r))
+        for word in (r, bitstr(r)):
+            assert code.message_of(word) == want
+            assert code.is_codeword(word) == (want is not None)
+
+
+@pytest.mark.parametrize("word", [
+    [0.5] * 8,
+    [257, 1, 1, 0, 0, 0, 0, 1],
+    [2, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 1, 0, 0, 1, 1],
+    [0, 1, 1],
+    np.zeros((2, 4), dtype=np.uint8),
+])
+def test_membership_and_message_lookup_reject_malformed_words(word):
+    code = make_code("hamming84")
+    for lookup in (code.message_of, code.is_codeword):
+        with pytest.raises(ValueError):
+            lookup(word)
 
 
 def test_decode_roundtrip_all_codes():

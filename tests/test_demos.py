@@ -1,7 +1,8 @@
-"""Smoke test of the narrative scripts under ``demos/``.
+"""Smoke test of the narrative scripts under ``demos/`` and the README quick tour.
 
 Each demo runs in its own interpreter, as a reader would run it, and must
-exit cleanly and print the line that carries its point.
+exit cleanly and print the line that carries its point.  The quick tour runs
+in-process and must give the results its comments state.
 """
 
 import os
@@ -10,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sfq_ecc.codes import bitstr
+from sfq_ecc.sim import latency, verify_equivalence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +40,17 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert KEY_LINES[demo].split() in lines, proc.stdout
+
+
+def test_readme_quick_tour_runs_as_written():
+    tour = (ROOT / "README.md").read_text().split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    res, frames, net, code = ns["res"], ns["frames"], ns["net"], ns["code"]
+    # the results the block's comments state
+    assert bitstr(res.outputs[2]) == "01100110"
+    assert res.outputs.shape == (4, 8)
+    assert frames.shape == (2, 4)
+    assert latency(net) == 2
+    assert verify_equivalence(net, code) == (True, None)
