@@ -230,8 +230,7 @@ def cmd_calibrate(args) -> int:
     for name in ppv.SETUP_NAMES:
         print(f"{name:<14}{res.targets[name]:>9.3f}{res.achieved[name]:>10.3f}"
               f"{res.achieved[name] - res.targets[name]:>+8.3f}")
-    tvals = [res.targets[n] for n in ppv.SETUP_NAMES]
-    if all(a < b for a, b in zip(tvals, tvals[1:])):
+    if ppv.ordered(res.targets):
         order_note = "preserved" if res.ordering_ok else "violated"
     else:
         order_note = "not required (targets unordered)"
@@ -308,6 +307,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGED
     except (ValueError, OSError, json.JSONDecodeError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as e:  # e.g. a message or chip count too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -106,7 +106,11 @@ class LinearCode:
     """
 
     def __init__(self, name: str, G: np.ndarray, *, resolves_ties: bool = False):
-        G = np.asarray(G, dtype=np.uint8) % 2
+        G = np.asarray(G)
+        # checked before the cast, by the rule of :func:`bits`
+        if G.ndim != 2 or not G.size or not _BIT_VALUES.issuperset(G.ravel().tolist()):
+            raise ValueError("generator matrix must be a non-empty 2-D array over {0,1}")
+        G = G.astype(np.uint8)
         self.name = name
         self.resolves_ties = resolves_ties
         self.k, self.n = G.shape

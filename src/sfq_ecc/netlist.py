@@ -146,8 +146,11 @@ class Netlist:
     def from_dict(cls, doc: dict) -> "Netlist":
         if not isinstance(doc, dict):
             raise StructuralError(f"netlist JSON must be an object, got {type(doc).__name__}")
-        if doc.get("version") != SERIAL_VERSION:
+        # type first: True and 1.0 compare equal to the integer version
+        if type(doc.get("version")) is not int or doc["version"] != SERIAL_VERSION:
             raise StructuralError(f"unsupported netlist version {doc.get('version')!r}")
+        if not isinstance(doc.get("name", ""), str):
+            raise StructuralError(f"netlist name must be a string, got {doc['name']!r}")
         nl = cls(name=doc.get("name", "netlist"))
         entry = None
         try:

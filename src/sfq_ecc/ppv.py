@@ -38,6 +38,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -197,8 +198,10 @@ def baseline_no_encoder(width: int = 4) -> Netlist:
 
 
 def make_setup(name: str) -> EncoderSetup:
-    if name in ("none", "baseline"):
-        return EncoderSetup("none", baseline_no_encoder(), LinearCode("none", np.eye(4)))
+    if name not in SETUP_NAMES:
+        raise ValueError(f"unknown setup {name!r}; expected one of {', '.join(SETUP_NAMES)}")
+    if name == "none":
+        return EncoderSetup(name, baseline_no_encoder(), LinearCode(name, np.eye(4)))
     code = make_code(name)
     return EncoderSetup(name, synthesize(code), code)
 
@@ -370,20 +373,16 @@ def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> 
     return wrong if count_detected_errors else wrong & (delivered >= 0)
 
 
-def _count_errors(setup: EncoderSetup, received, sent, cfgs) -> np.ndarray:
-    """Erroneous messages per (config, chip).
+def _count_errors(setup: EncoderSetup, received, sent, cfg: PpvConfig) -> np.ndarray:
+    """Erroneous messages per (config, chip) under ``cfg``'s accounting.
 
     ``received`` holds packed output bits (n, configs * chips, W), one block
     of chips per config; ``sent`` the message index per (chip, message).
-    Each message is one lookup in its config's (sent, received) table.
+    Each message is one lookup in the (sent, received) table.
     """
-    accounting = [(c.tie_break, c.count_detected_errors) for c in cfgs]
-    variants = list(dict.fromkeys(accounting))
-    tables = np.stack([_wrong(setup, *v) for v in variants])
-    offset = np.array([variants.index(a) * tables[0].size for a in accounting])
-    words = _word_index(received, sent.shape[1]).reshape(len(cfgs), *sent.shape)
-    key = words + ((sent.astype(np.int32) << len(received)) + offset[:, None, None])
-    return np.take(tables, key).sum(axis=2)
+    words = _word_index(received, sent.shape[1]).reshape(-1, *sent.shape)
+    key = words + (sent.astype(np.int32) << len(received))
+    return np.take(_wrong(setup, cfg.tie_break, cfg.count_detected_errors), key).sum(axis=2)
 
 
 def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, u) -> _Chips:
@@ -401,14 +400,13 @@ def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
 
     Row ``i * chips + j`` is chip ``j`` under ``cfgs[i]``.  A drawn cell beyond
     its margin misfires where its uniform is below ``q``, except on the clock
-    tree under a config without clock faults.
+    tree when the configs, which share their clock model, have no clock faults.
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
     mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
     if len(chips.cell):
         margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
-        clock_ok = np.array([c.clock_faults for c in cfgs])[:, None]
-        faulty = (chips.dev > margins) & (clock_ok | ~eng.on_clock[chips.cell])
+        faulty = (chips.dev > margins) & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell])
         q = np.array([c.q for c in cfgs])[:, None, None]
         fires = (chips.u < q) & faulty[:, :, None]
         rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
@@ -418,7 +416,7 @@ def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
 
 def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
     """Erroneous-message counts (configs, chips) in one engine pass."""
-    return _count_errors(setup, _received(eng, chips, cfgs), chips.sent, cfgs)
+    return _count_errors(setup, _received(eng, chips, cfgs), chips.sent, cfgs[0])
 
 
 def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
@@ -452,15 +450,19 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
 
     Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
-    spread, distribution, message count): each batch of chips is drawn once,
-    with misfire rows for the cells faulty under the weakest margin of each
-    kind, and scored under every config (common random numbers).  The
-    configs are stacked into engine passes of at most ``batch`` rows.
+    spread, distribution, message count), the accounting (detected-error
+    counting, tie policy) and the clock model; they differ only in margins
+    and ``q``.  Each batch of chips is drawn once, with misfire rows for the
+    cells faulty under the weakest margin of each kind, and scored under
+    every config (common random numbers).  The configs are stacked into
+    engine passes of at most ``batch`` rows, each read through one table.
     """
     cfg0 = cfgs[0]
-    material = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages)
-    if any(material(c) != material(cfg0) for c in cfgs):
-        raise ValueError("configs scored together must share their chip material")
+    shared = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages,
+                        c.count_detected_errors, c.tie_break, c.clock_faults)
+    if any(shared(c) != shared(cfg0) for c in cfgs):
+        raise ValueError("configs scored together must share their chip material, "
+                         "accounting and clock model")
     eng = _FaultEngine(setup.netlist)
     weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
     n_chips = cfg0.n_chips
@@ -499,57 +501,46 @@ class CalibrationResult:
     converged: bool
     stage: str
 
-    def deviations(self) -> dict:
-        return {k: self.achieved[k] - self.targets[k] for k in self.targets}
 
-
-def _ordering_ok(probs: dict) -> bool:
+def ordered(probs: dict) -> bool:
+    """Whether ``probs`` rise strictly in SETUP_NAMES order."""
     vals = [probs[name] for name in SETUP_NAMES]
     return all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _margins(spread, conv, xor, dff, spl):
-    clip = lambda f: min(spread, max(0.0, f * spread))
-    return {nl.XOR: clip(xor), nl.DFF: clip(dff),
-            nl.SPLITTER: clip(spl), nl.SFQ2DC: clip(conv)}
+# Calibration stages, searched in order: (name, accounting, margin axes, q grid,
+# q moves, grid points polished).  An axis is (kinds sharing one margin factor,
+# grid factors, local step); a step of 0 keeps the factor.
+_STAGES = (
+    # the naive model: one margin for every kind, pessimistic accounting, conservative ties
+    ("shared", {"count_detected_errors": True, "tie_break": TIE_CONSERVATIVE},
+     ((_FAULTABLE, (0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0), 0.01),),
+     (0.01, 0.05, 0.1, 0.3, 1.0), (0.5, 0.7, 1.0, 1.4, 2.0), 1),
+    # converters weaker than logic, erasure accounting, delivered ties
+    ("split", {"count_detected_errors": False, "tie_break": TIE_OPTIMISTIC},
+     (((nl.SFQ2DC,), (0.93, 0.9457, 0.955), 0.004),
+      ((nl.XOR,), (0.94, 0.96, 0.97, 0.98), 0.006),
+      ((nl.DFF,), (1.0,), 0.0),
+      ((nl.SPLITTER,), (0.997, 0.9985, 1.0), 0.0008)),
+     (0.12, 0.2, 0.5, 1.0), (0.7, 1.0, 1.4), 2),
+)
 
 
-def _shared_margin_grid(spread):
-    for rho_f in (0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0):
-        for q in (0.01, 0.05, 0.1, 0.3, 1.0):
-            yield _margins(spread, rho_f, rho_f, rho_f, rho_f), q, True, TIE_CONSERVATIVE
+def _neighbours(point: PpvConfig, moves, q_factors, **fields):
+    """Configs around ``point``, q varying fastest, with ``fields`` replaced.
 
-
-def _split_margin_grid(spread):
-    """Converters weaker than logic, erasure accounting, delivered ties."""
-    for cf in (0.93, 0.9457, 0.955):
-        for xf in (0.94, 0.96, 0.97, 0.98):
-            for sf in (0.997, 0.9985, 1.0):
-                for q in (0.12, 0.2, 0.5, 1.0):
-                    yield _margins(spread, cf, xf, 1.0, sf), q, False, TIE_OPTIMISTIC
-
-
-def _neighborhood(cfg: PpvConfig, step: float, shared: bool = False):
-    """Local moves on the margins and q (all kinds together when shared)."""
-    spread = cfg.spread
-    cf = cfg.margins[nl.SFQ2DC] / spread
-    xf = cfg.margins[nl.XOR] / spread
-    df = cfg.margins[nl.DFF] / spread
-    sf = cfg.margins[nl.SPLITTER] / spread
-    if shared:
-        for dr in (-0.01 * step, 0.0, 0.01 * step):
-            for fq in (0.5, 0.7, 1.0, 1.4, 2.0):
-                q = min(1.0, max(0.005, cfg.q * fq))
-                yield (_margins(spread, cf + dr, xf + dr, df + dr, sf + dr),
-                       q, cfg.count_detected_errors, cfg.tie_break)
-        return
-    for dc in (-0.004 * step, 0.0, 0.004 * step):
-        for dx in (-0.006 * step, 0.0, 0.006 * step):
-            for ds in (-0.0008 * step, 0.0, 0.0008 * step):
-                for fq in (0.7, 1.0, 1.4):
-                    q = min(1.0, max(0.005, cfg.q * fq))
-                    yield (_margins(spread, cf + dc, xf + dx, df, sf + ds),
-                           q, cfg.count_detected_errors, cfg.tie_break)
+    ``moves`` holds (kinds, offsets) per axis: a neighbour adds one offset per
+    axis to its kinds' factors ``margin / spread`` and scales q by one of
+    ``q_factors``, clipped to [0, spread] and [0.005, 1].  From factors 0 and
+    q 1 the neighbours are exactly the grid of the offsets and factors.
+    """
+    spread = point.spread
+    for move in product(*(offsets for _, offsets in moves)):
+        shift = {k: d for (kinds, _), d in zip(moves, move) for k in kinds}
+        margins = {k: min(spread, max(0.0, (point.margins[k] / spread + shift[k]) * spread))
+                   for k in _FAULTABLE}
+        for f in q_factors:
+            yield replace(point, margins=margins, q=min(1.0, max(0.005, point.q * f)), **fields)
 
 
 def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
@@ -566,9 +557,14 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     but normally fails the threshold.  Stage two splits margins by kind
     (converters weakest, as the large interface cells), counts only
     delivered-wrong messages (flagged failures are erasures), and lets the
-    RM decoder deliver its best guess on correlation ties.  Candidates are
-    scored at ``search_chips`` chips, locally refined, and finalists
-    re-scored at the full configured chip count.
+    RM decoder deliver its best guess on correlation ties.
+
+    One loop runs the rows of ``_STAGES``.  It ranks a stage's grid (the
+    neighbourhood of factors 0 and q 1) at ``search_chips`` chips, moves its
+    best points for ``refine_rounds`` rounds at ``refine_chips`` with step
+    1 / (round + 1), and re-scores them at ``base.n_chips``.  The best so far
+    wins, the earlier on a tie; the search stops once it has converged.  Each
+    scoring call holds one stage's configs, so it scores one accounting.
     """
     if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
             or refine_rounds < 0):
@@ -586,14 +582,13 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
         if not 0 <= _require_number(f"target for {name}", t) <= 1:
             raise ValueError(f"target for {name} must be in [0, 1]: {t}")
     # the ordering constraint only applies when the targets are ordered
-    tvals = [targets[name] for name in SETUP_NAMES]
-    require_order = all(a < b for a, b in zip(tvals, tvals[1:]))
+    require_order = ordered(targets)
     base = base if base is not None else PpvConfig()
     setups = [make_setup(name) for name in SETUP_NAMES]
     cache: dict = {}
 
     def badness(probs: dict, dev: float):
-        return require_order and not _ordering_ok(probs), dev
+        return require_order and not ordered(probs), dev
 
     def ranked(cfgs) -> list:
         """(cfg, probs, max |dev|) per config, best first.
@@ -623,36 +618,23 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
         scored.sort(key=lambda r: badness(r[1], r[2]))
         return scored
 
-    def grid(points, n_chips) -> list:
-        return [replace(base, margins=margins, q=q, count_detected_errors=count_det,
-                        tie_break=ties, n_chips=n_chips)
-                for margins, q, count_det, ties in points]
-
-    def polish(cfg: PpvConfig, shared: bool = False) -> PpvConfig:
-        for r in range(refine_rounds):
-            cfg = ranked(grid(_neighborhood(cfg, 1.0 / (r + 1), shared=shared),
-                              refine_chips))[0][0]
-        return cfg
-
-    def finalize(cfg: PpvConfig):
-        return ranked([replace(cfg, n_chips=base.n_chips)])[0]
-
-    candidates = []
-
-    # stage 1: the naive shared-margin sweep
-    best1 = ranked(grid(_shared_margin_grid(base.spread), search_chips))[0][0]
-    cfg1, probs1, dev1 = finalize(polish(best1, shared=True))
-    candidates.append(("shared", cfg1, probs1, dev1))
-    if dev1 <= threshold and (_ordering_ok(probs1) or not require_order):
-        return CalibrationResult(cfg1, probs1, targets, dev1,
-                                 _ordering_ok(probs1), True, "shared")
-
-    # stage 2: split margins + erasure accounting + delivered ties
-    for seed_cfg, _, _ in ranked(grid(_split_margin_grid(base.spread), search_chips))[:2]:
-        cfg2, probs2, dev2 = finalize(polish(seed_cfg))
-        candidates.append(("split", cfg2, probs2, dev2))
-
-    stage, cfg, probs, dev = min(candidates, key=lambda c: badness(c[2], c[3]))
-    converged = dev <= threshold and (_ordering_ok(probs) or not require_order)
-    return CalibrationResult(cfg, probs, targets, dev, _ordering_ok(probs),
-                             converged, stage)
+    origin = replace(base, margins=dict.fromkeys(_FAULTABLE, 0.0), q=1.0)
+    best = None
+    for stage, accounting, axes, q_grid, q_moves, polished in _STAGES:
+        grid = [(kinds, factors) for kinds, factors, _ in axes]
+        for cfg, _, _ in ranked(list(_neighbours(origin, grid, q_grid, n_chips=search_chips,
+                                                 **accounting)))[:polished]:
+            for r in range(refine_rounds):
+                step = 1.0 / (r + 1)
+                moves = [(kinds, (-d * step, 0.0, d * step) if d else (0.0,))
+                         for kinds, _, d in axes]
+                cfg = ranked(list(_neighbours(cfg, moves, q_moves, n_chips=refine_chips)))[0][0]
+            cfg, probs, dev = ranked([replace(cfg, n_chips=base.n_chips)])[0]
+            if best is None or badness(probs, dev) < badness(*best[2:]):
+                best = stage, cfg, probs, dev
+        misordered, dev = badness(*best[2:])
+        if dev <= threshold and not misordered:
+            break
+    stage, cfg, probs, dev = best
+    return CalibrationResult(cfg, probs, targets, dev, ordered(probs),
+                             dev <= threshold and not misordered, stage)

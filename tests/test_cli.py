@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfq_ecc import celllib
+from sfq_ecc import celllib, ppv
 from sfq_ecc import netlist as nl
 from sfq_ecc.cli import (
     EXIT_NONCONVERGED,
@@ -151,6 +151,18 @@ def test_simulate_unknown_cell_kind(tmp_path):
     assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
 
 
+ONE_CONVERTER = {"version": 1, "cells": [{"id": "m1", "kind": "INPUT"},
+                                        {"id": "o0", "kind": "SFQ2DC"}],
+                 "nets": [{"from": "m1:0", "to": "o0:0"}], "outputs": ["o0"], "inputs": ["m1"]}
+
+
+def test_simulate_one_converter(tmp_path):
+    # the well-formed netlist the malformed cases below start from
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_CONVERTER))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("doc", [
     {"version": 1},
     [],
@@ -159,6 +171,10 @@ def test_simulate_unknown_cell_kind(tmp_path):
      "nets": [{"from": "m1", "to": "o0:0"}], "outputs": ["o0"], "inputs": ["m1"]},
     {"version": 1, "cells": [{"id": "m1", "kind": ["INPUT"]}], "nets": [], "outputs": []},
     {"version": 1, "cells": [{"id": "m1", "kind": "INPUT"}], "nets": [], "outputs": [["m1"]]},
+    # a version that only compares equal to 1, and a name that is not a string
+    {**ONE_CONVERTER, "version": True},
+    {**ONE_CONVERTER, "version": 1.0},
+    {**ONE_CONVERTER, "name": 7},
 ])
 def test_simulate_malformed_netlist_json(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -234,6 +250,16 @@ def test_mc_rejects_bad_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spread": -1}))
     assert run(["mc", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
+    # a huge --messages ended in a numpy allocation traceback
+    def too_large(setup, cfg):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(ppv, "monte_carlo", too_large)
+    assert run(["mc", "--codes", "none", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB\n"
 
 
 @pytest.mark.parametrize("case", [

@@ -88,6 +88,21 @@ def test_unknown_code_rejected():
         make_code("bogus")
 
 
+@pytest.mark.parametrize("G", [
+    [[1, 0, 2], [0, 1, 1]],          # was read as [[1,0,0],[0,1,1]]
+    [["1", "0"]],                    # strings were accepted
+    [[1, 0, -1]],                    # OverflowError
+    [[1, 0.5, 1], [0, 1, 1]],        # truncated, then "not full row rank"
+    [[1, float("nan"), 1]],          # "cannot convert float NaN"
+    np.zeros((0, 7), dtype=np.uint8),
+    [1, 0, 1],
+    np.ones((1, 2, 3), dtype=np.uint8),
+], ids=["two", "strings", "negative", "half", "nan", "no_rows", "one_dim", "three_dim"])
+def test_malformed_generator_rejected(G):
+    with pytest.raises(ValueError, match="generator matrix must be a non-empty 2-D array"):
+        LinearCode("custom", G)
+
+
 def test_decode_table_size_is_bounded():
     # the table holds 2^(n+k) distances; a (12,11) code would need 2^23
     with pytest.raises(ValueError, match="n \\+ k"):

@@ -126,6 +126,13 @@ def test_baseline_composition():
     assert net.depth() == 0
 
 
+@pytest.mark.parametrize("name", ["baseline", "bogus"])
+def test_unknown_setup_rejected(name):
+    # "baseline" was an unused alias of "none"; the error named only the codes
+    with pytest.raises(ValueError, match="expected one of none, rm13, hamming74, hamming84"):
+        make_setup(name)
+
+
 def test_baseline_identity_channel():
     setup = make_setup("none")
     cfg = no_fault_cfg(n_messages=30, n_chips=5)
@@ -355,18 +362,20 @@ def test_monte_carlo_deterministic():
     knobs=st.lists(st.tuples(
         st.lists(st.floats(0.05, 0.2), min_size=4, max_size=4),
         st.floats(0.0, 1.0),
-        st.booleans(),
-        st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
     ), min_size=1, max_size=4),
+    det=st.booleans(),
+    ties=st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
+    clock=st.booleans(),
     n_chips=st.integers(1, 13),
     batch=st.integers(1, 6),
     seed=st.integers(0, 2**16),
 )
-def test_many_configs_match_one_at_a_time(name, knobs, n_chips, batch, seed):
+def test_many_configs_match_one_at_a_time(name, knobs, det, ties, clock, n_chips, batch,
+                                          seed):
+    # the configs of one call share their accounting and clock model
     setup = make_setup(name)
-    cfgs = [PpvConfig(margins=dict(zip(KINDS, m)), q=q, count_detected_errors=det,
-                      tie_break=ties, n_chips=n_chips, n_messages=12, master_seed=seed)
-            for m, q, det, ties in knobs]
+    cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
+                       n_chips=n_chips, n_messages=12, master_seed=seed)
     many = _error_counts_many(setup, cfgs, batch=batch)
     assert many.shape == (len(cfgs), n_chips)
     for row, cfg in zip(many, cfgs):
@@ -460,9 +469,8 @@ def reference_counts(setup, cfg):
 
 
 def random_cfgs(knobs, **common):
-    return [PpvConfig(margins=dict(zip(KINDS, m)), q=q, count_detected_errors=det,
-                      tie_break=ties, clock_faults=clock, **common)
-            for m, q, det, ties, clock in knobs]
+    """One config per (margins, q) knob, every other field from ``common``."""
+    return [PpvConfig(margins=dict(zip(KINDS, m)), q=q, **common) for m, q in knobs]
 
 
 @settings(max_examples=25, deadline=None)
@@ -471,44 +479,52 @@ def random_cfgs(knobs, **common):
     knobs=st.lists(st.tuples(
         st.lists(st.floats(0.1, 0.2), min_size=4, max_size=4),
         st.floats(0.0, 1.0),
-        st.booleans(),
-        st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
-        st.booleans(),
     ), min_size=1, max_size=4),
+    det=st.booleans(),
+    ties=st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
+    clock=st.booleans(),
     distribution=st.sampled_from(["uniform", "gaussian"]),
     n_chips=st.integers(1, 9),
     n_messages=st.integers(1, 19),
     batch=st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-def test_error_counts_match_reference_evaluator(name, knobs, distribution, n_chips,
-                                                n_messages, batch, seed):
+def test_error_counts_match_reference_evaluator(name, knobs, det, ties, clock, distribution,
+                                                n_chips, n_messages, batch, seed):
+    # the configs of one call share their accounting and clock model
     setup = make_setup(name)
-    cfgs = random_cfgs(knobs, distribution=distribution, n_chips=n_chips,
-                       n_messages=n_messages, master_seed=seed)
+    cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
+                       distribution=distribution, n_chips=n_chips, n_messages=n_messages,
+                       master_seed=seed)
     many = _error_counts_many(setup, cfgs, batch=batch)
     for row, cfg in zip(many, cfgs):
         assert row.tolist() == reference_counts(setup, cfg)
 
 
 def test_error_counts_match_reference_beyond_one_pass():
-    # 12 configs x 26 chips = 312 rows: more than one 250-row engine pass
+    # 12 configs x 26 chips = 312 rows: more than one 250-row engine pass,
+    # once under each accounting and clock model
     rng = np.random.default_rng(4)
-    knobs = [(rng.uniform(0.12, 0.2, 4), float(rng.uniform()), bool(i % 2),
-              (TIE_CONSERVATIVE, TIE_OPTIMISTIC)[i % 3 == 0], i % 4 != 1)
-             for i in range(12)]
+    knobs = [(rng.uniform(0.12, 0.2, 4), float(rng.uniform())) for _ in range(12)]
     setup = make_setup("rm13")
-    cfgs = random_cfgs(knobs, n_chips=26, n_messages=9, master_seed=5)
-    many = _error_counts_many(setup, cfgs)
-    for row, cfg in zip(many, cfgs):
-        assert row.tolist() == reference_counts(setup, cfg)
-    assert many.sum() > 0
+    for det, ties, clock in ((True, TIE_CONSERVATIVE, True), (False, TIE_OPTIMISTIC, False),
+                             (True, TIE_OPTIMISTIC, False), (False, TIE_CONSERVATIVE, True)):
+        cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties,
+                           clock_faults=clock, n_chips=26, n_messages=9, master_seed=5)
+        many = _error_counts_many(setup, cfgs)
+        for row, cfg in zip(many, cfgs):
+            assert row.tolist() == reference_counts(setup, cfg)
+        assert many.sum() > 0
 
 
 def test_many_configs_need_shared_chip_material():
+    # one chip draw, one accounting table and one clock model per call
     setup = make_setup("rm13")
-    with pytest.raises(ValueError):
-        _error_counts_many(setup, [PpvConfig(n_chips=3), PpvConfig(n_chips=4)])
+    for differ in ({"n_chips": 4}, {"count_detected_errors": False},
+                   {"tie_break": TIE_OPTIMISTIC}, {"clock_faults": False}):
+        other = PpvConfig(**{"n_chips": 3, **differ})
+        with pytest.raises(ValueError, match="must share"):
+            _error_counts_many(setup, [PpvConfig(n_chips=3), other])
 
 
 def test_calibration_matches_one_config_at_a_time(monkeypatch):
@@ -522,6 +538,55 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
 
     monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
     assert calibrate_fault_model(base=base, search_chips=10, refine_chips=20) == shared
+
+
+ORDERED = dict(zip(ppv.SETUP_NAMES, (0.8, 0.867, 0.898, 0.927)))
+FLAT = dict.fromkeys(ppv.SETUP_NAMES, 0.8)
+REVERSED = dict(zip(ppv.SETUP_NAMES, (0.95, 0.9, 0.85, 0.8)))
+
+
+@pytest.mark.parametrize("targets, base, search, refine, rounds, expected", [
+    # both stages run; the split stage wins
+    (ORDERED, {"n_chips": 40, "n_messages": 30}, 10, 20, 2, (
+        {"spread": 0.2, "distribution": "uniform",
+         "margins": {"XOR": 0.1862, "DFF": 0.2, "SPLITTER": 0.19916000000000003,
+                     "SFQ2DC": 0.18794},
+         "q": 0.13999999999999999, "master_seed": 20240, "n_chips": 40, "n_messages": 30,
+         "count_detected_errors": False, "tie_break": "optimistic", "clock_faults": True},
+        {"none": 0.875, "rm13": 0.85, "hamming74": 0.9, "hamming84": 0.975},
+        0.07499999999999996, False, False, "split")),
+    # the shared stage wins after polishing, without converging
+    (ORDERED, {"n_chips": 40, "distribution": "gaussian", "master_seed": 5}, 20, 30, 2, (
+        {"spread": 0.2, "distribution": "gaussian",
+         "margins": {"XOR": 0.187, "DFF": 0.187, "SPLITTER": 0.187, "SFQ2DC": 0.187},
+         "q": 0.005, "master_seed": 5, "n_chips": 40, "n_messages": 100,
+         "count_detected_errors": True, "tie_break": "conservative", "clock_faults": True},
+        {"none": 0.975, "rm13": 0.875, "hamming74": 0.875, "hamming84": 0.9},
+        0.17499999999999993, False, False, "shared")),
+    # unordered targets: no ordering is required
+    (FLAT, {"n_chips": 40}, 20, 30, 1, (
+        {"spread": 0.2, "distribution": "uniform",
+         "margins": {"XOR": 0.1868, "DFF": 0.2, "SPLITTER": 0.19924000000000003,
+                     "SFQ2DC": 0.18520000000000003},
+         "q": 0.5, "master_seed": 20240, "n_chips": 40, "n_messages": 100,
+         "count_detected_errors": False, "tie_break": "optimistic", "clock_faults": True},
+        {"none": 0.825, "rm13": 0.75, "hamming74": 0.75, "hamming84": 0.9},
+        0.09999999999999998, False, False, "split")),
+    (REVERSED, {"n_chips": 40, "spread": 0.1}, 20, 30, 3, (
+        {"spread": 0.1, "distribution": "uniform",
+         "margins": dict.fromkeys(KINDS, 0.09816666666666668),
+         "q": 0.008749999999999999, "master_seed": 20240, "n_chips": 40, "n_messages": 100,
+         "count_detected_errors": True, "tie_break": "conservative", "clock_faults": True},
+        {"none": 1.0, "rm13": 0.875, "hamming74": 0.9, "hamming84": 0.875},
+        0.07499999999999996, False, False, "shared")),
+], ids=["ordered", "gaussian", "flat", "reversed"])
+def test_calibration_output_is_pinned(targets, base, search, refine, rounds, expected):
+    # every float to the last bit: the search's moves and ranking are exact
+    res = calibrate_fault_model(targets, base=PpvConfig(**base), search_chips=search,
+                                refine_chips=refine, refine_rounds=rounds)
+    assert (res.config.to_dict(), res.achieved, res.max_abs_dev, res.ordering_ok,
+            res.converged, res.stage) == expected
+    assert list(res.config.margins) == list(KINDS)
 
 
 @pytest.mark.parametrize("rounds", [-1, 1.5, True, "2"])
