@@ -12,6 +12,7 @@ exact solution and shipped as editable defaults rather than truth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -107,6 +108,11 @@ def calibrate_library(rows=None):
     """
     if rows is None:
         rows = [t[:5] for t in TABLE_TOTALS.values()]
+    for r in rows:
+        if len(r) != 5 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                              or not float(v).is_integer() for v in r):
+            raise ValueError("an encoder row is five integers (xor, dff, splitter, "
+                             f"converter, jj_total), got {r!r}")
     rows = [tuple(int(v) for v in r) for r in rows]
     if len(rows) < 3:
         raise CalibrationError("need at least three encoder rows")
@@ -143,6 +149,8 @@ def fit_unit_costs(rows=None, column: str = "power"):
     chosen, shifted along the null direction only if needed to stay
     non-negative.
     """
+    if column not in ("power", "area"):
+        raise ValueError(f"column must be 'power' or 'area', got {column!r}")
     if rows is None:
         idx = 5 if column == "power" else 6
         rows = [(t[0], t[1], t[2], t[3], t[idx]) for t in TABLE_TOTALS.values()]
@@ -201,6 +209,8 @@ def read_library(path) -> CellLibrary:
         if len(parts) != 2 or parts[0] not in KINDS or parts[1] not in (
                 "jj", "power_uW", "area_mm2"):
             raise LibraryParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise LibraryParseError(f"{path}:{lineno}: {key} given twice")
         try:
             values[key] = float(val.strip())
         except ValueError as e:

@@ -69,6 +69,7 @@ CALIBRATION_TARGETS = {
 }
 
 _FAULTABLE = (nl.XOR, nl.DFF, nl.SPLITTER, nl.SFQ2DC)
+_BATCH = 250  # chips drawn at once, and the row cap of one engine pass
 
 
 def _require_number(name: str, value):
@@ -136,24 +137,18 @@ class PpvConfig:
                 raise ValueError(f"margins missing kind {kind}")
             if not _require_number(f"margin of {kind}", self.margins[kind]) >= 0:
                 raise ValueError("margins must be non-negative")
+        unknown = sorted(set(self.margins) - set(_FAULTABLE), key=str)
+        if unknown:
+            raise ValueError(f"margins name unknown cell kind {unknown[0]!r}; expected "
+                             f"{', '.join(_FAULTABLE)}")
         # margins in _FAULTABLE order, then inf for the kinds that never fault
         kind_margins = np.array([self.margins[k] for k in _FAULTABLE] + [np.inf], dtype=float)
         kind_margins.flags.writeable = False
         object.__setattr__(self, "_kind_margins", kind_margins)
 
     def to_dict(self) -> dict:
-        return {
-            "spread": self.spread,
-            "distribution": self.distribution,
-            "margins": dict(self.margins),
-            "q": self.q,
-            "master_seed": self.master_seed,
-            "n_chips": self.n_chips,
-            "n_messages": self.n_messages,
-            "count_detected_errors": self.count_detected_errors,
-            "tie_break": self.tie_break,
-            "clock_faults": self.clock_faults,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "margins": dict(self.margins)}
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
         return type(self).from_dict, (self.to_dict(),)
@@ -208,17 +203,11 @@ def make_setup(name: str) -> EncoderSetup:
 
 @dataclass(frozen=True)
 class ChipInstance:
-    """One sampled chip: per-cell deviations and derived fault flags.
-
-    ``faulty`` records the flags under the config the chip was sampled with,
-    and nothing reads it back: :func:`run_trial` and :func:`inject_and_run`
-    recompute faults from ``deviations`` under the config they score.
-    """
+    """One sampled chip; the config it is scored under decides its faulty cells."""
 
     chip_index: int
     cell_ids: tuple
     deviations: np.ndarray
-    faulty: np.ndarray
     branch_sel: np.ndarray  # designated droppable branch per splitter
 
 
@@ -242,11 +231,11 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """Per-netlist data of the bit-packed fault evaluation.
+    """Per-netlist arrays of the bit-packed fault evaluation.
 
-    Built per call on the program :func:`netlist.compile` caches by content.
-    ``on_clock`` marks the clock tree, whose misfires a config with
-    ``clock_faults=False`` clears.
+    Built per call on the program :func:`netlist.compile` caches by content;
+    callers run it with :func:`sfq_ecc.sim.evaluate`.  ``on_clock`` marks the
+    clock tree, whose misfires a config with ``clock_faults=False`` clears.
     """
 
     def __init__(self, net: Netlist):
@@ -265,18 +254,6 @@ class _FaultEngine:
     @property
     def n_splitters(self) -> int:
         return len(self.prog.splitters)
-
-    def margins_vector(self, cfg: PpvConfig) -> np.ndarray:
-        return cfg._kind_margins[self.kind_code]
-
-    def run(self, mis, branch_sel, messages) -> np.ndarray:
-        """Evaluate packed messages of every row; returns packed received bits.
-
-        Shapes, with W bytes of packed messages per row: mis (cells, rows, W)
-        misfire mask, branch_sel (rows, splitters), messages (k, rows, W)
-        -> received (n, rows, W).  Bits past the last message are don't-care.
-        """
-        return evaluate(self.prog, messages, mis, branch_sel)
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
@@ -303,7 +280,7 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
     branch = rng.integers(0, 2, eng.n_splitters)
     k, n_msg = len(eng.net.inputs), cfg.n_messages
     msgs = rng.integers(0, 2, (n_msg, k), dtype=np.uint8)
-    cells = (np.abs(dev) > eng.margins_vector(cfg)).nonzero()[0]
+    cells = (np.abs(dev) > cfg._kind_margins[eng.kind_code]).nonzero()[0]
     rows = np.empty((len(cells), n_msg))
     pos = 0
     for row, cell in zip(rows, cells.tolist()):
@@ -317,16 +294,8 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     """Draw one chip instance; deterministic in (master_seed, chip_index)."""
     eng = _FaultEngine(net)
-    dev, branch, _, cells, _ = _chip_material(eng, cfg, chip_index)
-    faulty = np.zeros(eng.n_cells, dtype=bool)
-    faulty[cells] = True
-    return ChipInstance(
-        chip_index=chip_index,
-        cell_ids=eng.prog.cell_ids,
-        deviations=dev,
-        faulty=faulty,
-        branch_sel=branch,
-    )
+    dev, branch, *_ = _chip_material(eng, cfg, chip_index)
+    return ChipInstance(chip_index, eng.prog.cell_ids, dev, branch)
 
 
 class _Chips(NamedTuple):
@@ -341,15 +310,24 @@ class _Chips(NamedTuple):
     u: np.ndarray       # (F, M) misfire uniforms
 
 
-def _draw(eng: _FaultEngine, cfg: PpvConfig, chips) -> _Chips:
-    """Draw ``chips`` with misfire rows for the cells faulty under ``cfg``."""
-    dev, branch, msgs, cells, rows = zip(*[_chip_material(eng, cfg, i) for i in chips])
-    msgs = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
+def _batch(materials) -> _Chips:
+    """One batch from one :func:`_chip_material` tuple per chip.
+
+    A tuple holds deviations, branches, (M, k) messages, the drawn cells and
+    their (F, M) misfire rows; a cell without a row never misfires.
+    """
+    dev, branch, msgs, cells, rows = zip(*materials)
+    packed = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
     chip = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
     cell = np.concatenate(cells)
-    return _Chips(branch=np.array(branch), msgs=msgs, sent=_word_index(msgs, cfg.n_messages),
+    return _Chips(branch=np.array(branch), msgs=packed, sent=_word_index(packed, len(msgs[0])),
                   chip=chip, cell=cell, dev=np.abs(np.array(dev)[chip, cell]),
                   u=np.concatenate(rows))
+
+
+def _draw(eng: _FaultEngine, cfg: PpvConfig, chips) -> _Chips:
+    """Draw ``chips`` with misfire rows for the cells faulty under ``cfg``."""
+    return _batch([_chip_material(eng, cfg, i) for i in chips])
 
 
 def _word_index(packed, n_messages: int) -> np.ndarray:
@@ -385,14 +363,11 @@ def _count_errors(setup: EncoderSetup, received, sent, cfg: PpvConfig) -> np.nda
     return np.take(_wrong(setup, cfg.tie_break, cfg.count_detected_errors), key).sum(axis=2)
 
 
-def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, u) -> _Chips:
-    """``chip`` as a batch of one: ``msgs`` (M, k) bits, ``u`` (cells, M) uniforms."""
+def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, cells, rows) -> _Chips:
+    """``chip`` as a batch of one: (M, k) ``msgs``, misfire ``rows`` of ``cells``."""
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    packed = np.packbits(msgs.T[:, None, :], axis=-1)
-    return _Chips(branch=chip.branch_sel[None, :], msgs=packed,
-                  sent=_word_index(packed, len(msgs)), chip=np.zeros(eng.n_cells, np.intp),
-                  cell=np.arange(eng.n_cells), dev=np.abs(chip.deviations), u=u)
+    return _batch([(chip.deviations, chip.branch_sel, msgs, cells, rows)])
 
 
 def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
@@ -404,14 +379,14 @@ def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
     mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
-    if len(chips.cell):
-        margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
-        faulty = (chips.dev > margins) & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell])
-        q = np.array([c.q for c in cfgs])[:, None, None]
-        fires = (chips.u < q) & faulty[:, :, None]
-        rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
-        mis[chips.cell, rows] = np.packbits(fires, axis=-1)
-    return eng.run(mis, np.tile(chips.branch, (n_cfg, 1)), np.tile(chips.msgs, (1, n_cfg, 1)))
+    margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
+    faulty = (chips.dev > margins) & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell])
+    q = np.array([c.q for c in cfgs])[:, None, None]
+    fires = (chips.u < q) & faulty[:, :, None]
+    rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
+    mis[chips.cell, rows] = np.packbits(fires, axis=-1)
+    return evaluate(eng.prog, np.tile(chips.msgs, (1, n_cfg, 1)), mis,
+                    np.tile(chips.branch, (n_cfg, 1)))
 
 
 def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
@@ -428,34 +403,33 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     eng = _FaultEngine(net)
     rng = trial_rng if trial_rng is not None else np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    one = _one_chip(eng, chip, message_frames(net, [message]), rng.random((eng.n_cells, 1)))
+    one = _one_chip(eng, chip, message_frames(net, [message]), np.arange(eng.n_cells),
+                    rng.random((eng.n_cells, 1)))
     return np.unpackbits(_received(eng, one, [cfg]), axis=-1, count=1)[:, 0, 0]
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """Erroneous messages out of n_messages for ``chip`` as given (a batch of one).
 
-    Messages and misfire uniforms come from the stream of ``chip.chip_index``.
+    Messages and every faultable cell's misfire row come from ``chip.chip_index``.
     """
     eng = _FaultEngine(setup.netlist)
     every = replace(cfg, margins=dict.fromkeys(_FAULTABLE, 0.0))
     _, _, msgs, cells, rows = _chip_material(eng, every, chip.chip_index)
-    u = np.ones((eng.n_cells, cfg.n_messages))  # 1.0 never fires
-    u[cells] = rows
-    return int(_score(eng, setup, _one_chip(eng, chip, msgs, u), [cfg])[0, 0])
+    return int(_score(eng, setup, _one_chip(eng, chip, msgs, cells, rows), [cfg])[0, 0])
 
 
-def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarray:
+def _error_counts_many(setup: EncoderSetup, cfgs) -> np.ndarray:
     """Per-chip erroneous-message counts under several fault-model configs.
 
     Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
     spread, distribution, message count), the accounting (detected-error
     counting, tie policy) and the clock model; they differ only in margins
-    and ``q``.  Each batch of chips is drawn once, with misfire rows for the
-    cells faulty under the weakest margin of each kind, and scored under
-    every config (common random numbers).  The configs are stacked into
-    engine passes of at most ``batch`` rows, each read through one table.
+    and ``q``.  Each batch of ``_BATCH`` chips is drawn once, with misfire rows
+    for the cells faulty under the weakest margin of each kind, and scored
+    under every config (common random numbers).  The configs are stacked into
+    engine passes of at most ``_BATCH`` rows, each read through one table.
     """
     cfg0 = cfgs[0]
     shared = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages,
@@ -466,19 +440,19 @@ def _error_counts_many(setup: EncoderSetup, cfgs, batch: int = 250) -> np.ndarra
     eng = _FaultEngine(setup.netlist)
     weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
     n_chips = cfg0.n_chips
-    per_pass = max(1, batch // min(batch, n_chips))
+    per_pass = max(1, _BATCH // min(_BATCH, n_chips))
     out = np.empty((len(cfgs), n_chips), dtype=np.int64)
-    for start in range(0, n_chips, batch):
-        stop = min(start + batch, n_chips)
+    for start in range(0, n_chips, _BATCH):
+        stop = min(start + _BATCH, n_chips)
         chips = _draw(eng, weakest, range(start, stop))
         for p in range(0, len(cfgs), per_pass):
             out[p:p + per_pass, start:stop] = _score(eng, setup, chips, cfgs[p:p + per_pass])
     return out
 
 
-def error_counts(setup: EncoderSetup, cfg: PpvConfig, batch: int = 250) -> np.ndarray:
+def error_counts(setup: EncoderSetup, cfg: PpvConfig) -> np.ndarray:
     """Per-chip erroneous-message counts for the whole Monte Carlo."""
-    return _error_counts_many(setup, [cfg], batch)[0]
+    return _error_counts_many(setup, [cfg])[0]
 
 
 def monte_carlo(setup: EncoderSetup, cfg: PpvConfig) -> CdfSeries:
@@ -562,9 +536,10 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     One loop runs the rows of ``_STAGES``.  It ranks a stage's grid (the
     neighbourhood of factors 0 and q 1) at ``search_chips`` chips, moves its
     best points for ``refine_rounds`` rounds at ``refine_chips`` with step
-    1 / (round + 1), and re-scores them at ``base.n_chips``.  The best so far
-    wins, the earlier on a tie; the search stops once it has converged.  Each
-    scoring call holds one stage's configs, so it scores one accounting.
+    1 / (round + 1), and re-scores them at ``base.n_chips``, which caps the
+    other two counts.  The best so far wins, the earlier on a tie; the search
+    stops once it has converged.  Each scoring call holds one stage's
+    configs, so it scores one accounting.
     """
     if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
             or refine_rounds < 0):
@@ -584,6 +559,9 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     # the ordering constraint only applies when the targets are ordered
     require_order = ordered(targets)
     base = base if base is not None else PpvConfig()
+    # no stage scores more chips than the final re-score; replace() checks each count
+    search_chips, refine_chips = (min(replace(base, n_chips=n).n_chips, base.n_chips)
+                                  for n in (search_chips, refine_chips))
     setups = [make_setup(name) for name in SETUP_NAMES]
     cache: dict = {}
 

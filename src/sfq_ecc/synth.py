@@ -251,9 +251,6 @@ def clock_tree(net: Netlist) -> Netlist:
         return net
     clk = net.add_cell("clk", nl.CLOCK_INPUT)
     net.clock = clk
-    if len(clocked) == 1:
-        net.connect(clk, clocked[0], dst_pin="clk")
-        return net
     src, src_port = clk, 0
     for i, cell in enumerate(clocked[:-1]):
         spl = net.add_cell(f"sc{i}", nl.SPLITTER, role="clock")

@@ -157,6 +157,28 @@ def test_library_rejects_nonpositive(bad):
         CellLibrary(kinds=kinds)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fit_unit_costs(column="bogus"),
+    lambda: calibrate_library([JJ_ROWS[0][:3]] + JJ_ROWS[1:]),
+    lambda: calibrate_library([(5.5,) + JJ_ROWS[0][1:]] + JJ_ROWS[1:]),
+    lambda: calibrate_library([JJ_ROWS[0][:4] + (247.5,)] + JJ_ROWS[1:]),
+], ids=["unknown_column", "short_row", "fractional_count", "fractional_total"])
+def test_fits_reject_malformed_input(call):
+    # the area fit came back, an IndexError was raised, a count was truncated
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_library_rejects_repeated_key(tmp_path):
+    # the last value won silently
+    shipped = Path(celllib.__file__).parent / "data" / "cell_library.cfg"
+    path = tmp_path / "twice.cfg"
+    text = shipped.read_text()
+    path.write_text(text + "XOR.jj = 12\n")
+    with pytest.raises(LibraryParseError, match=f"twice.cfg:{len(text.splitlines()) + 1}"):
+        read_library(path)
+
+
 def test_shipped_library_rewrites_byte_identical(tmp_path):
     shipped = Path(celllib.__file__).parent / "data" / "cell_library.cfg"
     lib = read_library(shipped)

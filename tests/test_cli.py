@@ -77,7 +77,8 @@ SHIPPED_LIBRARY = (Path(celllib.__file__).parent / "data" / "cell_library.cfg").
     SHIPPED_LIBRARY.replace("XOR.jj = 11", "XOR.jj = 11.5"),
     SHIPPED_LIBRARY.replace("DFF.power_uW = 1.535935", "DFF.power_uW = nan"),
     SHIPPED_LIBRARY.replace("SPLITTER.area_mm2 = 0.005439", "SPLITTER.area_mm2 = inf"),
-], ids=["not_key_value", "fractional_jj", "nan_power", "infinite_area"])
+    SHIPPED_LIBRARY + "XOR.jj = 12\n",
+], ids=["not_key_value", "fractional_jj", "nan_power", "infinite_area", "repeated_key"])
 def test_synth_bad_library(tmp_path, text):
     lib = tmp_path / "broken.cfg"
     lib.write_text(text)
@@ -277,6 +278,7 @@ def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
     {"n_messages": 10.0},
     {"master_seed": "7"},
     [{"q": 0.1}],
+    {"margins": {"XOR": 0.1, "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1, "BOGUS": 0.01}},
 ])
 def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
     argv = ["mc", "--out", str(tmp_path)]

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from sfq_ecc.ppv import (
     run_trial,
     sample_chip,
 )
+from sfq_ecc.sim import evaluate
 from sfq_ecc.synth import synthesize
 
 KINDS = ("XOR", "DFF", "SPLITTER", "SFQ2DC")
@@ -59,7 +61,7 @@ def chip_with_only(setup, cfg, cell_id, dev=1.0):
     chip = sample_chip(setup.netlist, cfg, 0)
     d = np.zeros(eng.n_cells)
     d[eng.prog.cell_ids.index(cell_id)] = dev
-    return dataclasses.replace(chip, deviations=d, faulty=np.abs(d) > 0.5)
+    return dataclasses.replace(chip, deviations=d)
 
 
 # --- config validation ---------------------------------------------------------
@@ -91,6 +93,12 @@ def test_config_rejects_bad_values():
             PpvConfig.from_dict(bad)
     with pytest.raises(ValueError):
         PpvConfig.from_dict([("q", 0.1)])
+    # a margin for a kind that does not exist was kept and written out
+    for extra in ("BOGUS", 1):
+        with pytest.raises(ValueError, match=f"unknown cell kind '?{extra}"):
+            PpvConfig(margins={**margins(), extra: 0.01})
+        with pytest.raises(ValueError, match=f"unknown cell kind '{extra}'"):
+            PpvConfig.from_dict({"margins": {**margins(), extra: 0.01}})
     # ints stay ints in float fields, so a written config reads back unchanged
     cfg = PpvConfig.from_dict({"spread": 1, "q": 0, "margins": margins(XOR=0)})
     assert cfg.to_dict()["spread"] == 1 and type(cfg.to_dict()["spread"]) is int
@@ -152,10 +160,11 @@ def test_chip_sampling_deterministic():
 
 
 def test_no_faults_when_margin_equals_spread():
-    net = make_setup("hamming84").netlist
+    # the cells the fault path reads: those that draw misfire rows
+    eng = _FaultEngine(make_setup("hamming84").netlist)
     cfg = no_fault_cfg()
     for idx in range(10):
-        assert not sample_chip(net, cfg, idx).faulty.any()
+        assert ppv._chip_material(eng, cfg, idx)[3].size == 0
 
 
 def test_uniform_faulty_fraction_at_half_margin():
@@ -163,11 +172,11 @@ def test_uniform_faulty_fraction_at_half_margin():
     setup = make_setup("rm13")
     cfg = PpvConfig(margins={k: 0.1 for k in KINDS}, master_seed=123)
     eng = _FaultEngine(setup.netlist)
-    faultable = np.isfinite(eng.margins_vector(cfg))
+    faultable = np.isfinite(cfg._kind_margins[eng.kind_code])
     total = hits = 0
     for idx in range(2200):  # 2200 chips x 49 faultable cells > 1e5 draws
-        chip = sample_chip(setup.netlist, cfg, idx)
-        hits += int(chip.faulty[faultable].sum())
+        cells = ppv._chip_material(eng, cfg, idx)[3]
+        hits += int(faultable[cells].sum())
         total += int(faultable.sum())
     assert total > 100_000
     assert hits / total == pytest.approx(0.5, abs=0.01)
@@ -185,9 +194,9 @@ def test_inputs_and_clock_never_fault():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins={k: 0.0 for k in KINDS})
     eng = _FaultEngine(setup.netlist)
-    chip = sample_chip(setup.netlist, cfg, 3)
+    cells = ppv._chip_material(eng, cfg, 3)[3].tolist()
     for cid in setup.netlist.inputs + [setup.netlist.clock]:
-        assert not chip.faulty[eng.prog.cell_ids.index(cid)]
+        assert eng.prog.cell_ids.index(cid) not in cells
 
 
 # --- single-message injection ------------------------------------------------------
@@ -376,7 +385,8 @@ def test_many_configs_match_one_at_a_time(name, knobs, det, ties, clock, n_chips
     setup = make_setup(name)
     cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
                        n_chips=n_chips, n_messages=12, master_seed=seed)
-    many = _error_counts_many(setup, cfgs, batch=batch)
+    with mock.patch.object(ppv, "_BATCH", batch):
+        many = _error_counts_many(setup, cfgs)
     assert many.shape == (len(cfgs), n_chips)
     for row, cfg in zip(many, cfgs):
         assert np.array_equal(row, error_counts(setup, cfg))
@@ -413,7 +423,8 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
     assert np.array_equal(dev, ref_dev) and np.array_equal(branch, ref_branch)
     assert np.array_equal(msgs, ref_msgs)
-    assert cells.tolist() == np.flatnonzero(np.abs(dev) > eng.margins_vector(cfg)).tolist()
+    margins = cfg._kind_margins[eng.kind_code]
+    assert cells.tolist() == np.flatnonzero(np.abs(dev) > margins).tolist()
     assert np.array_equal(rows, full[cells])
 
 
@@ -496,7 +507,8 @@ def test_error_counts_match_reference_evaluator(name, knobs, det, ties, clock, d
     cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
                        distribution=distribution, n_chips=n_chips, n_messages=n_messages,
                        master_seed=seed)
-    many = _error_counts_many(setup, cfgs, batch=batch)
+    with mock.patch.object(ppv, "_BATCH", batch):
+        many = _error_counts_many(setup, cfgs)
     for row, cfg in zip(many, cfgs):
         assert row.tolist() == reference_counts(setup, cfg)
 
@@ -532,9 +544,9 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
     shared = calibrate_fault_model(base=base, search_chips=10, refine_chips=20)
     many = ppv._error_counts_many
 
-    def one_at_a_time(setup, cfgs, batch=250):
+    def one_at_a_time(setup, cfgs):
         # what error_counts computes, one config per call
-        return np.stack([many(setup, [cfg], batch)[0] for cfg in cfgs])
+        return np.stack([many(setup, [cfg])[0] for cfg in cfgs])
 
     monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
     assert calibrate_fault_model(base=base, search_chips=10, refine_chips=20) == shared
@@ -589,6 +601,26 @@ def test_calibration_output_is_pinned(targets, base, search, refine, rounds, exp
     assert list(res.config.margins) == list(KINDS)
 
 
+def test_calibration_scores_no_more_chips_than_the_final_rescore(monkeypatch):
+    # a 6-chip calibration polished every candidate at the default 500 chips
+    many = ppv._error_counts_many
+
+    def capped(setup, cfgs):
+        assert max(cfg.n_chips for cfg in cfgs) <= 6
+        return many(setup, cfgs)
+
+    monkeypatch.setattr(ppv, "_error_counts_many", capped)
+    calibrate_fault_model(base=PpvConfig(n_chips=6, n_messages=20), search_chips=20)
+
+
+@pytest.mark.parametrize("count", [0, 2.5, True, "20"])
+@pytest.mark.parametrize("which", ["search_chips", "refine_chips"])
+def test_calibration_rejects_bad_chip_counts(which, count):
+    with pytest.raises(ValueError, match="n_chips"):
+        calibrate_fault_model(base=PpvConfig(n_chips=4),
+                              **{"search_chips": 2, "refine_chips": 2, which: count})
+
+
 @pytest.mark.parametrize("rounds", [-1, 1.5, True, "2"])
 def test_calibration_rejects_bad_refine_rounds(rounds):
     # a negative count skipped every polish step and reported non-convergence
@@ -635,12 +667,14 @@ def test_shipped_calibration_holds_across_seeds():
         assert max(abs(probs[k] - targets[k]) for k in targets) <= 0.05, (seed, probs)
 
 
-def test_batch_size_does_not_change_results():
+def test_batch_size_does_not_change_results(monkeypatch):
     setup = make_setup("rm13")
     cfg = PpvConfig(n_chips=50, n_messages=30, q=0.3,
                     margins={k: 0.15 for k in KINDS}, master_seed=8)
-    assert np.array_equal(error_counts(setup, cfg, batch=7),
-                          error_counts(setup, cfg, batch=50))
+    monkeypatch.setattr(ppv, "_BATCH", 7)
+    small = error_counts(setup, cfg)
+    monkeypatch.setattr(ppv, "_BATCH", 50)
+    assert np.array_equal(small, error_counts(setup, cfg))
 
 
 def test_monotone_degradation_in_q():
@@ -713,10 +747,10 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
     dev = rng.uniform(-0.2, 0.2, eng.n_cells)
     branch = rng.integers(0, 2, (1, eng.n_splitters))
     fires = (rng.random((eng.n_cells, len(msgs))) < q) & (
-        np.abs(dev) > eng.margins_vector(cfg))[:, None]
+        np.abs(dev) > cfg._kind_margins[eng.kind_code])[:, None]
     mis = np.packbits(fires[:, None, :], axis=-1)
     packed = np.packbits(msgs.T[:, None, :], axis=-1)
-    received = eng.run(mis, branch, packed)
+    received = evaluate(eng.prog, packed, mis, branch)
     got = np.unpackbits(received, axis=-1, count=len(msgs))[:, 0, :].T
     assert np.array_equal(got, (msgs @ setup.code.G) % 2)
 

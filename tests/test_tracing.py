@@ -1,5 +1,6 @@
 """The benchmark's tracing hooks still fit the fault-injection functions they wrap."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -31,3 +32,25 @@ def test_tracer_counts_chip_draws_and_uninstalls(monkeypatch):
     assert [key[-1] for key in tracer.draws[0]] == [0, 1, 1, 1]
     assert {span[0] for span in tracer.spans} >= {"ppv.error_counts", "ppv.sample_chip"}
     assert ppv._chip_material is material and ppv.error_counts is error_counts
+
+
+def test_layer_probe_fills_every_per_layer_metric(monkeypatch, tmp_path):
+    # the probe stands in for each layer a workload does not call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "probe"
+        tracing.layer_probe(tmp_path, workloads.shipped_library())
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer.spans, tracer.draws, 0)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {m["name"] for m in declared} - set(metrics) - {"trace.overhead_pct"}
+    assert not missing
