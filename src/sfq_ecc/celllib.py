@@ -147,13 +147,24 @@ def fit_unit_costs(rows=None, column: str = "power"):
     The three totals underdetermine the four unit costs; among the exact
     solutions (a one-parameter family) the one closest to the origin is
     chosen, shifted along the null direction only if needed to stay
-    non-negative.
+    non-negative.  ``rows`` holds at least three (xor, dff, splitter,
+    converter, total) rows of finite numbers; any other input raises
+    ``ValueError`` naming the offending row.
     """
     if column not in ("power", "area"):
         raise ValueError(f"column must be 'power' or 'area', got {column!r}")
     if rows is None:
         idx = 5 if column == "power" else 6
         rows = [(t[0], t[1], t[2], t[3], t[idx]) for t in TABLE_TOTALS.values()]
+    rows = list(rows)
+    for r in rows:
+        if (not isinstance(r, (tuple, list, np.ndarray)) or len(r) != 5
+                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                       or not math.isfinite(v) for v in r)):
+            raise ValueError("an encoder row is five finite numbers (xor, dff, splitter, "
+                             f"converter, {column}_total), got {r!r}")
+    if len(rows) < 3:
+        raise ValueError(f"need at least three encoder rows, got {len(rows)}")
     A = np.array([[r[0], r[1], r[2], r[3]] for r in rows], dtype=float)
     b = np.array([r[4] for r in rows], dtype=float)
     p0, *_ = np.linalg.lstsq(A, b, rcond=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -175,6 +176,21 @@ def _load_ppv_config(args) -> ppv.PpvConfig:
     return _overridden(cfg, args)
 
 
+_Z95 = 1.959963984540054  # the standard normal's 97.5 % quantile
+
+
+def _wilson95(p: float, n: int) -> tuple:
+    """95 % Wilson score interval (Wilson, JASA 1927) of a proportion ``p`` of ``n`` trials.
+
+    Unlike ``p +- z * se`` it stays inside [0, 1] and is not empty at ``p``
+    of 0 or 1.
+    """
+    scale = 1.0 + _Z95 * _Z95 / n
+    center = (p + _Z95 * _Z95 / (2 * n)) / scale
+    half = _Z95 / scale * math.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4 * n * n))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def cmd_mc(args) -> int:
     cfg = _load_ppv_config(args)
     names = args.codes or list(ppv.SETUP_NAMES)
@@ -185,7 +201,8 @@ def cmd_mc(args) -> int:
         setup = ppv.make_setup(name)
         series = ppv.monte_carlo(setup, cfg)
         (out / f"cdf_{setup.name}.csv").write_text(series.to_csv())
-        summary[setup.name] = series.zero_error_prob
+        summary[setup.name] = (series.zero_error_prob,
+                               *_wilson95(series.zero_error_prob, cfg.n_chips))
         manifest_runs[setup.name] = {
             "netlist_hash": setup.netlist.content_hash(),
             "zero_error_prob": series.zero_error_prob,
@@ -196,9 +213,10 @@ def cmd_mc(args) -> int:
         "runs": manifest_runs,
     }
     (out / "mc_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    print(f"{'configuration':<14}{'P(zero errors)':>16}")
+    print(f"{'configuration':<14}{'P(zero errors)':>16}  95% Wilson interval")
     for name in names:
-        print(f"{name:<14}{summary[name]:>16.3f}")
+        p, lo, hi = summary[name]
+        print(f"{name:<14}{p:>16.3f}  [{lo:.3f}, {hi:.3f}]")
     print(f"CDFs and manifest -> {out}")
     return EXIT_OK
 

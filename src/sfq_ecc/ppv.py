@@ -21,16 +21,21 @@ bit-identical regardless of execution order, batch size or worker count.
 
 Each chip draws from its own PCG64 stream in a fixed order: one deviation
 per cell, one branch per splitter, the (n_messages, k) message bits, then
-a (cells, n_messages) block of misfire uniforms, row by row.  Only the rows
-of cells faulty under the weakest margins being scored are drawn; the
-others are skipped with ``bit_generator.advance``, which is exact because
-``Generator.random`` consumes one 64-bit output per double.  A chip batch
-is drawn once and scored under every config in bit-packed passes of
-:func:`sfq_ecc.sim.evaluate`: configs stack along the rows, messages pack
-eight to a byte, and every gate is one bitwise operation over all of them
-(bit-parallel pattern fault simulation, as in Waicukauski et al., "Fault
-simulation for structured VLSI", 1985); a single chip is a batch of one.
-A config with ``clock_faults=False`` clears the misfires of its clock-tree cells.
+a (cells, n_messages) block of misfire uniforms, row by row.  A chip's
+material is the first three and its generator, standing at the block; rows
+are drawn on demand, only those of cells faulty under the weakest margins
+being scored, moving between rows with ``bit_generator.advance``.  That is
+exact in both directions, because PCG64's period is 2**128 and
+``Generator.random`` consumes one 64-bit output per double, so material
+kept across calls (a calibration draws each chip once) serves any margins.
+A chip batch is scored under every config in bit-packed passes of
+:func:`sfq_ecc.sim.evaluate`: messages pack eight to a byte, every gate is
+one bitwise operation over all of them (bit-parallel pattern fault
+simulation, as in Waicukauski et al., "Fault simulation for structured
+VLSI", 1985), and each distinct (chip, q, faulty drawn cells) is one row,
+evaluated and counted once however many configs share it; a single chip
+is a batch of one.  A config with ``clock_faults=False`` clears the
+misfires of its clock-tree cells.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ CALIBRATION_TARGETS = {
 
 _FAULTABLE = (nl.XOR, nl.DFF, nl.SPLITTER, nl.SFQ2DC)
 _BATCH = 250  # chips drawn at once, and the row cap of one engine pass
+_PCG64_PERIOD = 2**128  # a named constant: CPython does not fold a power this large
 
 
 def _require_number(name: str, value):
@@ -260,12 +266,11 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
     """All randomness of one chip, in a fixed draw order.
 
     Deviations, splitter branches, messages, then a (cells, n_messages)
-    block of misfire uniforms.  Only the block's rows of cells faulty under
-    ``cfg`` are drawn; the stream skips every other row with ``advance``,
-    which relies on ``Generator.random`` taking exactly one 64-bit output
-    per double, so a drawn row equals the same row of the full block.
-    Returns (deviations, branches, messages, faulty cell indices, their
-    misfire rows).
+    block of misfire uniforms.  Returns the first three and a
+    :func:`_misfire_rows` function over the chip's generator, which stands at
+    the start of the block.  Nothing drawn depends on margins or ``q``, so
+    one material serves every config that shares the seed, spread,
+    distribution and message count.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chip_index)))
     if cfg.distribution == "uniform":
@@ -278,17 +283,34 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
                 break
             dev[bad] = rng.normal(0.0, cfg.spread / 2.0, int(bad.sum()))
     branch = rng.integers(0, 2, eng.n_splitters)
-    k, n_msg = len(eng.net.inputs), cfg.n_messages
-    msgs = rng.integers(0, 2, (n_msg, k), dtype=np.uint8)
-    cells = (np.abs(dev) > cfg._kind_margins[eng.kind_code]).nonzero()[0]
-    rows = np.empty((len(cells), n_msg))
-    pos = 0
-    for row, cell in zip(rows, cells.tolist()):
-        if cell > pos:
-            rng.bit_generator.advance((cell - pos) * n_msg)
-        rng.random(out=row)
-        pos = cell + 1
-    return dev, branch, msgs, cells, rows
+    msgs = rng.integers(0, 2, (cfg.n_messages, len(eng.net.inputs)), dtype=np.uint8)
+    return dev, branch, msgs, _misfire_rows(rng.bit_generator, cfg.n_messages)
+
+
+def _misfire_rows(bitgen: np.random.PCG64, n_messages: int):
+    """A function that draws rows of the misfire block ``bitgen`` stands at the start of.
+
+    It takes an array of cell indices, any set in any order, and returns
+    their (cells, n_messages) rows.  A cursor moves the generator between
+    rows with ``advance`` modulo PCG64's period, 2**128, which is exact
+    backwards too, and ``Generator.random`` takes exactly one 64-bit output
+    per double, so every drawn row equals the same row of the full block.
+    Only the bit generator is kept: a ``Generator`` holds a kilobyte more.
+    """
+    pos = 0  # the row the generator stands at
+
+    def rows(cells) -> np.ndarray:
+        nonlocal pos
+        out = np.empty((len(cells), n_messages))
+        random = np.random.Generator(bitgen).random
+        for row, cell in zip(out, cells.tolist()):
+            if cell != pos:
+                bitgen.advance(((cell - pos) * n_messages) % _PCG64_PERIOD)
+            random(out=row)
+            pos = cell + 1
+        return out
+
+    return rows
 
 
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
@@ -304,30 +326,32 @@ class _Chips(NamedTuple):
     branch: np.ndarray  # (chips, splitters) designated branch per splitter
     msgs: np.ndarray    # (k, chips, W) packed message bits
     sent: np.ndarray    # (chips, M) index of each sent message
-    chip: np.ndarray    # (F,) chip of each drawn misfire row
+    chip: np.ndarray    # (F,) chip of each drawn misfire row, ascending
     cell: np.ndarray    # (F,) cell of each drawn misfire row
     dev: np.ndarray     # (F,) |deviation| of that cell
     u: np.ndarray       # (F, M) misfire uniforms
 
 
-def _batch(materials) -> _Chips:
-    """One batch from one :func:`_chip_material` tuple per chip.
+def _draw(eng: _FaultEngine, cfg: PpvConfig, materials) -> _Chips:
+    """One batch of chip ``materials``, with misfire rows of the cells faulty under ``cfg``.
 
-    A tuple holds deviations, branches, (M, k) messages, the drawn cells and
-    their (F, M) misfire rows; a cell without a row never misfires.
+    A material is (deviations, branches, (M, k) messages, misfire-row
+    function), as :func:`_chip_material` returns it; a cell without a row
+    never misfires.  Materials are read one at a time, so an iterator of
+    fresh draws holds one chip's generator at a time.
     """
-    dev, branch, msgs, cells, rows = zip(*materials)
+    margins = cfg._kind_margins[eng.kind_code]
+    drawn = []
+    for dev, branch, msgs, rows in materials:
+        cells = (np.abs(dev) > margins).nonzero()[0]
+        drawn.append((dev, branch, msgs, cells, rows(cells)))
+    dev, branch, msgs, cells, rows = zip(*drawn)
     packed = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
     chip = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
     cell = np.concatenate(cells)
-    return _Chips(branch=np.array(branch), msgs=packed, sent=_word_index(packed, len(msgs[0])),
-                  chip=chip, cell=cell, dev=np.abs(np.array(dev)[chip, cell]),
-                  u=np.concatenate(rows))
-
-
-def _draw(eng: _FaultEngine, cfg: PpvConfig, chips) -> _Chips:
-    """Draw ``chips`` with misfire rows for the cells faulty under ``cfg``."""
-    return _batch([_chip_material(eng, cfg, i) for i in chips])
+    return _Chips(branch=np.array(branch), msgs=packed,
+                  sent=_word_index(packed, len(msgs[0])), chip=chip, cell=cell,
+                  dev=np.abs(np.array(dev)[chip, cell]), u=np.concatenate(rows))
 
 
 def _word_index(packed, n_messages: int) -> np.ndarray:
@@ -352,46 +376,88 @@ def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> 
 
 
 def _count_errors(setup: EncoderSetup, received, sent, cfg: PpvConfig) -> np.ndarray:
-    """Erroneous messages per (config, chip) under ``cfg``'s accounting.
+    """Erroneous messages per row under ``cfg``'s accounting.
 
-    ``received`` holds packed output bits (n, configs * chips, W), one block
-    of chips per config; ``sent`` the message index per (chip, message).
-    Each message is one lookup in the (sent, received) table.
+    ``received`` holds packed output bits (n, rows, W); ``sent`` the message
+    index per (row, message).  Each message is one lookup in the (sent,
+    received) table.
     """
-    words = _word_index(received, sent.shape[1]).reshape(-1, *sent.shape)
-    key = words + (sent.astype(np.int32) << len(received))
-    return np.take(_wrong(setup, cfg.tie_break, cfg.count_detected_errors), key).sum(axis=2)
+    key = sent.astype(np.int32) << len(received)
+    key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
+    return np.take(_wrong(setup, cfg.tie_break, cfg.count_detected_errors), key).sum(axis=1)
 
 
-def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, cells, rows) -> _Chips:
-    """``chip`` as a batch of one: (M, k) ``msgs``, misfire ``rows`` of ``cells``."""
+def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, rows, cfg: PpvConfig) -> _Chips:
+    """``chip`` as a batch of one: (M, k) ``msgs``, misfire ``rows`` as in :func:`_draw`."""
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    return _batch([(chip.deviations, chip.branch_sel, msgs, cells, rows)])
+    return _draw(eng, cfg, [(chip.deviations, chip.branch_sel, msgs, rows)])
 
 
-def _received(eng: _FaultEngine, chips: _Chips, cfgs) -> np.ndarray:
-    """Packed received words (n, configs * chips, W) of one engine pass.
+def _distinct(key) -> tuple:
+    """The first index of each distinct row of ``key``, sorted, and each row's rank among them."""
+    order = np.lexsort(key.T[::-1])  # the first column most significant
+    ranked = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    rank = np.empty(len(key), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return order[new], rank
 
-    Row ``i * chips + j`` is chip ``j`` under ``cfgs[i]``.  A drawn cell beyond
-    its margin misfires where its uniform is below ``q``, except on the clock
-    tree when the configs, which share their clock model, have no clock faults.
+
+def _received(eng: _FaultEngine, chips: _Chips, cfgs):
+    """Packed received words, one row per distinct misfire pattern of ``chips``.
+
+    A drawn cell beyond its margin misfires where its uniform is below ``q``,
+    except on the clock tree when the configs, which share their clock model,
+    have no clock faults.  So chip ``j`` under ``cfgs[i]`` misfires as fixed
+    by (j, q, the faulty cells among j's drawn ones), and q does not matter
+    without faulty cells.  One row is evaluated per distinct key, in passes of
+    at most ``_BATCH`` rows; ``u < q`` is packed once per distinct q.  With one
+    config each chip is its own row and only faulty rows meet ``q``.  Returns
+    the received words (n, rows, W), the chip of each row and the row of
+    each (config, chip).
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
-    mis = np.zeros((eng.n_cells, n_cfg * n_chip, chips.msgs.shape[-1]), dtype=np.uint8)
-    margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]]
-    faulty = (chips.dev > margins) & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell])
-    q = np.array([c.q for c in cfgs])[:, None, None]
-    fires = (chips.u < q) & faulty[:, :, None]
-    rows = np.arange(0, n_cfg * n_chip, n_chip)[:, None] + chips.chip
-    mis[chips.cell, rows] = np.packbits(fires, axis=-1)
-    return evaluate(eng.prog, np.tile(chips.msgs, (1, n_cfg, 1)), mis,
-                    np.tile(chips.branch, (n_cfg, 1)))
+    faulty = ((chips.dev > np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]])
+              & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell]))  # (configs, F)
+    if n_cfg == 1:  # one config: each chip is its own row, r the row of each faulty f
+        row = chip_of = np.arange(n_chip)
+        f = faulty[0].nonzero()[0]
+        r, masks = chips.chip[f], np.packbits(chips.u[f] < cfgs[0].q, axis=-1)
+    else:
+        # faulty drawn cells as bits per (config, chip), one slot per drawn row of the chip
+        per_chip = np.bincount(chips.chip, minlength=n_chip)
+        first = np.cumsum(per_chip) - per_chip
+        bits = np.zeros((n_cfg, n_chip, per_chip.max()), dtype=bool)
+        bits[:, chips.chip, np.arange(len(chips.chip)) - first[chips.chip]] = faulty
+        qs = sorted({c.q for c in cfgs})
+        q_of = np.array([qs.index(c.q) for c in cfgs])
+        packed = np.packbits(bits, axis=2)
+        key = np.empty((n_cfg, n_chip, 2 + packed.shape[2]), dtype=np.int32)
+        key[..., 0] = np.arange(n_chip)
+        key[..., 1] = np.where(packed.any(axis=2), q_of[:, None], -1)
+        key[..., 2:] = packed
+        reps, row = _distinct(key.reshape(n_cfg * n_chip, -1))
+        cfg_of, chip_of = np.divmod(reps, n_chip)
+        below = np.array([np.packbits(chips.u < q, axis=-1) for q in qs])  # (Q, F, W)
+        r, s = bits[cfg_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
+        f = first[chip_of[r]] + s
+        masks = below[q_of[cfg_of[r]], f]
+    cells = chips.cell[f]
+    received = []
+    for p in range(0, len(chip_of), _BATCH):  # passes of at most _BATCH rows
+        rows, e = chip_of[p:p + _BATCH], slice(*np.searchsorted(r, (p, p + _BATCH)))
+        mis = np.zeros((eng.n_cells, len(rows), masks.shape[-1]), dtype=np.uint8)
+        mis[cells[e], r[e] - p] = masks[e]
+        received.append(evaluate(eng.prog, chips.msgs[:, rows], mis, chips.branch[rows]))
+    return np.concatenate(received, axis=1), chip_of, row.reshape(n_cfg, n_chip)
 
 
 def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
-    """Erroneous-message counts (configs, chips) in one engine pass."""
-    return _count_errors(setup, _received(eng, chips, cfgs), chips.sent, cfgs[0])
+    """Erroneous-message counts (configs, chips), each distinct row counted once."""
+    received, chip, row = _received(eng, chips, cfgs)
+    return _count_errors(setup, received, chips.sent[chip], cfgs[0])[row]
 
 
 def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
@@ -403,33 +469,37 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     eng = _FaultEngine(net)
     rng = trial_rng if trial_rng is not None else np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    one = _one_chip(eng, chip, message_frames(net, [message]), np.arange(eng.n_cells),
-                    rng.random((eng.n_cells, 1)))
-    return np.unpackbits(_received(eng, one, [cfg]), axis=-1, count=1)[:, 0, 0]
+    u = rng.random((eng.n_cells, 1))
+    one = _one_chip(eng, chip, message_frames(net, [message]), lambda cells: u[cells], cfg)
+    received, _, row = _received(eng, one, [cfg])
+    return np.unpackbits(received[:, row[0, 0]], axis=-1, count=1)[:, 0]
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """Erroneous messages out of n_messages for ``chip`` as given (a batch of one).
 
-    Messages and every faultable cell's misfire row come from ``chip.chip_index``.
+    Messages and misfire rows come from ``chip.chip_index``.
     """
     eng = _FaultEngine(setup.netlist)
-    every = replace(cfg, margins=dict.fromkeys(_FAULTABLE, 0.0))
-    _, _, msgs, cells, rows = _chip_material(eng, every, chip.chip_index)
-    return int(_score(eng, setup, _one_chip(eng, chip, msgs, cells, rows), [cfg])[0, 0])
+    _, _, msgs, rows = _chip_material(eng, cfg, chip.chip_index)
+    return int(_score(eng, setup, _one_chip(eng, chip, msgs, rows, cfg), [cfg])[0, 0])
 
 
-def _error_counts_many(setup: EncoderSetup, cfgs) -> np.ndarray:
+def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
     """Per-chip erroneous-message counts under several fault-model configs.
 
     Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
     spread, distribution, message count), the accounting (detected-error
     counting, tie policy) and the clock model; they differ only in margins
-    and ``q``.  Each batch of ``_BATCH`` chips is drawn once, with misfire rows
-    for the cells faulty under the weakest margin of each kind, and scored
-    under every config (common random numbers).  The configs are stacked into
-    engine passes of at most ``_BATCH`` rows, each read through one table.
+    and ``q``.  Each batch of ``_BATCH`` chips gets misfire rows for the
+    cells faulty under the weakest margin of each kind and is scored under
+    every config (common random numbers), one engine row per distinct
+    misfire pattern (:func:`_received`), read through one table.
+    ``materials``, when given, is a list of :func:`_chip_material` results
+    for chips 0, 1, ... that the caller keeps across calls whose configs
+    share chip material; missing chips are drawn and appended, so none is
+    drawn twice.
     """
     cfg0 = cfgs[0]
     shared = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages,
@@ -439,14 +509,15 @@ def _error_counts_many(setup: EncoderSetup, cfgs) -> np.ndarray:
                          "accounting and clock model")
     eng = _FaultEngine(setup.netlist)
     weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
-    n_chips = cfg0.n_chips
-    per_pass = max(1, _BATCH // min(_BATCH, n_chips))
-    out = np.empty((len(cfgs), n_chips), dtype=np.int64)
-    for start in range(0, n_chips, _BATCH):
-        stop = min(start + _BATCH, n_chips)
-        chips = _draw(eng, weakest, range(start, stop))
-        for p in range(0, len(cfgs), per_pass):
-            out[p:p + per_pass, start:stop] = _score(eng, setup, chips, cfgs[p:p + per_pass])
+    out = np.empty((len(cfgs), cfg0.n_chips), dtype=np.int64)
+    for start in range(0, cfg0.n_chips, _BATCH):
+        stop = min(start + _BATCH, cfg0.n_chips)
+        if materials is None:  # nothing kept: each chip is drawn and dropped
+            batch = (_chip_material(eng, cfg0, i) for i in range(start, stop))
+        else:
+            materials += [_chip_material(eng, cfg0, i) for i in range(len(materials), stop)]
+            batch = materials[start:stop]
+        out[:, start:stop] = _score(eng, setup, _draw(eng, weakest, batch), cfgs)
     return out
 
 
@@ -563,6 +634,8 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     search_chips, refine_chips = (min(replace(base, n_chips=n).n_chips, base.n_chips)
                                   for n in (search_chips, refine_chips))
     setups = [make_setup(name) for name in SETUP_NAMES]
+    # every config shares base's chip material: each chip is drawn once per setup
+    materials = {s.name: [] for s in setups}
     cache: dict = {}
 
     def badness(probs: dict, dev: float):
@@ -572,7 +645,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
         """(cfg, probs, max |dev|) per config, best first.
 
         Setups are the outer loop: every config missing from the cache is
-        scored on one shared draw of that setup's chips.  The cache key
+        scored on that setup's kept chip material.  The cache key
         keeps only the margins of kinds the netlist has, so configs that
         differ elsewhere share one evaluation.
         """
@@ -585,7 +658,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
                     for cfg in cfgs]
             missing = {key: cfg for key, cfg in zip(keys, cfgs) if key not in cache}
             if missing:
-                counts = _error_counts_many(s, list(missing.values()))
+                counts = _error_counts_many(s, list(missing.values()), materials[s.name])
                 for key, row in zip(missing, counts):
                     cache[key] = float((row == 0).mean())
             for p, key in zip(probs, keys):

@@ -24,6 +24,7 @@ from sfq_ecc.netlist import Netlist
 from sfq_ecc.synth import synthesize
 
 JJ_ROWS = [t[:5] for t in TABLE_TOTALS.values()]
+POWER_ROWS = [t[:4] + (t[5],) for t in TABLE_TOTALS.values()]
 
 
 def brute_force_jj_solutions(rows):
@@ -162,11 +163,31 @@ def test_library_rejects_nonpositive(bad):
     lambda: calibrate_library([JJ_ROWS[0][:3]] + JJ_ROWS[1:]),
     lambda: calibrate_library([(5.5,) + JJ_ROWS[0][1:]] + JJ_ROWS[1:]),
     lambda: calibrate_library([JJ_ROWS[0][:4] + (247.5,)] + JJ_ROWS[1:]),
-], ids=["unknown_column", "short_row", "fractional_count", "fractional_total"])
+    lambda: fit_unit_costs(rows=[(5, 8, 20, 7)] * 3),
+    lambda: fit_unit_costs(rows=[(5, 8, 20, 7, float("nan"))] + POWER_ROWS[1:]),
+    lambda: fit_unit_costs(rows=[(5, 8, 20, 7, float("inf"))] + POWER_ROWS[1:]),
+    lambda: fit_unit_costs(rows=[(5, 8, 20, 7, "81.7")] + POWER_ROWS[1:]),
+    lambda: fit_unit_costs(rows=[]),
+    lambda: fit_unit_costs(rows=POWER_ROWS[:2]),
+], ids=["unknown_column", "short_row", "fractional_count", "fractional_total",
+        "fit_short_row", "fit_nan_total", "fit_infinite_total", "fit_string_total",
+        "fit_no_rows", "fit_two_rows"])
 def test_fits_reject_malformed_input(call):
-    # the area fit came back, an IndexError was raised, a count was truncated
+    # the area fit came back, an IndexError was raised, a count was truncated;
+    # a fit returned NaN costs or raised IndexError or LinAlgError
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("rows, named", [
+    ([(5, 8, 20, 7)] * 3, r"\(5, 8, 20, 7\)"),
+    ([(5, 8, 20, 7, float("nan"))] * 3, r"\(5, 8, 20, 7, nan\)"),
+    ([], "at least three encoder rows, got 0"),
+])
+def test_unit_cost_fit_names_the_bad_input(rows, named):
+    assert fit_unit_costs(rows=POWER_ROWS) == fit_unit_costs(column="power")
+    with pytest.raises(ValueError, match=named):
+        fit_unit_costs(rows=rows)
 
 
 def test_library_rejects_repeated_key(tmp_path):

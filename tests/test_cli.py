@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, reports, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,25 @@ def test_mc_reruns_byte_identical(tmp_path):
     for fname in ("cdf_none.csv", "cdf_rm13.csv", "cdf_hamming74.csv",
                   "cdf_hamming84.csv", "mc_manifest.json"):
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+
+def test_mc_table_prints_wilson_intervals(tmp_path, capsys):
+    # a P(zero errors) from 40 chips was printed as if it were exact
+    assert run(["mc", "--seed", "42", "--chips", "40", "--messages", "25",
+                "--out", str(tmp_path)]) == EXIT_OK
+    runs = json.loads((tmp_path / "mc_manifest.json").read_text())["runs"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["configuration", "P(zero", "errors)", "95%", "Wilson", "interval"]
+    z, n = 1.959963984540054, 40
+    for line, name in zip(lines[1:], ppv.SETUP_NAMES):
+        shown, p, lo, hi = re.fullmatch(r"(\S+) +(\S+)  \[(\S+), (\S+)\]", line).groups()
+        got = runs[shown]["zero_error_prob"]
+        assert shown == name and p == f"{got:.3f}"
+        # the interval's ends are the p with |got - p| = z * sqrt(p (1 - p) / n)
+        ends = sorted(np.roots([n + z * z, -(2 * n * got + z * z), n * got * got]).real)
+        assert (lo, hi) == tuple(f"{e:.3f}" for e in ends)
+        assert float(lo) <= got <= float(hi)
+    assert lines[len(ppv.SETUP_NAMES) + 1].startswith("CDFs and manifest")
 
 
 def test_mc_rejects_bad_config(tmp_path):

@@ -159,12 +159,16 @@ def test_chip_sampling_deterministic():
     assert not np.array_equal(a.deviations, sample_chip(net, cfg, 18).deviations)
 
 
+def drawn_cells(eng, cfg, chip_index):
+    """The cells the fault path reads under ``cfg``: those that draw misfire rows."""
+    return ppv._draw(eng, cfg, [ppv._chip_material(eng, cfg, chip_index)]).cell
+
+
 def test_no_faults_when_margin_equals_spread():
-    # the cells the fault path reads: those that draw misfire rows
     eng = _FaultEngine(make_setup("hamming84").netlist)
     cfg = no_fault_cfg()
     for idx in range(10):
-        assert ppv._chip_material(eng, cfg, idx)[3].size == 0
+        assert drawn_cells(eng, cfg, idx).size == 0
 
 
 def test_uniform_faulty_fraction_at_half_margin():
@@ -175,7 +179,7 @@ def test_uniform_faulty_fraction_at_half_margin():
     faultable = np.isfinite(cfg._kind_margins[eng.kind_code])
     total = hits = 0
     for idx in range(2200):  # 2200 chips x 49 faultable cells > 1e5 draws
-        cells = ppv._chip_material(eng, cfg, idx)[3]
+        cells = drawn_cells(eng, cfg, idx)
         hits += int(faultable[cells].sum())
         total += int(faultable.sum())
     assert total > 100_000
@@ -194,7 +198,7 @@ def test_inputs_and_clock_never_fault():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins={k: 0.0 for k in KINDS})
     eng = _FaultEngine(setup.netlist)
-    cells = ppv._chip_material(eng, cfg, 3)[3].tolist()
+    cells = drawn_cells(eng, cfg, 3).tolist()
     for cid in setup.netlist.inputs + [setup.netlist.clock]:
         assert eng.prog.cell_ids.index(cid) not in cells
 
@@ -419,13 +423,108 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, margins=dict(zip(KINDS, margin)),
                     n_messages=n_messages, master_seed=seed)
-    dev, branch, msgs, cells, rows = ppv._chip_material(eng, cfg, chip)
+    dev, branch, msgs, rows = ppv._chip_material(eng, cfg, chip)
     ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
     assert np.array_equal(dev, ref_dev) and np.array_equal(branch, ref_branch)
     assert np.array_equal(msgs, ref_msgs)
+    drawn = ppv._draw(eng, cfg, [(dev, branch, msgs, rows)])
     margins = cfg._kind_margins[eng.kind_code]
+    cells = drawn.cell
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > margins).tolist()
-    assert np.array_equal(rows, full[cells])
+    assert np.array_equal(drawn.u, full[cells])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ppv.SETUP_NAMES),
+       distribution=st.sampled_from(["uniform", "gaussian"]),
+       n_messages=st.sampled_from([1, 7, 8, 9, 65]),
+       seed=st.integers(0, 2**16),
+       chip=st.integers(0, 10**6),
+       data=st.data())
+def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_messages, seed,
+                                                   chip, data):
+    # one chip's material asked for several cell subsets in turn, then for an
+    # earlier cell than the last one drawn
+    eng = _FaultEngine(make_setup(name).netlist)
+    cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
+    full = reference_material(eng, cfg, chip)[3]
+    zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
+    fresh = ppv._draw(eng, zero, [ppv._chip_material(eng, zero, chip)])
+    assert np.array_equal(fresh.u, full[fresh.cell])
+    rows = ppv._chip_material(eng, cfg, chip)[3]
+    cells = st.lists(st.integers(0, eng.n_cells - 1), unique=True, max_size=eng.n_cells)
+    for subset in data.draw(st.lists(cells, min_size=1, max_size=4)) + [[0]]:
+        subset = np.array(subset, dtype=np.intp)
+        assert np.array_equal(rows(subset), full[subset])
+
+
+def test_calibration_draws_each_chip_once(monkeypatch):
+    # every candidate, round and stage re-drew the chips it scored
+    drawn = []
+    material = ppv._chip_material
+
+    def counted(eng, cfg, chip_index):
+        drawn.append((eng.net.name, cfg.master_seed, cfg.n_messages, chip_index))
+        return material(eng, cfg, chip_index)
+
+    monkeypatch.setattr(ppv, "_chip_material", counted)
+    calibrate_fault_model(base=PpvConfig(n_chips=12, n_messages=20), search_chips=4,
+                          refine_chips=8)
+    assert len(drawn) == len(set(drawn)) == len(ppv.SETUP_NAMES) * 12
+
+
+def unflipping_margin(setup, cfg, kind):
+    """A margin for ``kind`` above ``cfg``'s with no chip's deviation in between."""
+    eng = _FaultEngine(setup.netlist)
+    of_kind = np.array([k == kind for k in eng.prog.kinds])
+    devs = np.abs([sample_chip(setup.netlist, cfg, i).deviations[of_kind]
+                   for i in range(cfg.n_chips)])
+    above = devs[devs > cfg.margins[kind]]
+    assert above.size
+    return (cfg.margins[kind] + above.min()) / 2
+
+
+def repeated_patterns(case):
+    """A setup, configs that repeat misfire patterns, and the distinct ones among them."""
+    common = {"n_chips": 9, "n_messages": 11, "master_seed": 31, "q": 0.5}
+    if case == "absent kinds":
+        setup = make_setup("none")  # converters only
+        a = PpvConfig(margins=margins(SFQ2DC=0.1), **common)
+        b = dataclasses.replace(a, margins=margins(XOR=0.0, DFF=0.05, SPLITTER=0.1, SFQ2DC=0.1))
+        c = dataclasses.replace(a, q=0.9)
+        return setup, [a, b, c], [a, c]
+    setup = make_setup("rm13")
+    a = PpvConfig(margins=margins(XOR=0.1, DFF=0.15, SPLITTER=0.12, SFQ2DC=0.1), **common)
+    b = dataclasses.replace(a, q=0.2)
+    if case == "duplicated":
+        return setup, [a, b, a, a, b], [a, b]
+    # the same q, and a converter margin that faults no other drawn cell
+    c = dataclasses.replace(a, margins={**a.margins,
+                                        "SFQ2DC": unflipping_margin(setup, a, "SFQ2DC")})
+    return setup, [a, c, b], [a, b]
+
+
+@pytest.mark.parametrize("batch", range(1, 8))
+@pytest.mark.parametrize("case", ["duplicated", "unflipped margins", "absent kinds"])
+def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
+    setup, cfgs, distinct = repeated_patterns(case)
+    monkeypatch.setattr(ppv, "_BATCH", batch)  # the distinct rows span several passes
+    passes = []
+    evaluate = ppv.evaluate
+
+    def counted(prog, planes, *args):
+        passes.append(planes.shape[1])
+        return evaluate(prog, planes, *args)
+
+    monkeypatch.setattr(ppv, "evaluate", counted)
+    many = _error_counts_many(setup, cfgs)
+    evaluated, passes[:] = list(passes), []
+    _error_counts_many(setup, distinct)
+    assert sum(evaluated) == sum(passes) and len(evaluated) > 1
+    assert many.any()
+    for row, cfg in zip(many, cfgs):
+        assert np.array_equal(row, error_counts(setup, cfg))
+        assert row.tolist() == reference_counts(setup, cfg)
 
 
 def reference_counts(setup, cfg):
@@ -544,8 +643,8 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
     shared = calibrate_fault_model(base=base, search_chips=10, refine_chips=20)
     many = ppv._error_counts_many
 
-    def one_at_a_time(setup, cfgs):
-        # what error_counts computes, one config per call
+    def one_at_a_time(setup, cfgs, materials=None):
+        # what error_counts computes, one config per call on chips drawn afresh
         return np.stack([many(setup, [cfg])[0] for cfg in cfgs])
 
     monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
@@ -605,9 +704,9 @@ def test_calibration_scores_no_more_chips_than_the_final_rescore(monkeypatch):
     # a 6-chip calibration polished every candidate at the default 500 chips
     many = ppv._error_counts_many
 
-    def capped(setup, cfgs):
+    def capped(setup, cfgs, materials=None):
         assert max(cfg.n_chips for cfg in cfgs) <= 6
-        return many(setup, cfgs)
+        return many(setup, cfgs, materials)
 
     monkeypatch.setattr(ppv, "_error_counts_many", capped)
     calibrate_fault_model(base=PpvConfig(n_chips=6, n_messages=20), search_chips=20)
