@@ -24,6 +24,7 @@ same table, never hard-coded.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -302,6 +303,8 @@ def analyze_patterns(code: LinearCode, mode: str, weight: int,
     tie-break is index-based and therefore not translation invariant: its
     counts are a best-case construct evaluated on the given codeword.
     """
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Integral):
+        raise ValueError(f"weight must be an integer, got {weight!r}")
     if not 0 <= weight <= code.n:
         raise ValueError(f"weight {weight} out of range 0..{code.n}")
     sent = np.zeros(code.n, dtype=np.uint8) if base_codeword is None else bits(base_codeword)

@@ -141,8 +141,9 @@ class PpvConfig:
         for kind in _FAULTABLE:
             if kind not in self.margins:
                 raise ValueError(f"margins missing kind {kind}")
-            if not _require_number(f"margin of {kind}", self.margins[kind]) >= 0:
-                raise ValueError("margins must be non-negative")
+            if not 0 <= _require_number(f"margin of {kind}", self.margins[kind]) < np.inf:
+                raise ValueError(f"margin of {kind} must be finite and non-negative, "
+                                 f"got {self.margins[kind]!r}")
         unknown = sorted(set(self.margins) - set(_FAULTABLE), key=str)
         if unknown:
             raise ValueError(f"margins name unknown cell kind {unknown[0]!r}; expected "
@@ -182,14 +183,14 @@ class EncoderSetup:
     code: LinearCode
 
 
-def baseline_no_encoder(width: int = 4) -> Netlist:
-    """Uncoded channel: one SFQ-to-DC converter per message line, no clock."""
+def baseline_no_encoder() -> Netlist:
+    """Uncoded channel: one SFQ-to-DC converter per line of a 4-bit message, no clock."""
     net = Netlist(name="no_encoder")
-    for i in range(width):
+    for i in range(4):
         net.add_cell(f"m{i + 1}", nl.INPUT)
-    net.inputs = [f"m{i + 1}" for i in range(width)]
+    net.inputs = [f"m{i + 1}" for i in range(4)]
     outs = []
-    for i in range(width):
+    for i in range(4):
         conv = net.add_cell(f"o{i}", nl.SFQ2DC)
         net.connect(f"m{i + 1}", conv)
         outs.append(conv)
@@ -413,37 +414,32 @@ def _received(eng: _FaultEngine, chips: _Chips, cfgs):
     have no clock faults.  So chip ``j`` under ``cfgs[i]`` misfires as fixed
     by (j, q, the faulty cells among j's drawn ones), and q does not matter
     without faulty cells.  One row is evaluated per distinct key, in passes of
-    at most ``_BATCH`` rows; ``u < q`` is packed once per distinct q.  With one
-    config each chip is its own row and only faulty rows meet ``q``.  Returns
-    the received words (n, rows, W), the chip of each row and the row of
-    each (config, chip).
+    at most ``_BATCH`` rows; ``u < q`` is packed once per distinct q.  The key
+    begins with the chip, so a single config gives each chip its own row.
+    Returns the received words (n, rows, W), the chip of each row and the
+    row of each (config, chip).
     """
     n_cfg, n_chip = len(cfgs), len(chips.sent)
     faulty = ((chips.dev > np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]])
               & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell]))  # (configs, F)
-    if n_cfg == 1:  # one config: each chip is its own row, r the row of each faulty f
-        row = chip_of = np.arange(n_chip)
-        f = faulty[0].nonzero()[0]
-        r, masks = chips.chip[f], np.packbits(chips.u[f] < cfgs[0].q, axis=-1)
-    else:
-        # faulty drawn cells as bits per (config, chip), one slot per drawn row of the chip
-        per_chip = np.bincount(chips.chip, minlength=n_chip)
-        first = np.cumsum(per_chip) - per_chip
-        bits = np.zeros((n_cfg, n_chip, per_chip.max()), dtype=bool)
-        bits[:, chips.chip, np.arange(len(chips.chip)) - first[chips.chip]] = faulty
-        qs = sorted({c.q for c in cfgs})
-        q_of = np.array([qs.index(c.q) for c in cfgs])
-        packed = np.packbits(bits, axis=2)
-        key = np.empty((n_cfg, n_chip, 2 + packed.shape[2]), dtype=np.int32)
-        key[..., 0] = np.arange(n_chip)
-        key[..., 1] = np.where(packed.any(axis=2), q_of[:, None], -1)
-        key[..., 2:] = packed
-        reps, row = _distinct(key.reshape(n_cfg * n_chip, -1))
-        cfg_of, chip_of = np.divmod(reps, n_chip)
-        below = np.array([np.packbits(chips.u < q, axis=-1) for q in qs])  # (Q, F, W)
-        r, s = bits[cfg_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
-        f = first[chip_of[r]] + s
-        masks = below[q_of[cfg_of[r]], f]
+    # faulty drawn cells as bits per (config, chip), one slot per drawn row of the chip
+    per_chip = np.bincount(chips.chip, minlength=n_chip)
+    first = np.cumsum(per_chip) - per_chip
+    bits = np.zeros((n_cfg, n_chip, per_chip.max()), dtype=bool)
+    bits[:, chips.chip, np.arange(len(chips.chip)) - first[chips.chip]] = faulty
+    qs = sorted({c.q for c in cfgs})
+    q_of = np.array([qs.index(c.q) for c in cfgs])
+    packed = np.packbits(bits, axis=2)
+    key = np.empty((n_cfg, n_chip, 2 + packed.shape[2]), dtype=np.int32)
+    key[..., 0] = np.arange(n_chip)
+    key[..., 1] = np.where(packed.any(axis=2), q_of[:, None], -1)
+    key[..., 2:] = packed
+    reps, row = _distinct(key.reshape(n_cfg * n_chip, -1))
+    cfg_of, chip_of = np.divmod(reps, n_chip)
+    below = np.array([np.packbits(chips.u < q, axis=-1) for q in qs])  # (Q, F, W)
+    r, s = bits[cfg_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
+    f = first[chip_of[r]] + s
+    masks = below[q_of[cfg_of[r]], f]
     cells = chips.cell[f]
     received = []
     for p in range(0, len(chip_of), _BATCH):  # passes of at most _BATCH rows
@@ -636,7 +632,6 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     setups = [make_setup(name) for name in SETUP_NAMES]
     # every config shares base's chip material: each chip is drawn once per setup
     materials = {s.name: [] for s in setups}
-    cache: dict = {}
 
     def badness(probs: dict, dev: float):
         return require_order and not ordered(probs), dev
@@ -644,25 +639,13 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     def ranked(cfgs) -> list:
         """(cfg, probs, max |dev|) per config, best first.
 
-        Setups are the outer loop: every config missing from the cache is
-        scored on that setup's kept chip material.  The cache key
-        keeps only the margins of kinds the netlist has, so configs that
-        differ elsewhere share one evaluation.
+        Setups are the outer loop; each scores every config on its kept chip
+        material, one engine row per distinct misfire pattern (:func:`_received`).
         """
         probs = [{} for _ in cfgs]
         for s in setups:
-            kinds = {c.kind for c in s.netlist.cells.values()}
-            keys = [(s.name, cfg.n_chips, cfg.master_seed, cfg.q,
-                     cfg.count_detected_errors, cfg.tie_break, cfg.distribution,
-                     tuple(sorted((k, v) for k, v in cfg.margins.items() if k in kinds)))
-                    for cfg in cfgs]
-            missing = {key: cfg for key, cfg in zip(keys, cfgs) if key not in cache}
-            if missing:
-                counts = _error_counts_many(s, list(missing.values()), materials[s.name])
-                for key, row in zip(missing, counts):
-                    cache[key] = float((row == 0).mean())
-            for p, key in zip(probs, keys):
-                p[s.name] = cache[key]
+            for p, row in zip(probs, _error_counts_many(s, cfgs, materials[s.name])):
+                p[s.name] = float((row == 0).mean())
         scored = [(cfg, p, max(abs(p[k] - targets[k]) for k in targets))
                   for cfg, p in zip(cfgs, probs)]
         # stable: ties keep candidate order

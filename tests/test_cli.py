@@ -299,6 +299,7 @@ def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
     {"master_seed": "7"},
     [{"q": 0.1}],
     {"margins": {"XOR": 0.1, "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1, "BOGUS": 0.01}},
+    {"margins": {"XOR": float("inf"), "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1}},
 ])
 def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
     argv = ["mc", "--out", str(tmp_path)]

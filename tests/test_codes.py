@@ -465,6 +465,13 @@ def test_weight0_is_clean_everywhere():
             assert pa.undetected == pa.detected == pa.miscorrected == 0
 
 
+@pytest.mark.parametrize("weight", [-1, 8, 1.5, True])
+def test_pattern_weight_must_be_an_integer_in_range(weight):
+    # 1.5 raised TypeError from math.comb, and True was taken for weight 1
+    with pytest.raises(ValueError, match="weight"):
+        analyze_patterns(make_code("hamming74"), CORRECT, weight)
+
+
 def test_hamming74_correct_weight2_all_miscorrected():
     pa = analyze_patterns(make_code("hamming74"), CORRECT, 2)
     assert (pa.miscorrected, pa.corrected, pa.detected) == (21, 0, 0)

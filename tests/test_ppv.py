@@ -25,6 +25,7 @@ from sfq_ecc.codes import (
     make_code,
 )
 from sfq_ecc.ppv import (
+    SETUP_NAMES,
     CdfSeries,
     EncoderSetup,
     PpvConfig,
@@ -85,6 +86,7 @@ def test_config_rejects_bad_values():
         PpvConfig(tie_break="bogus")
     for bad in ({"q": "0.1"}, {"spread": None}, {"q": True}, {"margins": ["XOR"]},
                 {"margins": margins(XOR="0.1")}, {"margins": margins(XOR=float("nan"))},
+                {"margins": margins(XOR=float("inf"))},
                 {"n_chips": True}, {"n_messages": 10.0}, {"master_seed": "7"},
                 {"master_seed": -1}, {"count_detected_errors": "no"}, {"clock_faults": 1}):
         with pytest.raises(ValueError):
@@ -504,11 +506,8 @@ def repeated_patterns(case):
     return setup, [a, c, b], [a, b]
 
 
-@pytest.mark.parametrize("batch", range(1, 8))
-@pytest.mark.parametrize("case", ["duplicated", "unflipped margins", "absent kinds"])
-def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
-    setup, cfgs, distinct = repeated_patterns(case)
-    monkeypatch.setattr(ppv, "_BATCH", batch)  # the distinct rows span several passes
+def counted_passes(monkeypatch) -> list:
+    """A list that collects the row count of every later engine pass."""
     passes = []
     evaluate = ppv.evaluate
 
@@ -517,6 +516,15 @@ def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
         return evaluate(prog, planes, *args)
 
     monkeypatch.setattr(ppv, "evaluate", counted)
+    return passes
+
+
+@pytest.mark.parametrize("batch", range(1, 8))
+@pytest.mark.parametrize("case", ["duplicated", "unflipped margins", "absent kinds"])
+def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
+    setup, cfgs, distinct = repeated_patterns(case)
+    monkeypatch.setattr(ppv, "_BATCH", batch)  # the distinct rows span several passes
+    passes = counted_passes(monkeypatch)
     many = _error_counts_many(setup, cfgs)
     evaluated, passes[:] = list(passes), []
     _error_counts_many(setup, distinct)
@@ -525,6 +533,19 @@ def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
     for row, cfg in zip(many, cfgs):
         assert np.array_equal(row, error_counts(setup, cfg))
         assert row.tolist() == reference_counts(setup, cfg)
+
+
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_one_config_evaluates_one_row_per_chip(name, monkeypatch):
+    # the Monte Carlo path: a lone config keys each chip apart, so no row is shared or split
+    setup = make_setup(name)
+    cfg = PpvConfig(margins=margins(XOR=0.1, DFF=0.15, SPLITTER=0.12, SFQ2DC=0.1),
+                    n_chips=7, n_messages=11, master_seed=31, q=0.5)
+    monkeypatch.setattr(ppv, "_BATCH", 3)
+    passes = counted_passes(monkeypatch)
+    counts = error_counts(setup, cfg)
+    assert passes == [3, 3, 1]
+    assert counts.any() and counts.tolist() == reference_counts(setup, cfg)
 
 
 def reference_counts(setup, cfg):
