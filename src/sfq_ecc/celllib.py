@@ -18,9 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sfq_ecc.netlist import DFF, SFQ2DC, SPLITTER, XOR, Netlist
-
-KINDS = (XOR, DFF, SPLITTER, SFQ2DC)
+from sfq_ecc.netlist import CELL_KINDS, Netlist
 
 
 class CalibrationError(RuntimeError):
@@ -46,7 +44,7 @@ class CellLibrary:
 
     def __post_init__(self):
         kinds = dict(self.kinds)
-        for kind in KINDS:
+        for kind in CELL_KINDS:
             if kind not in kinds:
                 raise ValueError(f"library is missing kind {kind}")
             c = kinds[kind]
@@ -74,11 +72,11 @@ class CostReport:
 def cost_report(net: Netlist, library: CellLibrary) -> CostReport:
     """Price a netlist: totals are sums of per-kind count times unit cost."""
     counts = net.counts()
-    jj = sum(counts[k] * library[k].jj for k in KINDS)
-    power = sum(counts[k] * library[k].power_uW for k in KINDS)
-    area = sum(counts[k] * library[k].area_mm2 for k in KINDS)
+    jj = sum(counts[k] * library[k].jj for k in CELL_KINDS)
+    power = sum(counts[k] * library[k].power_uW for k in CELL_KINDS)
+    area = sum(counts[k] * library[k].area_mm2 for k in CELL_KINDS)
     return CostReport(
-        counts={k: counts[k] for k in KINDS},
+        counts={k: counts[k] for k in CELL_KINDS},
         data_splitters=counts["data_splitters"],
         clock_splitters=counts["clock_splitters"],
         jj_total=int(jj),
@@ -137,8 +135,7 @@ def calibrate_library(rows=None):
         raise CalibrationError(
             f"{len(solutions)} admissible solutions; residuals by splitter value: "
             f"{residuals}")
-    x, d, s, c = solutions[0]
-    return {XOR: int(x), DFF: int(d), SPLITTER: int(s), SFQ2DC: int(c)}
+    return {k: int(v) for k, v in zip(CELL_KINDS, solutions[0])}
 
 
 def fit_unit_costs(rows=None, column: str = "power"):
@@ -182,7 +179,7 @@ def fit_unit_costs(rows=None, column: str = "power"):
         raise CalibrationError(f"no non-negative {column} solution")
     t = min(max(0.0, lo), hi)
     p = p0 + t * v
-    return {k: float(p[i]) for i, k in enumerate(KINDS)}
+    return {k: float(p[i]) for i, k in enumerate(CELL_KINDS)}
 
 
 def default_library() -> CellLibrary:
@@ -192,12 +189,12 @@ def default_library() -> CellLibrary:
     area = fit_unit_costs(column="area")
     return CellLibrary(
         kinds={k: CellKindCost(jj=jj[k], power_uW=power[k], area_mm2=area[k])
-               for k in KINDS})
+               for k in CELL_KINDS})
 
 
 def write_library(library: CellLibrary, path) -> None:
     lines = ["# per-cell-kind costs: <KIND>.jj, <KIND>.power_uW, <KIND>.area_mm2"]
-    for kind in KINDS:
+    for kind in CELL_KINDS:
         c = library[kind]
         lines.append(f"{kind}.jj = {c.jj}")
         lines.append(f"{kind}.power_uW = {c.power_uW:.6f}")
@@ -217,7 +214,7 @@ def read_library(path) -> CellLibrary:
         key, _, val = line.partition("=")
         key = key.strip()
         parts = key.split(".")
-        if len(parts) != 2 or parts[0] not in KINDS or parts[1] not in (
+        if len(parts) != 2 or parts[0] not in CELL_KINDS or parts[1] not in (
                 "jj", "power_uW", "area_mm2"):
             raise LibraryParseError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
@@ -227,7 +224,7 @@ def read_library(path) -> CellLibrary:
         except ValueError as e:
             raise LibraryParseError(f"{path}:{lineno}: bad number {val.strip()!r}") from e
     kinds = {}
-    for kind in KINDS:
+    for kind in CELL_KINDS:
         try:
             kinds[kind] = CellKindCost(
                 jj=values[f"{kind}.jj"],

@@ -28,6 +28,8 @@ SFQ2DC = "SFQ2DC"
 INPUT = "INPUT"
 CLOCK_INPUT = "CLOCK_INPUT"
 
+# the priced and faultable cells, in the order of cost reports and margins
+CELL_KINDS = (XOR, DFF, SPLITTER, SFQ2DC)
 CLOCKED_KINDS = (XOR, DFF)
 DATA_PINS = {XOR: 2, DFF: 1, SPLITTER: 1, SFQ2DC: 1, INPUT: 0, CLOCK_INPUT: 0}
 OUT_PORTS = {XOR: 1, DFF: 1, SPLITTER: 2, SFQ2DC: 1, INPUT: 1, CLOCK_INPUT: 1}
@@ -84,7 +86,7 @@ class Netlist:
 
     def counts(self) -> dict:
         """Cell tally by kind, with splitters split into data/clock roles."""
-        out = {k: 0 for k in (XOR, DFF, SPLITTER, SFQ2DC)}
+        out = dict.fromkeys(CELL_KINDS, 0)
         data_spl = clock_spl = 0
         for c in self.cells.values():
             if c.kind in out:
@@ -203,7 +205,6 @@ class Program:
     kinds: tuple     # cell index -> kind
     drivers: tuple   # cell index -> driver slot per data pin
     clock: tuple     # cell index -> driver slot of the clock pin, or None
-    depth: tuple     # cell index -> clocked cells crossed up to its output
     order: tuple     # cell indices, drivers first
     inputs: tuple    # cell index per message bit
     outputs: tuple   # cell index per output bit
@@ -334,7 +335,7 @@ def _compile(net: Netlist) -> Program:
     if len(out_depths) > 1:
         raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
     return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock),
-                   depth=tuple(depth), order=tuple(order),
+                   order=tuple(order),
                    inputs=tuple(index[cid] for cid in net.inputs),
                    outputs=tuple(index[cid] for cid in net.outputs),
                    splitters=tuple(i for i, k in enumerate(kinds) if k == SPLITTER),

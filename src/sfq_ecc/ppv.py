@@ -28,24 +28,27 @@ being scored, moving between rows with ``bit_generator.advance``.  That is
 exact in both directions, because PCG64's period is 2**128 and
 ``Generator.random`` consumes one 64-bit output per double, so material
 kept across calls (a calibration draws each chip once) serves any margins.
-A chip batch is scored under every config in bit-packed passes of
-:func:`sfq_ecc.sim.evaluate`: messages pack eight to a byte, every gate is
-one bitwise operation over all of them (bit-parallel pattern fault
-simulation, as in Waicukauski et al., "Fault simulation for structured
-VLSI", 1985), and each distinct (chip, q, faulty drawn cells) is one row,
-evaluated and counted once however many configs share it; a single chip
-is a batch of one.  A config with ``clock_faults=False`` clears the
-misfires of its clock-tree cells.
+
+One function, :func:`_received`, applies the fault model to a batch of chip
+material under every config of a call: it alone compares deviations with
+margins and draws misfire rows, and it evaluates the batch in bit-packed
+passes of :func:`sfq_ecc.sim.evaluate`.  Messages pack eight to a byte,
+every gate is one bitwise operation over all of them (bit-parallel pattern
+fault simulation, as in Waicukauski et al., "Fault simulation for
+structured VLSI", 1985), and each distinct (chip, q, faulty drawn cells) is
+one row, evaluated and counted once however many configs share it; a
+single chip is a batch of one.  A config with ``clock_faults=False`` clears
+the misfires of its clock-tree cells.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from sfq_ecc.codes import (
     LinearCode,
     make_code,
 )
-from sfq_ecc.netlist import Netlist
+from sfq_ecc.netlist import CELL_KINDS, Netlist
 from sfq_ecc.sim import evaluate, message_frames
 from sfq_ecc.synth import synthesize
 
@@ -72,8 +75,9 @@ CALIBRATION_TARGETS = {
     "hamming74": 0.898,
     "hamming84": 0.927,
 }
+# A calibration converges when every probability is this close to its target.
+CALIBRATION_THRESHOLD = 0.05
 
-_FAULTABLE = (nl.XOR, nl.DFF, nl.SPLITTER, nl.SFQ2DC)
 _BATCH = 250  # chips drawn at once, and the row cap of one engine pass
 _PCG64_PERIOD = 2**128  # a named constant: CPython does not fold a power this large
 
@@ -83,6 +87,17 @@ def _require_number(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value
+
+
+def _margin(kind, value) -> float:
+    """``value`` as a float if it is a finite non-negative number, else ValueError.
+
+    Compared before conversion, so an integer too large for a float is
+    rejected as infinite rather than raising ``OverflowError``.
+    """
+    if not 0 <= _require_number(f"margin of {kind}", value) <= sys.float_info.max:
+        raise ValueError(f"margin of {kind} must be finite and non-negative, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -102,8 +117,7 @@ class PpvConfig:
 
     spread: float = 0.20
     distribution: str = "uniform"  # or "gaussian" (truncated at +-spread)
-    margins: Mapping = field(default_factory=lambda: {
-        nl.XOR: 0.15, nl.DFF: 0.15, nl.SPLITTER: 0.15, nl.SFQ2DC: 0.15})
+    margins: Mapping = field(default_factory=lambda: dict.fromkeys(CELL_KINDS, 0.15))
     q: float = 0.1
     master_seed: int = 20240
     n_chips: int = 1000
@@ -138,18 +152,16 @@ class PpvConfig:
             raise ValueError(f"unknown tie_break {self.tie_break!r}; expected one of "
                              f"{', '.join(TIE_POLICIES)}")
         object.__setattr__(self, "margins", MappingProxyType(dict(self.margins)))
-        for kind in _FAULTABLE:
+        for kind in CELL_KINDS:
             if kind not in self.margins:
                 raise ValueError(f"margins missing kind {kind}")
-            if not 0 <= _require_number(f"margin of {kind}", self.margins[kind]) < np.inf:
-                raise ValueError(f"margin of {kind} must be finite and non-negative, "
-                                 f"got {self.margins[kind]!r}")
-        unknown = sorted(set(self.margins) - set(_FAULTABLE), key=str)
+            _margin(kind, self.margins[kind])
+        unknown = sorted(set(self.margins) - set(CELL_KINDS), key=str)
         if unknown:
             raise ValueError(f"margins name unknown cell kind {unknown[0]!r}; expected "
-                             f"{', '.join(_FAULTABLE)}")
-        # margins in _FAULTABLE order, then inf for the kinds that never fault
-        kind_margins = np.array([self.margins[k] for k in _FAULTABLE] + [np.inf], dtype=float)
+                             f"{', '.join(CELL_KINDS)}")
+        # margins in CELL_KINDS order, then inf for the kinds that never fault
+        kind_margins = np.array([self.margins[k] for k in CELL_KINDS] + [np.inf], dtype=float)
         kind_margins.flags.writeable = False
         object.__setattr__(self, "_kind_margins", kind_margins)
 
@@ -169,8 +181,7 @@ class PpvConfig:
             raise ValueError(f"unknown PPV config keys: {', '.join(map(str, unknown))}")
         doc = dict(doc)
         if isinstance(doc.get("margins"), Mapping):
-            doc["margins"] = {str(k): float(_require_number(f"margin of {k}", v))
-                              for k, v in doc["margins"].items()}
+            doc["margins"] = {str(k): _margin(k, v) for k, v in doc["margins"].items()}
         return cls(**doc)
 
 
@@ -248,8 +259,8 @@ class _FaultEngine:
     def __init__(self, net: Netlist):
         self.net = net
         self.prog = prog = nl.compile(net)
-        # position in _FAULTABLE per cell; len(_FAULTABLE) for cells that never fault
-        self.kind_code = np.array([_FAULTABLE.index(k) if k in _FAULTABLE else len(_FAULTABLE)
+        # position in CELL_KINDS per cell; len(CELL_KINDS) for cells that never fault
+        self.kind_code = np.array([CELL_KINDS.index(k) if k in CELL_KINDS else len(CELL_KINDS)
                                    for k in prog.kinds], dtype=np.intp)
         self.on_clock = np.zeros(len(prog.kinds), dtype=bool)
         self.on_clock[list(prog.clock_tree)] = True
@@ -321,40 +332,6 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     return ChipInstance(chip_index, eng.prog.cell_ids, dev, branch)
 
 
-class _Chips(NamedTuple):
-    """Material of a batch of chips, messages packed along the message axis."""
-
-    branch: np.ndarray  # (chips, splitters) designated branch per splitter
-    msgs: np.ndarray    # (k, chips, W) packed message bits
-    sent: np.ndarray    # (chips, M) index of each sent message
-    chip: np.ndarray    # (F,) chip of each drawn misfire row, ascending
-    cell: np.ndarray    # (F,) cell of each drawn misfire row
-    dev: np.ndarray     # (F,) |deviation| of that cell
-    u: np.ndarray       # (F, M) misfire uniforms
-
-
-def _draw(eng: _FaultEngine, cfg: PpvConfig, materials) -> _Chips:
-    """One batch of chip ``materials``, with misfire rows of the cells faulty under ``cfg``.
-
-    A material is (deviations, branches, (M, k) messages, misfire-row
-    function), as :func:`_chip_material` returns it; a cell without a row
-    never misfires.  Materials are read one at a time, so an iterator of
-    fresh draws holds one chip's generator at a time.
-    """
-    margins = cfg._kind_margins[eng.kind_code]
-    drawn = []
-    for dev, branch, msgs, rows in materials:
-        cells = (np.abs(dev) > margins).nonzero()[0]
-        drawn.append((dev, branch, msgs, cells, rows(cells)))
-    dev, branch, msgs, cells, rows = zip(*drawn)
-    packed = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
-    chip = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-    cell = np.concatenate(cells)
-    return _Chips(branch=np.array(branch), msgs=packed,
-                  sent=_word_index(packed, len(msgs[0])), chip=chip, cell=cell,
-                  dev=np.abs(np.array(dev)[chip, cell]), u=np.concatenate(rows))
-
-
 def _word_index(packed, n_messages: int) -> np.ndarray:
     """Index of each word, first bit most significant (as :func:`codes.pack`).
 
@@ -376,23 +353,11 @@ def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> 
     return wrong if count_detected_errors else wrong & (delivered >= 0)
 
 
-def _count_errors(setup: EncoderSetup, received, sent, cfg: PpvConfig) -> np.ndarray:
-    """Erroneous messages per row under ``cfg``'s accounting.
-
-    ``received`` holds packed output bits (n, rows, W); ``sent`` the message
-    index per (row, message).  Each message is one lookup in the (sent,
-    received) table.
-    """
-    key = sent.astype(np.int32) << len(received)
-    key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
-    return np.take(_wrong(setup, cfg.tie_break, cfg.count_detected_errors), key).sum(axis=1)
-
-
-def _one_chip(eng: _FaultEngine, chip: ChipInstance, msgs, rows, cfg: PpvConfig) -> _Chips:
-    """``chip`` as a batch of one: (M, k) ``msgs``, misfire ``rows`` as in :func:`_draw`."""
+def _given(eng: _FaultEngine, chip: ChipInstance, msgs, rows) -> list:
+    """``chip`` as a batch of one chip's material, with (M, k) ``msgs`` and misfire ``rows``."""
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    return _draw(eng, cfg, [(chip.deviations, chip.branch_sel, msgs, rows)])
+    return [(chip.deviations, chip.branch_sel, msgs, rows)]
 
 
 def _distinct(key) -> tuple:
@@ -406,27 +371,44 @@ def _distinct(key) -> tuple:
     return order[new], rank
 
 
-def _received(eng: _FaultEngine, chips: _Chips, cfgs):
-    """Packed received words, one row per distinct misfire pattern of ``chips``.
+def _received(eng: _FaultEngine, cfgs, materials):
+    """Packed received words, one row per distinct misfire pattern of chip ``materials``.
 
-    A drawn cell beyond its margin misfires where its uniform is below ``q``,
-    except on the clock tree when the configs, which share their clock model,
-    have no clock faults.  So chip ``j`` under ``cfgs[i]`` misfires as fixed
-    by (j, q, the faulty cells among j's drawn ones), and q does not matter
-    without faulty cells.  One row is evaluated per distinct key, in passes of
-    at most ``_BATCH`` rows; ``u < q`` is packed once per distinct q.  The key
-    begins with the chip, so a single config gives each chip its own row.
-    Returns the received words (n, rows, W), the chip of each row and the
-    row of each (config, chip).
+    A material is (deviations, branches, (M, k) messages, misfire-row
+    function), as :func:`_chip_material` returns it.  Materials are read one
+    at a time, so an iterator of fresh draws holds one chip's generator at a
+    time.  A cell is faulty under a config when its |deviation| exceeds the
+    config's margin for its kind; only the cells beyond the weakest margin
+    across ``cfgs`` draw misfire rows.  A faulty cell misfires where its
+    uniform is below ``q``, except on the clock tree when the configs, which
+    share their clock model, have no clock faults.  So chip ``j`` under
+    ``cfgs[i]`` misfires as fixed by (j, q, the faulty cells among j's drawn
+    ones), and q does not matter without faulty cells.  One row is evaluated
+    per distinct key, in passes of at most ``_BATCH`` rows; ``u < q`` is
+    packed once per distinct q.  The key begins with the chip, so a single
+    config gives each chip its own row.  Returns the received words (n, rows,
+    W), the sent message index of each (row, message) and the row of each
+    (config, chip).
     """
-    n_cfg, n_chip = len(cfgs), len(chips.sent)
-    faulty = ((chips.dev > np.array([c._kind_margins for c in cfgs])[:, eng.kind_code[chips.cell]])
-              & (cfgs[0].clock_faults | ~eng.on_clock[chips.cell]))  # (configs, F)
+    margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code]  # (configs, cells)
+    weakest = margins.min(axis=0)
+    drawn = []
+    for dev, branch, msgs, rows in materials:
+        cells = (np.abs(dev) > weakest).nonzero()[0]
+        drawn.append((np.abs(dev[cells]), branch, msgs, cells, rows(cells)))
+    dev, branch, msgs, cells, u = zip(*drawn)
+    del drawn
+    u = np.concatenate(u)  # (F, M) misfire uniforms; the per-chip rows are freed here
+    n_cfg, n_chip = len(cfgs), len(cells)
+    chip = np.repeat(np.arange(n_chip), [len(c) for c in cells])  # (F,) chip of each row
+    cell = np.concatenate(cells)
+    faulty = ((np.concatenate(dev) > margins[:, cell])
+              & (cfgs[0].clock_faults | ~eng.on_clock[cell]))  # (configs, F)
     # faulty drawn cells as bits per (config, chip), one slot per drawn row of the chip
-    per_chip = np.bincount(chips.chip, minlength=n_chip)
+    per_chip = np.bincount(chip, minlength=n_chip)
     first = np.cumsum(per_chip) - per_chip
     bits = np.zeros((n_cfg, n_chip, per_chip.max()), dtype=bool)
-    bits[:, chips.chip, np.arange(len(chips.chip)) - first[chips.chip]] = faulty
+    bits[:, chip, np.arange(len(chip)) - first[chip]] = faulty
     qs = sorted({c.q for c in cfgs})
     q_of = np.array([qs.index(c.q) for c in cfgs])
     packed = np.packbits(bits, axis=2)
@@ -436,24 +418,34 @@ def _received(eng: _FaultEngine, chips: _Chips, cfgs):
     key[..., 2:] = packed
     reps, row = _distinct(key.reshape(n_cfg * n_chip, -1))
     cfg_of, chip_of = np.divmod(reps, n_chip)
-    below = np.array([np.packbits(chips.u < q, axis=-1) for q in qs])  # (Q, F, W)
+    below = np.array([np.packbits(u < q, axis=-1) for q in qs])  # (Q, F, W)
     r, s = bits[cfg_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
     f = first[chip_of[r]] + s
     masks = below[q_of[cfg_of[r]], f]
-    cells = chips.cell[f]
+    cells = cell[f]
+    msgs = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
+    branch = np.array(branch)
     received = []
     for p in range(0, len(chip_of), _BATCH):  # passes of at most _BATCH rows
         rows, e = chip_of[p:p + _BATCH], slice(*np.searchsorted(r, (p, p + _BATCH)))
         mis = np.zeros((eng.n_cells, len(rows), masks.shape[-1]), dtype=np.uint8)
         mis[cells[e], r[e] - p] = masks[e]
-        received.append(evaluate(eng.prog, chips.msgs[:, rows], mis, chips.branch[rows]))
-    return np.concatenate(received, axis=1), chip_of, row.reshape(n_cfg, n_chip)
+        received.append(evaluate(eng.prog, msgs[:, rows], mis, branch[rows]))
+    sent = _word_index(msgs, u.shape[1])  # (chips, M), gathered per row
+    return np.concatenate(received, axis=1), sent[chip_of], row.reshape(n_cfg, n_chip)
 
 
-def _score(eng: _FaultEngine, setup: EncoderSetup, chips: _Chips, cfgs) -> np.ndarray:
-    """Erroneous-message counts (configs, chips), each distinct row counted once."""
-    received, chip, row = _received(eng, chips, cfgs)
-    return _count_errors(setup, received, chips.sent[chip], cfgs[0])[row]
+def _score(eng: _FaultEngine, setup: EncoderSetup, cfgs, materials) -> np.ndarray:
+    """Erroneous-message counts (configs, chips) under ``cfgs[0]``'s accounting.
+
+    Each distinct row of :func:`_received` is counted once; each message is
+    one lookup in the (sent, received) table.
+    """
+    received, sent, row = _received(eng, cfgs, materials)
+    key = sent.astype(np.int32) << len(received)
+    key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
+    wrong = _wrong(setup, cfgs[0].tie_break, cfgs[0].count_detected_errors)
+    return np.take(wrong, key).sum(axis=1)[row]
 
 
 def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
@@ -466,8 +458,8 @@ def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
     rng = trial_rng if trial_rng is not None else np.random.default_rng(
         np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
     u = rng.random((eng.n_cells, 1))
-    one = _one_chip(eng, chip, message_frames(net, [message]), lambda cells: u[cells], cfg)
-    received, _, row = _received(eng, one, [cfg])
+    one = _given(eng, chip, message_frames(net, [message]), lambda cells: u[cells])
+    received, _, row = _received(eng, [cfg], one)
     return np.unpackbits(received[:, row[0, 0]], axis=-1, count=1)[:, 0]
 
 
@@ -478,7 +470,7 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """
     eng = _FaultEngine(setup.netlist)
     _, _, msgs, rows = _chip_material(eng, cfg, chip.chip_index)
-    return int(_score(eng, setup, _one_chip(eng, chip, msgs, rows, cfg), [cfg])[0, 0])
+    return int(_score(eng, setup, [cfg], _given(eng, chip, msgs, rows))[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
@@ -488,10 +480,9 @@ def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
     cfgs[i])``.  The configs must share the chip material (seed, chip count,
     spread, distribution, message count), the accounting (detected-error
     counting, tie policy) and the clock model; they differ only in margins
-    and ``q``.  Each batch of ``_BATCH`` chips gets misfire rows for the
-    cells faulty under the weakest margin of each kind and is scored under
-    every config (common random numbers), one engine row per distinct
-    misfire pattern (:func:`_received`), read through one table.
+    and ``q``.  Each batch of ``_BATCH`` chips is scored under every config
+    (common random numbers), one engine row per distinct misfire pattern
+    (:func:`_received`), read through one table.
     ``materials``, when given, is a list of :func:`_chip_material` results
     for chips 0, 1, ... that the caller keeps across calls whose configs
     share chip material; missing chips are drawn and appended, so none is
@@ -504,7 +495,6 @@ def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
         raise ValueError("configs scored together must share their chip material, "
                          "accounting and clock model")
     eng = _FaultEngine(setup.netlist)
-    weakest = replace(cfg0, margins={k: min(c.margins[k] for c in cfgs) for k in _FAULTABLE})
     out = np.empty((len(cfgs), cfg0.n_chips), dtype=np.int64)
     for start in range(0, cfg0.n_chips, _BATCH):
         stop = min(start + _BATCH, cfg0.n_chips)
@@ -513,7 +503,7 @@ def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
         else:
             materials += [_chip_material(eng, cfg0, i) for i in range(len(materials), stop)]
             batch = materials[start:stop]
-        out[:, start:stop] = _score(eng, setup, _draw(eng, weakest, batch), cfgs)
+        out[:, start:stop] = _score(eng, setup, cfgs, batch)
     return out
 
 
@@ -555,7 +545,7 @@ def ordered(probs: dict) -> bool:
 _STAGES = (
     # the naive model: one margin for every kind, pessimistic accounting, conservative ties
     ("shared", {"count_detected_errors": True, "tie_break": TIE_CONSERVATIVE},
-     ((_FAULTABLE, (0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0), 0.01),),
+     ((CELL_KINDS, (0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0), 0.01),),
      (0.01, 0.05, 0.1, 0.3, 1.0), (0.5, 0.7, 1.0, 1.4, 2.0), 1),
     # converters weaker than logic, erasure accounting, delivered ties
     ("split", {"count_detected_errors": False, "tie_break": TIE_OPTIMISTIC},
@@ -579,14 +569,14 @@ def _neighbours(point: PpvConfig, moves, q_factors, **fields):
     for move in product(*(offsets for _, offsets in moves)):
         shift = {k: d for (kinds, _), d in zip(moves, move) for k in kinds}
         margins = {k: min(spread, max(0.0, (point.margins[k] / spread + shift[k]) * spread))
-                   for k in _FAULTABLE}
+                   for k in CELL_KINDS}
         for f in q_factors:
             yield replace(point, margins=margins, q=min(1.0, max(0.005, point.q * f)), **fields)
 
 
-def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
-                          threshold: float = 0.05, search_chips: int = 250,
-                          refine_chips: int = 500, refine_rounds: int = 2) -> CalibrationResult:
+def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
+                          search_chips: int = 250, refine_chips: int = 500,
+                          refine_rounds: int = 2) -> CalibrationResult:
     """Fit fault-model knobs so zero-error probabilities match the targets.
 
     Stage one follows the naive model: one shared margin for every cell
@@ -595,7 +585,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     ordering -- every encoder carries more unprotectable fault sites than
     the four-converter baseline, and the extended Hamming encoder's flagged
     double errors count against it -- so stage one is scored and reported
-    but normally fails the threshold.  Stage two splits margins by kind
+    but normally misses ``CALIBRATION_THRESHOLD``.  Stage two splits margins by kind
     (converters weakest, as the large interface cells), counts only
     delivered-wrong messages (flagged failures are erasures), and lets the
     RM decoder deliver its best guess on correlation ties.
@@ -611,8 +601,6 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
     if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
             or refine_rounds < 0):
         raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
-    if not _require_number("threshold", threshold) >= 0:  # also false for NaN
-        raise ValueError(f"threshold must be a non-negative number: {threshold!r}")
     if not isinstance(targets, (Mapping, type(None))):
         raise ValueError(f"targets must map configuration name to probability: {targets!r}")
     targets = dict(CALIBRATION_TARGETS if targets is None else targets)
@@ -652,7 +640,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
         scored.sort(key=lambda r: badness(r[1], r[2]))
         return scored
 
-    origin = replace(base, margins=dict.fromkeys(_FAULTABLE, 0.0), q=1.0)
+    origin = replace(base, margins=dict.fromkeys(CELL_KINDS, 0.0), q=1.0)
     best = None
     for stage, accounting, axes, q_grid, q_moves, polished in _STAGES:
         grid = [(kinds, factors) for kinds, factors, _ in axes]
@@ -667,8 +655,8 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None,
             if best is None or badness(probs, dev) < badness(*best[2:]):
                 best = stage, cfg, probs, dev
         misordered, dev = badness(*best[2:])
-        if dev <= threshold and not misordered:
+        if dev <= CALIBRATION_THRESHOLD and not misordered:
             break
     stage, cfg, probs, dev = best
     return CalibrationResult(cfg, probs, targets, dev, ordered(probs),
-                             dev <= threshold and not misordered, stage)
+                             dev <= CALIBRATION_THRESHOLD and not misordered, stage)

@@ -40,6 +40,11 @@ def _term_key(t):
     return (0, t[1]) if t[0] == "m" else (1, t[1])
 
 
+def _term_depth(nodes, t) -> int:
+    """XOR stages behind term ``t``: 0 for a message bit, else its node's depth."""
+    return 0 if t[0] == "m" else nodes[t[1]].depth
+
+
 @dataclass(frozen=True)
 class XorNode:
     id: int
@@ -58,10 +63,7 @@ class XorDag:
 
     @property
     def depth(self) -> int:
-        return max((self._term_depth(t) for t in self.outputs), default=0)
-
-    def _term_depth(self, t) -> int:
-        return 0 if t[0] == "m" else self.nodes[t[1]].depth
+        return max((_term_depth(self.nodes, t) for t in self.outputs), default=0)
 
     def eval_message(self, message) -> np.ndarray:
         """Truth-table evaluation, the functional reference for the DAG."""
@@ -101,10 +103,8 @@ def build_dag(forms) -> XorDag:
         pair = (a, b)
         if pair in by_pair:
             return by_pair[pair]
-        da = 0 if a[0] == "m" else nodes[a[1]].depth
-        db = 0 if b[0] == "m" else nodes[b[1]].depth
         nid = len(nodes)
-        nodes.append(XorNode(nid, a, b, 1 + max(da, db)))
+        nodes.append(XorNode(nid, a, b, 1 + max(_term_depth(nodes, a), _term_depth(nodes, b))))
         by_pair[pair] = nid
         return nid
 
@@ -173,18 +173,15 @@ def balance(dag: XorDag, name: str = "encoder") -> Netlist:
     def src_signal(term):
         return f"m{term[1] + 1}" if term[0] == "m" else xor_id[term[1]]
 
-    def term_depth(term):
-        return 0 if term[0] == "m" else dag.nodes[term[1]].depth
-
     depth = dag.depth
     # gather (signal, delay) demands in a fixed order: XOR pins, then outputs
     demands = []  # (signal, delay, kind, payload)
     for node in dag.nodes:
         for pin, term in enumerate((node.a, node.b)):
-            delay = node.depth - 1 - term_depth(term)
+            delay = node.depth - 1 - _term_depth(dag.nodes, term)
             demands.append((src_signal(term), delay, "pin", (xor_id[node.id], pin)))
     for pos, term in enumerate(dag.outputs):
-        demands.append((src_signal(term), depth - term_depth(term), "out", pos))
+        demands.append((src_signal(term), depth - _term_depth(dag.nodes, term), "out", pos))
 
     max_delay: dict = {}
     for sig, delay, _, _ in demands:
