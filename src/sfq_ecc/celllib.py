@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,24 +95,39 @@ TABLE_TOTALS = {
 }
 
 
+def _encoder_rows(rows, total: str, integers: bool) -> list:
+    """``rows`` as a list, each a tuple, list or array of five finite numbers.
+
+    With ``integers`` the numbers must be integral too.  Anything else
+    raises ValueError naming the row and its ``total`` column.  Magnitudes
+    are compared before any conversion, so an integer too large for a
+    float is rejected rather than raising ``OverflowError``.
+    """
+    rows = list(rows)
+    for r in rows:
+        if (not isinstance(r, (tuple, list, np.ndarray)) or len(r) != 5
+                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                       or not abs(v) <= sys.float_info.max
+                       or integers and not float(v).is_integer() for v in r)):
+            what = "integers" if integers else "finite numbers"
+            raise ValueError(f"an encoder row is five {what} (xor, dff, splitter, converter, "
+                             f"{total}_total), got {r!r}")
+    return rows
+
+
 def calibrate_library(rows=None):
     """Solve per-kind junction counts from three encoder JJ totals.
 
-    ``rows`` is a list of (xor, dff, splitter, converter, jj_total) tuples;
-    defaults to the reference encoder totals.  For each candidate splitter
-    value the remaining 3x3 integer system is solved exactly; the unique
+    ``rows`` holds (xor, dff, splitter, converter, jj_total) rows of
+    integers; defaults to the reference encoder totals.  For each candidate
+    splitter value the remaining 3x3 integer system is solved exactly; the unique
     non-negative integral solution is returned as ``{kind: jj}``.  Raises
     :class:`CalibrationError` with diagnostic residuals when no (or more
     than one) admissible solution exists.
     """
     if rows is None:
         rows = [t[:5] for t in TABLE_TOTALS.values()]
-    for r in rows:
-        if len(r) != 5 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                              or not float(v).is_integer() for v in r):
-            raise ValueError("an encoder row is five integers (xor, dff, splitter, "
-                             f"converter, jj_total), got {r!r}")
-    rows = [tuple(int(v) for v in r) for r in rows]
+    rows = [tuple(int(v) for v in r) for r in _encoder_rows(rows, "jj", integers=True)]
     if len(rows) < 3:
         raise CalibrationError("need at least three encoder rows")
     M = np.array([[r[0], r[1], r[3]] for r in rows[:3]], dtype=float)
@@ -153,13 +169,7 @@ def fit_unit_costs(rows=None, column: str = "power"):
     if rows is None:
         idx = 5 if column == "power" else 6
         rows = [(t[0], t[1], t[2], t[3], t[idx]) for t in TABLE_TOTALS.values()]
-    rows = list(rows)
-    for r in rows:
-        if (not isinstance(r, (tuple, list, np.ndarray)) or len(r) != 5
-                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                       or not math.isfinite(v) for v in r)):
-            raise ValueError("an encoder row is five finite numbers (xor, dff, splitter, "
-                             f"converter, {column}_total), got {r!r}")
+    rows = _encoder_rows(rows, column, integers=False)
     if len(rows) < 3:
         raise ValueError(f"need at least three encoder rows, got {len(rows)}")
     A = np.array([[r[0], r[1], r[2], r[3]] for r in rows], dtype=float)

@@ -62,7 +62,7 @@ from sfq_ecc.codes import (
     make_code,
 )
 from sfq_ecc.netlist import CELL_KINDS, Netlist
-from sfq_ecc.sim import evaluate, message_frames
+from sfq_ecc.sim import evaluate
 from sfq_ecc.synth import synthesize
 
 SETUP_NAMES = ("none", "rm13", "hamming74", "hamming84")
@@ -86,6 +86,13 @@ def _require_number(name: str, value):
     """``value`` if it is a real number (not a bool), else ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _require_int(name: str, value):
+    """``value`` if it is an integer (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -130,9 +137,7 @@ class PpvConfig:
         for name in ("spread", "q"):
             _require_number(name, getattr(self, name))
         for name in ("master_seed", "n_chips", "n_messages"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         for name in ("count_detected_errors", "clock_faults"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -242,10 +247,7 @@ class CdfSeries:
         return float(self.cdf[0])
 
     def to_csv(self) -> str:
-        lines = ["n,cdf"]
-        for n, p in zip(self.ns, self.cdf):
-            lines.append(f"{int(n)},{p:.10g}")
-        return "\n".join(lines) + "\n"
+        return "n,cdf\n" + "".join(f"{int(n)},{p:.10g}\n" for n, p in zip(self.ns, self.cdf))
 
 
 class _FaultEngine:
@@ -353,13 +355,6 @@ def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> 
     return wrong if count_detected_errors else wrong & (delivered >= 0)
 
 
-def _given(eng: _FaultEngine, chip: ChipInstance, msgs, rows) -> list:
-    """``chip`` as a batch of one chip's material, with (M, k) ``msgs`` and misfire ``rows``."""
-    if tuple(chip.cell_ids) != eng.prog.cell_ids:
-        raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    return [(chip.deviations, chip.branch_sel, msgs, rows)]
-
-
 def _distinct(key) -> tuple:
     """The first index of each distinct row of ``key``, sorted, and each row's rank among them."""
     order = np.lexsort(key.T[::-1])  # the first column most significant
@@ -448,29 +443,16 @@ def _score(eng: _FaultEngine, setup: EncoderSetup, cfgs, materials) -> np.ndarra
     return np.take(wrong, key).sum(axis=1)[row]
 
 
-def inject_and_run(net: Netlist, chip: ChipInstance, message, cfg: PpvConfig,
-                   trial_rng=None) -> np.ndarray:
-    """Received bits of one message (checked, one bit per input) on ``chip``.
-
-    A batch of one; each cell's misfire uniform comes from ``trial_rng``.
-    """
-    eng = _FaultEngine(net)
-    rng = trial_rng if trial_rng is not None else np.random.default_rng(
-        np.random.SeedSequence((cfg.master_seed, chip.chip_index, 0)))
-    u = rng.random((eng.n_cells, 1))
-    one = _given(eng, chip, message_frames(net, [message]), lambda cells: u[cells])
-    received, _, row = _received(eng, [cfg], one)
-    return np.unpackbits(received[:, row[0, 0]], axis=-1, count=1)[:, 0]
-
-
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """Erroneous messages out of n_messages for ``chip`` as given (a batch of one).
 
     Messages and misfire rows come from ``chip.chip_index``.
     """
     eng = _FaultEngine(setup.netlist)
+    if tuple(chip.cell_ids) != eng.prog.cell_ids:
+        raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
     _, _, msgs, rows = _chip_material(eng, cfg, chip.chip_index)
-    return int(_score(eng, setup, [cfg], _given(eng, chip, msgs, rows))[0, 0])
+    return int(_score(eng, setup, [cfg], [(chip.deviations, chip.branch_sel, msgs, rows)])[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
@@ -598,8 +580,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     stops once it has converged.  Each scoring call holds one stage's
     configs, so it scores one accounting.
     """
-    if (isinstance(refine_rounds, bool) or not isinstance(refine_rounds, numbers.Integral)
-            or refine_rounds < 0):
+    if _require_int("refine_rounds", refine_rounds) < 0:
         raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
     if not isinstance(targets, (Mapping, type(None))):
         raise ValueError(f"targets must map configuration name to probability: {targets!r}")

@@ -49,6 +49,8 @@ def test_jj_calibration_unique_solution():
     assert brute_force_jj_solutions(JJ_ROWS) == [(11, 7, 4, 8)]
     got = calibrate_library()
     assert got == {"XOR": 11, "DFF": 7, "SPLITTER": 4, "SFQ2DC": 8}
+    # the row check once used up an iterator before the rows were listed
+    assert calibrate_library(iter(JJ_ROWS)) == got
 
 
 def test_jj_back_substitution():
@@ -169,12 +171,18 @@ def test_library_rejects_nonpositive(bad):
     lambda: fit_unit_costs(rows=[(5, 8, 20, 7, "81.7")] + POWER_ROWS[1:]),
     lambda: fit_unit_costs(rows=[]),
     lambda: fit_unit_costs(rows=POWER_ROWS[:2]),
+    lambda: calibrate_library([5, 6, 7]),
+    lambda: fit_unit_costs(rows=[5, 6, 7]),
+    lambda: calibrate_library([JJ_ROWS[0][:4] + (10**400,)] + JJ_ROWS[1:]),
+    lambda: fit_unit_costs(rows=[(5, 8, 20, 7, 10**400)] + POWER_ROWS[1:]),
 ], ids=["unknown_column", "short_row", "fractional_count", "fractional_total",
         "fit_short_row", "fit_nan_total", "fit_infinite_total", "fit_string_total",
-        "fit_no_rows", "fit_two_rows"])
+        "fit_no_rows", "fit_two_rows", "numbers_not_rows", "fit_numbers_not_rows",
+        "huge_total", "fit_huge_total"])
 def test_fits_reject_malformed_input(call):
     # the area fit came back, an IndexError was raised, a count was truncated;
-    # a fit returned NaN costs or raised IndexError or LinAlgError
+    # a fit returned NaN costs or raised IndexError or LinAlgError; rows that
+    # were plain numbers raised TypeError, a total too large for a float OverflowError
     with pytest.raises(ValueError):
         call()
 

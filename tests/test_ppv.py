@@ -34,7 +34,6 @@ from sfq_ecc.ppv import (
     baseline_no_encoder,
     calibrate_fault_model,
     error_counts,
-    inject_and_run,
     make_setup,
     monte_carlo,
     run_trial,
@@ -185,6 +184,19 @@ def drawn_rows(eng, cfgs, materials):
     return seen
 
 
+def received(net, chip, cfg, msgs):
+    """Received words (M, n) of the (M, k) ``msgs`` on ``chip``, in one ``_received`` call.
+
+    Every misfire uniform is 0, so a faulty cell misfires on every message
+    when q > 0 and on none when q = 0.
+    """
+    eng = _FaultEngine(net)
+    u = np.zeros((eng.n_cells, len(msgs)))
+    words, _, row = ppv._received(eng, [cfg], [(chip.deviations, chip.branch_sel, msgs,
+                                                lambda cells: u[cells])])
+    return np.unpackbits(words[:, row[0, 0]], axis=-1, count=len(msgs)).T
+
+
 def drawn_cells(eng, cfg, chips):
     """The cells the fault path reads under ``cfg`` per chip: those that draw misfire rows."""
     materials = [ppv._chip_material(eng, cfg, i) for i in chips]
@@ -231,51 +243,32 @@ def test_inputs_and_clock_never_fault():
         assert eng.prog.cell_ids.index(cid) not in cells
 
 
-# --- single-message injection ------------------------------------------------------
+# --- received words ---------------------------------------------------------------
 
 def test_inject_without_faults_is_encode():
     setup = make_setup("hamming84")
-    cfg = no_fault_cfg()
+    cfg = no_fault_cfg(q=1.0)
     chip = sample_chip(setup.netlist, cfg, 0)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = rng.integers(0, 2, 4).astype(np.uint8)
-        assert np.array_equal(inject_and_run(setup.netlist, chip, m, cfg, rng),
-                              encode(setup.code, m))
+    msgs = setup.code.messages
+    assert np.array_equal(received(setup.netlist, chip, cfg, msgs), msgs @ setup.code.G % 2)
 
 
 def test_faulty_converter_drops_carried_ones():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins=margins(), q=1.0)
     chip = chip_with_only(setup, cfg, "o3")
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = rng.integers(0, 2, 4).astype(np.uint8)
-        got = inject_and_run(setup.netlist, chip, m, cfg, rng)
-        want = encode(setup.code, m)
-        assert got[3] == 0
-        assert np.array_equal(np.delete(got, 3), np.delete(want, 3))
+    msgs = setup.code.messages
+    got, want = received(setup.netlist, chip, cfg, msgs), msgs @ setup.code.G % 2
+    assert want[:, 3].any() and not got[:, 3].any()
+    assert np.array_equal(np.delete(got, 3, axis=1), np.delete(want, 3, axis=1))
 
 
 def test_faulty_cell_with_q_zero_behaves_clean():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins=margins(), q=0.0)
     chip = chip_with_only(setup, cfg, "x0")
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        m = rng.integers(0, 2, 4).astype(np.uint8)
-        assert np.array_equal(inject_and_run(setup.netlist, chip, m, cfg, rng),
-                              encode(setup.code, m))
-
-
-@pytest.mark.parametrize("message", [[1, 0, 1, 1, 0], [1, 0, 1], [2, 0, 1, 1],
-                                     [0.5, 0, 0, 0], 1])
-def test_inject_rejects_malformed_message(message):
-    # a 5-bit message lost a bit, a 3-bit one raised IndexError, 2 and 0.5 were cast
-    setup = make_setup("hamming84")
-    chip = sample_chip(setup.netlist, PpvConfig(), 0)
-    with pytest.raises(ValueError, match="message"):
-        inject_and_run(setup.netlist, chip, message, PpvConfig())
+    msgs = setup.code.messages
+    assert np.array_equal(received(setup.netlist, chip, cfg, msgs), msgs @ setup.code.G % 2)
 
 
 # --- trials -----------------------------------------------------------------------
@@ -295,11 +288,9 @@ def test_single_dropping_converter_correctable_by_every_code():
         setup = make_setup(name)
         cfg = PpvConfig(margins=margins(), q=1.0, n_messages=100)
         chip = chip_with_only(setup, cfg, "o1")
-        rng = np.random.default_rng(11)
+        msgs = np.random.default_rng(11).integers(0, 2, (100, 4)).astype(np.uint8)
         wrong = 0
-        for _ in range(100):
-            m = rng.integers(0, 2, 4).astype(np.uint8)
-            got = inject_and_run(setup.netlist, chip, m, cfg, rng)
+        for m, got in zip(msgs, received(setup.netlist, chip, cfg, msgs)):
             out = decode(setup.code, got, CORRECT)
             if out.message is None or not np.array_equal(out.message, m):
                 wrong += 1
@@ -310,15 +301,9 @@ def test_single_dropping_converter_breaks_baseline():
     setup = make_setup("none")
     cfg = PpvConfig(margins=margins(), q=1.0, n_messages=100)
     chip = chip_with_only(setup, cfg, "o1")
-    rng = np.random.default_rng(11)
-    trials = []
-    for _ in range(100):
-        n = 0
-        for _ in range(100):
-            m = rng.integers(0, 2, 4).astype(np.uint8)
-            if not np.array_equal(inject_and_run(setup.netlist, chip, m, cfg, rng), m):
-                n += 1
-        trials.append(n)
+    msgs = np.random.default_rng(11).integers(0, 2, (100 * 100, 4)).astype(np.uint8)
+    got = received(setup.netlist, chip, cfg, msgs)
+    trials = (got != msgs).any(axis=1).reshape(100, 100).sum(axis=1)
     assert all(n > 0 for n in trials)
     # the dropped line only matters when its sent bit is 1: E[N] = 50
     assert np.mean(trials) == pytest.approx(50, abs=3)
@@ -356,7 +341,11 @@ def test_run_trial_on_one_dropping_converter_counts_each_message():
             word[1] = 0
             want += not np.array_equal(decode(setup.code, word, CORRECT).message, m)
         assert run_trial(setup, chip_with_only(setup, cfg, "o1"), cfg) == want, name
-        assert want > 0 or name != "none"
+        # a code corrects the one flipped bit; uncoded, each message whose bit 1 is set is lost
+        if name == "none":
+            assert want == msgs[:, 1].sum() > 0
+        else:
+            assert want == 0, name
 
 
 def test_chip_from_another_netlist_rejected():
@@ -364,8 +353,6 @@ def test_chip_from_another_netlist_rejected():
     other = sample_chip(make_setup("hamming74").netlist, cfg, 0)
     with pytest.raises(ValueError, match="another netlist"):
         run_trial(setup, other, cfg)
-    with pytest.raises(ValueError, match="another netlist"):
-        inject_and_run(setup.netlist, other, [1, 0, 1, 1], cfg)
 
 
 # --- monte carlo -------------------------------------------------------------------
@@ -866,9 +853,9 @@ def test_mutated_netlist_gets_fresh_engine():
     net.outputs = list(net.outputs)[::-1]
     cfg = no_fault_cfg(n_chips=1)
     chip = sample_chip(net, cfg, 0)
-    m = np.array([1, 0, 0, 0], dtype=np.uint8)
-    got = inject_and_run(net, chip, m, cfg)
-    assert np.array_equal(got, encode(setup.code, m)[::-1])
+    reversed_code = LinearCode(setup.code.name, setup.code.G[:, ::-1])
+    assert run_trial(EncoderSetup(setup.name, net, reversed_code), chip, cfg) == 0
+    assert run_trial(setup, chip, cfg) > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -911,41 +898,40 @@ def clock_subtree(net, splitter, branch):
     return below
 
 
-def silenced_encoding(net, message, silenced):
-    """Fault-free evaluation of one message with ``silenced`` cells emitting 0."""
+def silenced_encoding(net, msgs, silenced):
+    """Fault-free evaluation (M, n) of (M, k) ``msgs`` with ``silenced`` cells emitting 0."""
     driver = {(n.dst, n.dst_pin): n.src for n in net.nets if n.dst_pin != "clk"}
 
     def value(cid):
         kind = net.cells[cid].kind
         if cid in silenced:
-            return 0
+            return np.zeros(len(msgs), dtype=msgs.dtype)
         if kind == nl.INPUT:
-            return int(message[net.inputs.index(cid)])
+            return msgs[:, net.inputs.index(cid)]
         if kind == nl.XOR:
             return value(driver[(cid, 0)]) ^ value(driver[(cid, 1)])
         return value(driver[(cid, 0)])
 
-    return [value(o) for o in net.outputs]
+    return np.stack([value(o) for o in net.outputs], axis=1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["rm13", "hamming74", "hamming84"]), data=st.data())
-def test_dropping_clock_splitter_silences_its_subtree(name, data):
-    setup = make_setup(name)
-    net = setup.netlist
-    splitters = [c.id for c in net.cells.values() if c.kind == nl.SPLITTER]
-    clock_splitters = [c.id for c in net.cells.values() if c.role == "clock"]
-    spl = data.draw(st.sampled_from(clock_splitters))
-    branch = data.draw(st.integers(0, 1))
-    silenced = clock_subtree(net, spl, branch)
-    assert silenced
+def test_dropping_clock_splitter_silences_its_subtree():
+    # every clock splitter of every encoder, dropping either branch, on all messages
     cfg = PpvConfig(margins=margins(), q=1.0)
-    sel = np.zeros(len(splitters), dtype=np.int64)
-    sel[splitters.index(spl)] = branch
-    chip = dataclasses.replace(chip_with_only(setup, cfg, spl), branch_sel=sel)
     quiet = dataclasses.replace(cfg, clock_faults=False)
-    for m in setup.code.messages:
-        got = inject_and_run(net, chip, m, cfg)
-        assert got.tolist() == silenced_encoding(net, m, silenced), (spl, branch, m)
-        # without clock faults the same chip encodes cleanly
-        assert inject_and_run(net, chip, m, quiet).tolist() == silenced_encoding(net, m, set())
+    for name in ("rm13", "hamming74", "hamming84"):
+        setup = make_setup(name)
+        net, msgs = setup.netlist, setup.code.messages
+        splitters = [c.id for c in net.cells.values() if c.kind == nl.SPLITTER]
+        clean = silenced_encoding(net, msgs, set())
+        for spl in (c.id for c in net.cells.values() if c.role == "clock"):
+            for branch in (0, 1):
+                silenced = clock_subtree(net, spl, branch)
+                assert silenced
+                sel = np.zeros(len(splitters), dtype=np.int64)
+                sel[splitters.index(spl)] = branch
+                chip = dataclasses.replace(chip_with_only(setup, cfg, spl), branch_sel=sel)
+                got = received(net, chip, cfg, msgs)
+                assert np.array_equal(got, silenced_encoding(net, msgs, silenced)), (spl, branch)
+                # without clock faults the same chip encodes cleanly
+                assert np.array_equal(received(net, chip, quiet, msgs), clean)
