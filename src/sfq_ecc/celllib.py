@@ -11,7 +11,6 @@ exact solution and shipped as editable defaults rather than truth.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -39,19 +38,31 @@ class CellKindCost:
 
 @dataclass(frozen=True)
 class CellLibrary:
-    """Per-kind costs for the four priced cell kinds."""
+    """Per-kind costs for the four priced cell kinds.
+
+    Each cost is a real number, not a bool, compared before any conversion
+    (the rule of :func:`_encoder_rows`), so every bad value, even an integer
+    too large for a float, raises ``ValueError``.
+    """
 
     kinds: dict
 
     def __post_init__(self):
         kinds = dict(self.kinds)
+        unknown = sorted(set(kinds) - set(CELL_KINDS), key=str)
+        if unknown:
+            raise ValueError(f"library names unknown cell kind {unknown[0]!r}; expected "
+                             f"{', '.join(CELL_KINDS)}")
         for kind in CELL_KINDS:
             if kind not in kinds:
                 raise ValueError(f"library is missing kind {kind}")
             c = kinds[kind]
-            if not all(math.isfinite(v) and v > 0 for v in (c.jj, c.power_uW, c.area_mm2)):
+            if not isinstance(c, CellKindCost):
+                raise ValueError(f"costs for {kind} must be a CellKindCost, got {c!r}")
+            if not all(not isinstance(v, bool) and isinstance(v, numbers.Real)
+                       and 0 < v <= sys.float_info.max for v in (c.jj, c.power_uW, c.area_mm2)):
                 raise ValueError(f"costs for {kind} must be positive and finite: {c}")
-            if int(c.jj) != c.jj:
+            if not float(c.jj).is_integer():
                 raise ValueError(f"jj count for {kind} must be integral: {c.jj}")
             kinds[kind] = replace(c, jj=int(c.jj))
         object.__setattr__(self, "kinds", kinds)

@@ -30,15 +30,15 @@ exact in both directions, because PCG64's period is 2**128 and
 kept across calls (a calibration draws each chip once) serves any margins.
 
 One function, :func:`_received`, applies the fault model to a batch of chip
-material under every config of a call: it alone compares deviations with
-margins and draws misfire rows, and it evaluates the batch in bit-packed
-passes of :func:`sfq_ecc.sim.evaluate`.  Messages pack eight to a byte,
-every gate is one bitwise operation over all of them (bit-parallel pattern
-fault simulation, as in Waicukauski et al., "Fault simulation for
-structured VLSI", 1985), and each distinct (chip, q, faulty drawn cells) is
-one row, evaluated and counted once however many configs share it; a
-single chip is a batch of one.  A config with ``clock_faults=False`` clears
-the misfires of its clock-tree cells.
+material at every (margins, q) point of one config: it alone compares
+deviations with margins and draws misfire rows, and it evaluates the batch
+in bit-packed passes of :func:`sfq_ecc.sim.evaluate`.  Messages pack eight
+to a byte, every gate is one bitwise operation over all of them
+(bit-parallel pattern fault simulation, as in Waicukauski et al., "Fault
+simulation for structured VLSI", 1985), and each distinct (chip, q, faulty
+drawn cells) is one row, evaluated and counted once however many points
+share it; a single chip is a batch of one.  A config with
+``clock_faults=False`` clears the misfires of its clock-tree cells.
 """
 
 from __future__ import annotations
@@ -165,10 +165,6 @@ class PpvConfig:
         if unknown:
             raise ValueError(f"margins name unknown cell kind {unknown[0]!r}; expected "
                              f"{', '.join(CELL_KINDS)}")
-        # margins in CELL_KINDS order, then inf for the kinds that never fault
-        kind_margins = np.array([self.margins[k] for k in CELL_KINDS] + [np.inf], dtype=float)
-        kind_margins.flags.writeable = False
-        object.__setattr__(self, "_kind_margins", kind_margins)
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -283,8 +279,7 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
     block of misfire uniforms.  Returns the first three and a
     :func:`_misfire_rows` function over the chip's generator, which stands at
     the start of the block.  Nothing drawn depends on margins or ``q``, so
-    one material serves every config that shares the seed, spread,
-    distribution and message count.
+    one material serves every (margins, q) point of a config.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chip_index)))
     if cfg.distribution == "uniform":
@@ -366,26 +361,27 @@ def _distinct(key) -> tuple:
     return order[new], rank
 
 
-def _received(eng: _FaultEngine, cfgs, materials):
+def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, materials):
     """Packed received words, one row per distinct misfire pattern of chip ``materials``.
 
     A material is (deviations, branches, (M, k) messages, misfire-row
     function), as :func:`_chip_material` returns it.  Materials are read one
     at a time, so an iterator of fresh draws holds one chip's generator at a
-    time.  A cell is faulty under a config when its |deviation| exceeds the
-    config's margin for its kind; only the cells beyond the weakest margin
-    across ``cfgs`` draw misfire rows.  A faulty cell misfires where its
-    uniform is below ``q``, except on the clock tree when the configs, which
-    share their clock model, have no clock faults.  So chip ``j`` under
-    ``cfgs[i]`` misfires as fixed by (j, q, the faulty cells among j's drawn
-    ones), and q does not matter without faulty cells.  One row is evaluated
-    per distinct key, in passes of at most ``_BATCH`` rows; ``u < q`` is
-    packed once per distinct q.  The key begins with the chip, so a single
-    config gives each chip its own row.  Returns the received words (n, rows,
-    W), the sent message index of each (row, message) and the row of each
-    (config, chip).
+    time.  A point is a row of ``margins``, (points, 4) in ``CELL_KINDS``
+    order, and the same entry of ``q``, (points,).  A cell is faulty at a
+    point when its |deviation| exceeds the point's margin for its kind; only
+    the cells beyond the weakest margin across the points draw misfire rows.
+    A faulty cell misfires where its uniform is below ``q``, except on the
+    clock tree when ``cfg`` has no clock faults.  So chip ``j`` at point
+    ``i`` misfires as fixed by (j, q, the faulty cells among j's drawn ones),
+    and q does not matter without faulty cells.  One row is evaluated per
+    distinct key, in passes of at most ``_BATCH`` rows; ``u < q`` is packed
+    once per distinct q.  The key begins with the chip, so a single point
+    gives each chip its own row.  Returns the received words (n, rows, W),
+    the sent message index of each (row, message) and the row of each
+    (point, chip).
     """
-    margins = np.array([c._kind_margins for c in cfgs])[:, eng.kind_code]  # (configs, cells)
+    margins = np.hstack([margins, np.full((len(q), 1), np.inf)])[:, eng.kind_code]
     weakest = margins.min(axis=0)
     drawn = []
     for dev, branch, msgs, rows in materials:
@@ -394,29 +390,28 @@ def _received(eng: _FaultEngine, cfgs, materials):
     dev, branch, msgs, cells, u = zip(*drawn)
     del drawn
     u = np.concatenate(u)  # (F, M) misfire uniforms; the per-chip rows are freed here
-    n_cfg, n_chip = len(cfgs), len(cells)
+    n_pt, n_chip = len(q), len(cells)
     chip = np.repeat(np.arange(n_chip), [len(c) for c in cells])  # (F,) chip of each row
     cell = np.concatenate(cells)
     faulty = ((np.concatenate(dev) > margins[:, cell])
-              & (cfgs[0].clock_faults | ~eng.on_clock[cell]))  # (configs, F)
-    # faulty drawn cells as bits per (config, chip), one slot per drawn row of the chip
+              & (cfg.clock_faults | ~eng.on_clock[cell]))  # (points, F)
+    # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip
     per_chip = np.bincount(chip, minlength=n_chip)
     first = np.cumsum(per_chip) - per_chip
-    bits = np.zeros((n_cfg, n_chip, per_chip.max()), dtype=bool)
+    bits = np.zeros((n_pt, n_chip, per_chip.max()), dtype=bool)
     bits[:, chip, np.arange(len(chip)) - first[chip]] = faulty
-    qs = sorted({c.q for c in cfgs})
-    q_of = np.array([qs.index(c.q) for c in cfgs])
+    qs, q_of = np.unique(q, return_inverse=True)
     packed = np.packbits(bits, axis=2)
-    key = np.empty((n_cfg, n_chip, 2 + packed.shape[2]), dtype=np.int32)
+    key = np.empty((n_pt, n_chip, 2 + packed.shape[2]), dtype=np.int32)
     key[..., 0] = np.arange(n_chip)
     key[..., 1] = np.where(packed.any(axis=2), q_of[:, None], -1)
     key[..., 2:] = packed
-    reps, row = _distinct(key.reshape(n_cfg * n_chip, -1))
-    cfg_of, chip_of = np.divmod(reps, n_chip)
-    below = np.array([np.packbits(u < q, axis=-1) for q in qs])  # (Q, F, W)
-    r, s = bits[cfg_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
+    reps, row = _distinct(key.reshape(n_pt * n_chip, -1))
+    pt_of, chip_of = np.divmod(reps, n_chip)
+    below = np.array([np.packbits(u < p, axis=-1) for p in qs])  # (Q, F, W)
+    r, s = bits[pt_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
     f = first[chip_of[r]] + s
-    masks = below[q_of[cfg_of[r]], f]
+    masks = below[q_of[pt_of[r]], f]
     cells = cell[f]
     msgs = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
     branch = np.array(branch)
@@ -427,20 +422,26 @@ def _received(eng: _FaultEngine, cfgs, materials):
         mis[cells[e], r[e] - p] = masks[e]
         received.append(evaluate(eng.prog, msgs[:, rows], mis, branch[rows]))
     sent = _word_index(msgs, u.shape[1])  # (chips, M), gathered per row
-    return np.concatenate(received, axis=1), sent[chip_of], row.reshape(n_cfg, n_chip)
+    return np.concatenate(received, axis=1), sent[chip_of], row.reshape(n_pt, n_chip)
 
 
-def _score(eng: _FaultEngine, setup: EncoderSetup, cfgs, materials) -> np.ndarray:
-    """Erroneous-message counts (configs, chips) under ``cfgs[0]``'s accounting.
+def _score(eng: _FaultEngine, setup: EncoderSetup, cfg: PpvConfig, margins, q,
+           materials) -> np.ndarray:
+    """Erroneous-message counts (points, chips) under ``cfg``'s accounting.
 
     Each distinct row of :func:`_received` is counted once; each message is
     one lookup in the (sent, received) table.
     """
-    received, sent, row = _received(eng, cfgs, materials)
+    received, sent, row = _received(eng, cfg, margins, q, materials)
     key = sent.astype(np.int32) << len(received)
     key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
-    wrong = _wrong(setup, cfgs[0].tie_break, cfgs[0].count_detected_errors)
+    wrong = _wrong(setup, cfg.tie_break, cfg.count_detected_errors)
     return np.take(wrong, key).sum(axis=1)[row]
+
+
+def _own_point(cfg: PpvConfig) -> tuple:
+    """``cfg``'s own margins and q as the (1, 4) and (1,) arrays of one point."""
+    return np.array([[cfg.margins[k] for k in CELL_KINDS]], float), np.array([cfg.q], float)
 
 
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
@@ -452,46 +453,41 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
     _, _, msgs, rows = _chip_material(eng, cfg, chip.chip_index)
-    return int(_score(eng, setup, [cfg], [(chip.deviations, chip.branch_sel, msgs, rows)])[0, 0])
+    material = (chip.deviations, chip.branch_sel, msgs, rows)
+    return int(_score(eng, setup, cfg, *_own_point(cfg), [material])[0, 0])
 
 
-def _error_counts_many(setup: EncoderSetup, cfgs, materials=None) -> np.ndarray:
-    """Per-chip erroneous-message counts under several fault-model configs.
+def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
+                       materials=None) -> np.ndarray:
+    """Per-chip erroneous-message counts of ``cfg`` at several (margins, q) points.
 
-    Returns shape (len(cfgs), n_chips); row i equals ``error_counts(setup,
-    cfgs[i])``.  The configs must share the chip material (seed, chip count,
-    spread, distribution, message count), the accounting (detected-error
-    counting, tie policy) and the clock model; they differ only in margins
-    and ``q``.  Each batch of ``_BATCH`` chips is scored under every config
-    (common random numbers), one engine row per distinct misfire pattern
-    (:func:`_received`), read through one table.
-    ``materials``, when given, is a list of :func:`_chip_material` results
-    for chips 0, 1, ... that the caller keeps across calls whose configs
-    share chip material; missing chips are drawn and appended, so none is
-    drawn twice.
+    ``margins`` is (points, 4) in ``CELL_KINDS`` order and ``q`` is (points,);
+    ``cfg`` supplies everything else: the chip material, the accounting and
+    the clock model.  Returns shape (points, n_chips); row i equals
+    ``error_counts`` of ``cfg`` with point i's margins and q.  Each batch of
+    ``_BATCH`` chips is scored at every point (common random numbers), one
+    engine row per distinct misfire pattern (:func:`_received`), read
+    through one table.  ``materials``, when given, is a list of
+    :func:`_chip_material` results for chips 0, 1, ... that the caller keeps
+    across calls with the same chip material; missing chips are drawn and
+    appended, so none is drawn twice.
     """
-    cfg0 = cfgs[0]
-    shared = lambda c: (c.master_seed, c.n_chips, c.spread, c.distribution, c.n_messages,
-                        c.count_detected_errors, c.tie_break, c.clock_faults)
-    if any(shared(c) != shared(cfg0) for c in cfgs):
-        raise ValueError("configs scored together must share their chip material, "
-                         "accounting and clock model")
     eng = _FaultEngine(setup.netlist)
-    out = np.empty((len(cfgs), cfg0.n_chips), dtype=np.int64)
-    for start in range(0, cfg0.n_chips, _BATCH):
-        stop = min(start + _BATCH, cfg0.n_chips)
+    out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
+    for start in range(0, cfg.n_chips, _BATCH):
+        stop = min(start + _BATCH, cfg.n_chips)
         if materials is None:  # nothing kept: each chip is drawn and dropped
-            batch = (_chip_material(eng, cfg0, i) for i in range(start, stop))
+            batch = (_chip_material(eng, cfg, i) for i in range(start, stop))
         else:
-            materials += [_chip_material(eng, cfg0, i) for i in range(len(materials), stop)]
+            materials += [_chip_material(eng, cfg, i) for i in range(len(materials), stop)]
             batch = materials[start:stop]
-        out[:, start:stop] = _score(eng, setup, cfgs, batch)
+        out[:, start:stop] = _score(eng, setup, cfg, margins, q, batch)
     return out
 
 
 def error_counts(setup: EncoderSetup, cfg: PpvConfig) -> np.ndarray:
     """Per-chip erroneous-message counts for the whole Monte Carlo."""
-    return _error_counts_many(setup, [cfg])[0]
+    return _error_counts_many(setup, cfg, *_own_point(cfg))[0]
 
 
 def monte_carlo(setup: EncoderSetup, cfg: PpvConfig) -> CdfSeries:
@@ -539,21 +535,22 @@ _STAGES = (
 )
 
 
-def _neighbours(point: PpvConfig, moves, q_factors, **fields):
-    """Configs around ``point``, q varying fastest, with ``fields`` replaced.
+def _neighbours(point: PpvConfig, moves, q_factors) -> tuple:
+    """(points, 4) margins in ``CELL_KINDS`` order and (points,) q around ``point``.
 
     ``moves`` holds (kinds, offsets) per axis: a neighbour adds one offset per
     axis to its kinds' factors ``margin / spread`` and scales q by one of
-    ``q_factors``, clipped to [0, spread] and [0.005, 1].  From factors 0 and
-    q 1 the neighbours are exactly the grid of the offsets and factors.
+    ``q_factors``, clipped to [0, spread] and [0.005, 1], q varying fastest.
+    From factors 0 and q 1 the neighbours are exactly the grid of the offsets
+    and factors.
     """
     spread = point.spread
-    for move in product(*(offsets for _, offsets in moves)):
-        shift = {k: d for (kinds, _), d in zip(moves, move) for k in kinds}
-        margins = {k: min(spread, max(0.0, (point.margins[k] / spread + shift[k]) * spread))
-                   for k in CELL_KINDS}
-        for f in q_factors:
-            yield replace(point, margins=margins, q=min(1.0, max(0.005, point.q * f)), **fields)
+    axis = [next(a for a, (kinds, _) in enumerate(moves) if k in kinds) for k in CELL_KINDS]
+    shifts = np.array(list(product(*(offsets for _, offsets in moves))), dtype=float)[:, axis]
+    margins = np.array([point.margins[k] for k in CELL_KINDS], dtype=float)
+    margins = np.clip((margins / spread + shifts) * spread, 0.0, spread)
+    q = np.clip(point.q * np.array(q_factors, dtype=float), 0.005, 1.0)
+    return np.repeat(margins, len(q), axis=0), np.tile(q, len(margins))
 
 
 def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
@@ -577,8 +574,8 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     best points for ``refine_rounds`` rounds at ``refine_chips`` with step
     1 / (round + 1), and re-scores them at ``base.n_chips``, which caps the
     other two counts.  The best so far wins, the earlier on a tie; the search
-    stops once it has converged.  Each scoring call holds one stage's
-    configs, so it scores one accounting.
+    stops once it has converged.  Each scoring call scores one config (the
+    stage's accounting, one chip count) at many (margins, q) points.
     """
     if _require_int("refine_rounds", refine_rounds) < 0:
         raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
@@ -595,44 +592,45 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     # the ordering constraint only applies when the targets are ordered
     require_order = ordered(targets)
     base = base if base is not None else PpvConfig()
+    if not isinstance(base, PpvConfig):
+        raise ValueError(f"base must be a PpvConfig, got {base!r}")
     # no stage scores more chips than the final re-score; replace() checks each count
     search_chips, refine_chips = (min(replace(base, n_chips=n).n_chips, base.n_chips)
                                   for n in (search_chips, refine_chips))
     setups = [make_setup(name) for name in SETUP_NAMES]
-    # every config shares base's chip material: each chip is drawn once per setup
+    # every scored config shares base's chip material: each chip is drawn once per setup
     materials = {s.name: [] for s in setups}
 
     def badness(probs: dict, dev: float):
         return require_order and not ordered(probs), dev
 
-    def ranked(cfgs) -> list:
-        """(cfg, probs, max |dev|) per config, best first.
+    def ranked(cfg: PpvConfig, margins, q, keep: int) -> list:
+        """(config, probs, max |dev|) of ``cfg``'s ``keep`` best points, ties in point order.
 
-        Setups are the outer loop; each scores every config on its kept chip
+        Setups are the outer loop; each scores every point on its kept chip
         material, one engine row per distinct misfire pattern (:func:`_received`).
         """
-        probs = [{} for _ in cfgs]
-        for s in setups:
-            for p, row in zip(probs, _error_counts_many(s, cfgs, materials[s.name])):
-                p[s.name] = float((row == 0).mean())
-        scored = [(cfg, p, max(abs(p[k] - targets[k]) for k in targets))
-                  for cfg, p in zip(cfgs, probs)]
-        # stable: ties keep candidate order
-        scored.sort(key=lambda r: badness(r[1], r[2]))
-        return scored
+        p0 = {s.name: (_error_counts_many(s, cfg, margins, q, materials[s.name]) == 0)
+              .mean(axis=1).tolist() for s in setups}
+        probs = [{name: p[i] for name, p in p0.items()} for i in range(len(q))]
+        devs = [max(abs(p[k] - targets[k]) for k in targets) for p in probs]
+        order = sorted(range(len(q)), key=lambda i: badness(probs[i], devs[i]))[:keep]
+        return [(replace(cfg, margins=dict(zip(CELL_KINDS, margins[i].tolist())),
+                         q=float(q[i])), probs[i], devs[i]) for i in order]
 
     origin = replace(base, margins=dict.fromkeys(CELL_KINDS, 0.0), q=1.0)
     best = None
     for stage, accounting, axes, q_grid, q_moves, polished in _STAGES:
+        search, refine, final = (replace(base, n_chips=n, **accounting)
+                                 for n in (search_chips, refine_chips, base.n_chips))
         grid = [(kinds, factors) for kinds, factors, _ in axes]
-        for cfg, _, _ in ranked(list(_neighbours(origin, grid, q_grid, n_chips=search_chips,
-                                                 **accounting)))[:polished]:
+        for cfg, _, _ in ranked(search, *_neighbours(origin, grid, q_grid), polished):
             for r in range(refine_rounds):
                 step = 1.0 / (r + 1)
                 moves = [(kinds, (-d * step, 0.0, d * step) if d else (0.0,))
                          for kinds, _, d in axes]
-                cfg = ranked(list(_neighbours(cfg, moves, q_moves, n_chips=refine_chips)))[0][0]
-            cfg, probs, dev = ranked([replace(cfg, n_chips=base.n_chips)])[0]
+                cfg = ranked(refine, *_neighbours(cfg, moves, q_moves), 1)[0][0]
+            cfg, probs, dev = ranked(final, *_own_point(cfg), 1)[0]
             if best is None or badness(probs, dev) < badness(*best[2:]):
                 best = stage, cfg, probs, dev
         misordered, dev = badness(*best[2:])

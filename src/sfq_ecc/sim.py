@@ -11,6 +11,8 @@ misfire masks for the fault injection of :mod:`sfq_ecc.ppv`.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +88,16 @@ def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     every cycle; outputs appear ``latency`` cycles after their message, and
     cycles beyond ``frames`` carry zero messages.  Raises
     :class:`StructuralError` before simulating anything if the netlist is
-    unbalanced or ill-formed.
+    unbalanced or ill-formed, and ``ValueError`` if ``cycles`` is given but
+    is not a non-negative integer.
 
     One :func:`evaluate` pass encodes the messages; codeword t lands at
     cycle ``t + latency`` and every other cycle is 0, exact for a validated
     netlist: it is balanced and every data path starts at an input.
     """
+    if cycles is not None and (isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral)
+                               or cycles < 0):
+        raise ValueError(f"cycles must be a non-negative integer, got {cycles!r}")
     prog = nl.compile(net)
     frames = message_frames(net, frames)
     if cycles is None:
@@ -155,10 +161,14 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     edge is one period later.  Sub-period analog offsets are outside this
     model, so timestamps are aligned to edges (exact to within one period).
     Every stamp is a plain ``float``.  Raises ``ValueError`` on a clock or
-    epoch that is not finite, a clock that is not positive, or stamps that
-    overflow the float range.
+    epoch that is not a finite number (a bool is not one), a clock that is
+    not positive, or stamps that overflow the float range.
     """
-    if not (np.isfinite(clock_ghz) and np.isfinite(epoch_ns)):
+    for name, value in (("clock_ghz", clock_ghz), ("epoch_ns", epoch_ns)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    # compared before any conversion: an integer too large for a float is not finite
+    if not (abs(clock_ghz) <= sys.float_info.max and abs(epoch_ns) <= sys.float_info.max):
         raise ValueError(f"clock frequency and epoch must be finite: {clock_ghz} GHz, "
                          f"{epoch_ns} ns")
     if clock_ghz <= 0:

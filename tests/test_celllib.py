@@ -146,17 +146,31 @@ def test_library_missing_kind(tmp_path):
         read_library(path)
 
 
-@pytest.mark.parametrize("bad", [
-    CellKindCost(0, 1.0, 1.0),
-    CellKindCost(11.5, 1.0, 1.0),
-    CellKindCost(float("inf"), 1.0, 1.0),
-    CellKindCost(1, float("nan"), 1.0),
-    CellKindCost(1, 1.0, float("inf")),
-], ids=["zero_jj", "fractional_jj", "infinite_jj", "nan_power", "infinite_area"])
-def test_library_rejects_nonpositive(bad):
+@pytest.mark.parametrize("bad, message", [
+    (CellKindCost(0, 1.0, 1.0), "positive and finite"),
+    (CellKindCost(11.5, 1.0, 1.0), "integral"),
+    (CellKindCost(float("inf"), 1.0, 1.0), "positive and finite"),
+    (CellKindCost(1, float("nan"), 1.0), "positive and finite"),
+    (CellKindCost(1, 1.0, float("inf")), "positive and finite"),
+    # True was taken as jj=1; 10**400, "11" and a tuple raised OverflowError,
+    # TypeError and AttributeError
+    (CellKindCost(True, 1.0, 1.0), "positive and finite"),
+    (CellKindCost(10**400, 1.0, 1.0), "positive and finite"),
+    (CellKindCost("11", 1.0, 1.0), "positive and finite"),
+    ((11, 1.0, 1.0), "a CellKindCost"),
+], ids=["zero_jj", "fractional_jj", "infinite_jj", "nan_power", "infinite_area",
+        "bool_jj", "huge_jj", "string_jj", "tuple_costs"])
+def test_library_rejects_nonpositive(bad, message):
     kinds = {k: CellKindCost(1, 1.0, 1.0) for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC")}
     kinds["DFF"] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"for DFF must be {message}"):
+        CellLibrary(kinds=kinds)
+
+
+def test_library_rejects_unknown_kind():
+    # an extra kind was kept silently
+    kinds = {k: CellKindCost(1, 1.0, 1.0) for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC", "NAND")}
+    with pytest.raises(ValueError, match="unknown cell kind 'NAND'"):
         CellLibrary(kinds=kinds)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 from importlib import resources
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,18 @@ def margins(**kv):
 
 def no_fault_cfg(**over):
     return PpvConfig(margins=margins(), **over)
+
+
+def points(*cfgs):
+    """The (margins, q) point arrays of ``cfgs``: (configs, 4) in KINDS order and (configs,)."""
+    return (np.array([[c.margins[k] for k in KINDS] for c in cfgs], dtype=float),
+            np.array([c.q for c in cfgs], dtype=float))
+
+
+def at_points(cfg, margins, q):
+    """``cfg`` at each (margins, q) point: the configs a many-point call stands for."""
+    return [dataclasses.replace(cfg, margins=dict(zip(KINDS, m)), q=p)
+            for m, p in zip(margins.tolist(), q.tolist())]
 
 
 def chip_with_only(setup, cfg, cell_id, dev=1.0):
@@ -165,10 +178,11 @@ def test_chip_sampling_deterministic():
     assert not np.array_equal(a.deviations, sample_chip(net, cfg, 18).deviations)
 
 
-def drawn_rows(eng, cfgs, materials):
-    """(cells, rows) per chip drawn when ``_received`` scores chip ``materials`` under ``cfgs``.
+def drawn_rows(eng, cfg, margins, q, materials):
+    """(cells, rows) per chip drawn when ``_received`` scores chip ``materials``.
 
-    Observed through a spy on each material's misfire-row function.
+    ``cfg`` is scored at the (margins, q) points.  Observed through a spy on
+    each material's misfire-row function.
     """
     seen = []
 
@@ -178,8 +192,8 @@ def drawn_rows(eng, cfgs, materials):
             return seen[-1][1]
         return drawn
 
-    ppv._received(eng, cfgs, [(dev, branch, msgs, spy(rows))
-                              for dev, branch, msgs, rows in materials])
+    ppv._received(eng, cfg, margins, q, [(dev, branch, msgs, spy(rows))
+                                         for dev, branch, msgs, rows in materials])
     assert len(seen) == len(materials)
     return seen
 
@@ -192,15 +206,15 @@ def received(net, chip, cfg, msgs):
     """
     eng = _FaultEngine(net)
     u = np.zeros((eng.n_cells, len(msgs)))
-    words, _, row = ppv._received(eng, [cfg], [(chip.deviations, chip.branch_sel, msgs,
-                                                lambda cells: u[cells])])
+    words, _, row = ppv._received(eng, cfg, *points(cfg), [(chip.deviations, chip.branch_sel,
+                                                             msgs, lambda cells: u[cells])])
     return np.unpackbits(words[:, row[0, 0]], axis=-1, count=len(msgs)).T
 
 
 def drawn_cells(eng, cfg, chips):
     """The cells the fault path reads under ``cfg`` per chip: those that draw misfire rows."""
     materials = [ppv._chip_material(eng, cfg, i) for i in chips]
-    return [cells for cells, _ in drawn_rows(eng, [cfg], materials)]
+    return [cells for cells, _ in drawn_rows(eng, cfg, *points(cfg), materials)]
 
 
 def test_no_faults_when_margin_equals_spread():
@@ -215,7 +229,7 @@ def test_uniform_faulty_fraction_at_half_margin():
     setup = make_setup("rm13")
     cfg = PpvConfig(margins={k: 0.1 for k in KINDS}, master_seed=123)
     eng = _FaultEngine(setup.netlist)
-    faultable = np.isfinite(cfg._kind_margins[eng.kind_code])
+    faultable = np.array([k in cfg.margins for k in eng.prog.kinds])
     total = hits = 0
     # 2200 chips x 49 faultable cells > 1e5 draws
     for cells in drawn_cells(eng, cfg, range(2200)):
@@ -400,15 +414,16 @@ def test_monte_carlo_deterministic():
 )
 def test_many_configs_match_one_at_a_time(name, knobs, det, ties, clock, n_chips, batch,
                                           seed):
-    # the configs of one call share their accounting and clock model
+    # the points of one call share one config's accounting and clock model
     setup = make_setup(name)
-    cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
-                       n_chips=n_chips, n_messages=12, master_seed=seed)
+    cfg = PpvConfig(count_detected_errors=det, tie_break=ties, clock_faults=clock,
+                    n_chips=n_chips, n_messages=12, master_seed=seed)
+    margins, q = random_points(knobs)
     with mock.patch.object(ppv, "_BATCH", batch):
-        many = _error_counts_many(setup, cfgs)
-    assert many.shape == (len(cfgs), n_chips)
-    for row, cfg in zip(many, cfgs):
-        assert np.array_equal(row, error_counts(setup, cfg))
+        many = _error_counts_many(setup, cfg, margins, q)
+    assert many.shape == (len(q), n_chips)
+    for row, one in zip(many, at_points(cfg, margins, q)):
+        assert np.array_equal(row, error_counts(setup, one))
 
 
 def reference_material(eng, cfg, chip_index):
@@ -436,16 +451,16 @@ def reference_material(eng, cfg, chip_index):
        chip=st.integers(0, 10**6))
 def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_messages,
                                               seed, chip):
-    # one to three configs: the drawn cells are those beyond the weakest margin of each cell
+    # one to three points: the drawn cells are those beyond the weakest margin of each cell
     eng = _FaultEngine(make_setup(name).netlist)
-    cfgs = [PpvConfig(distribution=distribution, margins=dict(zip(KINDS, m)),
-                      n_messages=n_messages, master_seed=seed) for m in margin]
-    dev, branch, msgs, rows = ppv._chip_material(eng, cfgs[0], chip)
-    ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfgs[0], chip)
+    cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
+    dev, branch, msgs, rows = ppv._chip_material(eng, cfg, chip)
+    ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
     assert np.array_equal(dev, ref_dev) and np.array_equal(branch, ref_branch)
     assert np.array_equal(msgs, ref_msgs)
-    ((cells, drawn),) = drawn_rows(eng, cfgs, [(dev, branch, msgs, rows)])
-    weakest = [min(c.margins[k] for c in cfgs) if k in KINDS else np.inf
+    q = np.full(len(margin), cfg.q)
+    ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q, [(dev, branch, msgs, rows)])
+    weakest = [min(m[KINDS.index(k)] for m in margin) if k in KINDS else np.inf
                for k in eng.prog.kinds]
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > weakest).tolist()
     assert np.array_equal(drawn, full[cells])
@@ -466,7 +481,7 @@ def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_message
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     full = reference_material(eng, cfg, chip)[3]
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
-    ((cells, drawn),) = drawn_rows(eng, [zero], [ppv._chip_material(eng, zero, chip)])
+    ((cells, drawn),) = drawn_rows(eng, zero, *points(zero), [ppv._chip_material(eng, zero, chip)])
     assert np.array_equal(drawn, full[cells])
     rows = ppv._chip_material(eng, cfg, chip)[3]
     cells = st.lists(st.integers(0, eng.n_cells - 1), unique=True, max_size=eng.n_cells)
@@ -540,9 +555,9 @@ def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
     setup, cfgs, distinct = repeated_patterns(case)
     monkeypatch.setattr(ppv, "_BATCH", batch)  # the distinct rows span several passes
     passes = counted_passes(monkeypatch)
-    many = _error_counts_many(setup, cfgs)
+    many = _error_counts_many(setup, cfgs[0], *points(*cfgs))
     evaluated, passes[:] = list(passes), []
-    _error_counts_many(setup, distinct)
+    _error_counts_many(setup, distinct[0], *points(*distinct))
     assert sum(evaluated) == sum(passes) and len(evaluated) > 1
     assert many.any()
     for row, cfg in zip(many, cfgs):
@@ -614,9 +629,10 @@ def reference_counts(setup, cfg):
     return counts
 
 
-def random_cfgs(knobs, **common):
-    """One config per (margins, q) knob, every other field from ``common``."""
-    return [PpvConfig(margins=dict(zip(KINDS, m)), q=q, **common) for m, q in knobs]
+def random_points(knobs):
+    """The (margins, q) point arrays of (margins, q) knobs, margins in KINDS order."""
+    return (np.array([m for m, _ in knobs], dtype=float),
+            np.array([q for _, q in knobs], dtype=float))
 
 
 @settings(max_examples=25, deadline=None)
@@ -637,41 +653,33 @@ def random_cfgs(knobs, **common):
 )
 def test_error_counts_match_reference_evaluator(name, knobs, det, ties, clock, distribution,
                                                 n_chips, n_messages, batch, seed):
-    # the configs of one call share their accounting and clock model
+    # the points of one call share one config's accounting and clock model
     setup = make_setup(name)
-    cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties, clock_faults=clock,
-                       distribution=distribution, n_chips=n_chips, n_messages=n_messages,
-                       master_seed=seed)
+    cfg = PpvConfig(count_detected_errors=det, tie_break=ties, clock_faults=clock,
+                    distribution=distribution, n_chips=n_chips, n_messages=n_messages,
+                    master_seed=seed)
+    margins, q = random_points(knobs)
     with mock.patch.object(ppv, "_BATCH", batch):
-        many = _error_counts_many(setup, cfgs)
-    for row, cfg in zip(many, cfgs):
-        assert row.tolist() == reference_counts(setup, cfg)
+        many = _error_counts_many(setup, cfg, margins, q)
+    for row, one in zip(many, at_points(cfg, margins, q)):
+        assert row.tolist() == reference_counts(setup, one)
 
 
 def test_error_counts_match_reference_beyond_one_pass():
-    # 12 configs x 26 chips = 312 rows: more than one 250-row engine pass,
+    # 12 points x 26 chips = 312 rows: more than one 250-row engine pass,
     # once under each accounting and clock model
     rng = np.random.default_rng(4)
     knobs = [(rng.uniform(0.12, 0.2, 4), float(rng.uniform())) for _ in range(12)]
+    margins, q = random_points(knobs)
     setup = make_setup("rm13")
     for det, ties, clock in ((True, TIE_CONSERVATIVE, True), (False, TIE_OPTIMISTIC, False),
                              (True, TIE_OPTIMISTIC, False), (False, TIE_CONSERVATIVE, True)):
-        cfgs = random_cfgs(knobs, count_detected_errors=det, tie_break=ties,
-                           clock_faults=clock, n_chips=26, n_messages=9, master_seed=5)
-        many = _error_counts_many(setup, cfgs)
-        for row, cfg in zip(many, cfgs):
-            assert row.tolist() == reference_counts(setup, cfg)
+        cfg = PpvConfig(count_detected_errors=det, tie_break=ties, clock_faults=clock,
+                        n_chips=26, n_messages=9, master_seed=5)
+        many = _error_counts_many(setup, cfg, margins, q)
+        for row, one in zip(many, at_points(cfg, margins, q)):
+            assert row.tolist() == reference_counts(setup, one)
         assert many.sum() > 0
-
-
-def test_many_configs_need_shared_chip_material():
-    # one chip draw, one accounting table and one clock model per call
-    setup = make_setup("rm13")
-    for differ in ({"n_chips": 4}, {"count_detected_errors": False},
-                   {"tie_break": TIE_OPTIMISTIC}, {"clock_faults": False}):
-        other = PpvConfig(**{"n_chips": 3, **differ})
-        with pytest.raises(ValueError, match="must share"):
-            _error_counts_many(setup, [PpvConfig(n_chips=3), other])
 
 
 def test_calibration_matches_one_config_at_a_time(monkeypatch):
@@ -679,12 +687,28 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
     shared = calibrate_fault_model(base=base, search_chips=10, refine_chips=20)
     many = ppv._error_counts_many
 
-    def one_at_a_time(setup, cfgs, materials=None):
-        # what error_counts computes, one config per call on chips drawn afresh
-        return np.stack([many(setup, [cfg])[0] for cfg in cfgs])
+    def one_at_a_time(setup, cfg, margins, q, materials=None):
+        # what error_counts computes, one point per call on chips drawn afresh
+        return np.stack([many(setup, cfg, margins[i:i + 1], q[i:i + 1])[0]
+                         for i in range(len(q))])
 
     monkeypatch.setattr(ppv, "_error_counts_many", one_at_a_time)
     assert calibrate_fault_model(base=base, search_chips=10, refine_chips=20) == shared
+
+
+@pytest.mark.parametrize("stage", ppv._STAGES, ids=[stage[0] for stage in ppv._STAGES])
+def test_neighbours_of_the_origin_are_the_stage_grid(stage):
+    # the grid a stage ranks: every product of its factors times spread, q fastest
+    _, _, axes, q_grid, _, _ = stage
+    origin = PpvConfig(margins=dict.fromkeys(KINDS, 0.0), q=1.0)
+    margins, q = ppv._neighbours(origin, [(kinds, factors) for kinds, factors, _ in axes],
+                                 q_grid)
+    want = []
+    for move in product(*(factors for _, factors, _ in axes)):
+        factor = {k: f for (kinds, _, _), f in zip(axes, move) for k in kinds}
+        want += [([factor[k] * origin.spread for k in KINDS], qf) for qf in q_grid]
+    assert margins.tolist() == [m for m, _ in want]
+    assert q.tolist() == [qf for _, qf in want]
 
 
 ORDERED = dict(zip(ppv.SETUP_NAMES, (0.8, 0.867, 0.898, 0.927)))
@@ -740,9 +764,9 @@ def test_calibration_scores_no_more_chips_than_the_final_rescore(monkeypatch):
     # a 6-chip calibration polished every candidate at the default 500 chips
     many = ppv._error_counts_many
 
-    def capped(setup, cfgs, materials=None):
-        assert max(cfg.n_chips for cfg in cfgs) <= 6
-        return many(setup, cfgs, materials)
+    def capped(setup, cfg, margins, q, materials=None):
+        assert cfg.n_chips <= 6
+        return many(setup, cfg, margins, q, materials)
 
     monkeypatch.setattr(ppv, "_error_counts_many", capped)
     calibrate_fault_model(base=PpvConfig(n_chips=6, n_messages=20), search_chips=20)
@@ -754,6 +778,12 @@ def test_calibration_rejects_bad_chip_counts(which, count):
     with pytest.raises(ValueError, match="n_chips"):
         calibrate_fault_model(base=PpvConfig(n_chips=4),
                               **{"search_chips": 2, "refine_chips": 2, which: count})
+
+
+def test_calibration_rejects_a_base_that_is_not_a_config():
+    # a dict raised TypeError from dataclasses.replace
+    with pytest.raises(ValueError, match="base must be a PpvConfig"):
+        calibrate_fault_model(base={"n_chips": 4}, search_chips=2, refine_chips=2)
 
 
 @pytest.mark.parametrize("rounds", [-1, 1.5, True, "2"])
@@ -874,7 +904,7 @@ def test_engine_matches_cycle_simulator_fault_free(name, msgs, q, seed):
     dev = rng.uniform(-0.2, 0.2, eng.n_cells)
     branch = rng.integers(0, 2, (1, eng.n_splitters))
     fires = (rng.random((eng.n_cells, len(msgs))) < q) & (
-        np.abs(dev) > cfg._kind_margins[eng.kind_code])[:, None]
+        np.abs(dev) > [cfg.margins.get(k, np.inf) for k in eng.prog.kinds])[:, None]
     mis = np.packbits(fires[:, None, :], axis=-1)
     packed = np.packbits(msgs.T[:, None, :], axis=-1)
     received = evaluate(eng.prog, packed, mis, branch)

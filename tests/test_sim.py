@@ -283,6 +283,23 @@ def test_timeline_rejects_non_finite_clock_or_epoch(clock_ghz, epoch_ns):
         to_timeline(res, clock_ghz, epoch_ns)
 
 
+@pytest.mark.parametrize("clock_ghz, epoch_ns, name", [("5", 0.0, "clock_ghz"),
+                                                      (5.0, "0", "epoch_ns")])
+def test_timeline_rejects_a_clock_or_epoch_that_is_not_a_number(clock_ghz, epoch_ns, name):
+    # a string raised TypeError from np.isfinite
+    res = run_messages(encoder("hamming74")[0], [np.zeros(4, dtype=np.uint8)])
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        to_timeline(res, clock_ghz, epoch_ns)
+
+
+@pytest.mark.parametrize("cycles", [-1, 1.5, True])
+def test_simulate_rejects_cycles_that_are_not_a_count(cycles):
+    # -1 failed in numpy ("negative dimensions"), 1.5 and True raised TypeError
+    net = encoder("hamming74")[0]
+    with pytest.raises(ValueError, match="cycles must be a non-negative integer"):
+        simulate(net, np.zeros((1, 4), dtype=np.uint8), cycles=cycles)
+
+
 def test_timeline_rejects_ids_that_do_not_match_the_outputs():
     # a flat row layout would pair every later bit with the wrong id
     res = SimResult(outputs=np.zeros((3, 4), dtype=np.uint8), latency=0,
