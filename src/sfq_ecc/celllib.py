@@ -254,4 +254,7 @@ def read_library(path) -> CellLibrary:
             )
         except KeyError as e:
             raise LibraryParseError(f"{path}: missing entry {e.args[0]}") from e
-    return CellLibrary(kinds=kinds)
+    try:
+        return CellLibrary(kinds=kinds)
+    except ValueError as e:
+        raise LibraryParseError(f"{path}: {e}") from e

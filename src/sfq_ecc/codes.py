@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import takewhile
 from math import comb
 
 import numpy as np
@@ -390,23 +391,16 @@ def capability_summary(code: LinearCode) -> CapabilitySummary:
     optimist = [analyze_patterns(code, CORRECT, t, tie_break=TIE_OPTIMISTIC)
                 for t in range(code.n + 1)]
 
-    def largest(pred) -> int:
-        t = 0
-        while t + 1 <= code.n and pred(t + 1):
-            t += 1
-        return t
+    def prefix(rows, ok) -> int:
+        """How many weights from 1 up satisfy ``ok`` in a row."""
+        return len(list(takewhile(ok, rows[1:])))
 
-    guaranteed_detect = largest(
-        lambda t: all(detect[w].undetected == 0 for w in range(1, t + 1)))
-    guaranteed_correct = largest(
-        lambda t: all(correct[w].corrected == correct[w].total for w in range(1, t + 1)))
-    correct_mode_safe = largest(
-        lambda t: all(correct[w].undetected == 0 and correct[w].miscorrected == 0
-                      for w in range(1, t + 1)))
-    partial_detect = 0
-    for t in range(1, code.n + 1):
-        if all(detect[w].undetected == 0 for w in range(1, t)) and detect[t].detected > 0:
-            partial_detect = t
+    guaranteed_detect = prefix(detect, lambda r: r.undetected == 0)
+    guaranteed_correct = prefix(correct, lambda r: r.corrected == r.total)
+    correct_mode_safe = prefix(correct, lambda r: r.undetected == 0 and r.miscorrected == 0)
+    # some pattern detected, at no weight above the first with an undetected pattern
+    partial_detect = max((t for t in range(1, min(guaranteed_detect + 1, code.n) + 1)
+                          if detect[t].detected > 0), default=0)
     opportunistic_correct = max(
         (t for t in range(1, code.n + 1) if optimist[t].corrected > 0), default=0)
 

@@ -17,8 +17,10 @@ synthesis runs of the same code diff cleanly.
 
 from __future__ import annotations
 
+import graphlib
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 XOR = "XOR"
@@ -86,19 +88,10 @@ class Netlist:
 
     def counts(self) -> dict:
         """Cell tally by kind, with splitters split into data/clock roles."""
-        out = dict.fromkeys(CELL_KINDS, 0)
-        data_spl = clock_spl = 0
-        for c in self.cells.values():
-            if c.kind in out:
-                out[c.kind] += 1
-            if c.kind == SPLITTER:
-                if c.role == "clock":
-                    clock_spl += 1
-                else:
-                    data_spl += 1
-        out["data_splitters"] = data_spl
-        out["clock_splitters"] = clock_spl
-        return out
+        kinds = Counter(c.kind for c in self.cells.values())
+        clock_spl = sum(c.kind == SPLITTER and c.role == "clock" for c in self.cells.values())
+        return {**{k: kinds[k] for k in CELL_KINDS},
+                "data_splitters": kinds[SPLITTER] - clock_spl, "clock_splitters": clock_spl}
 
     def clocked_cells(self):
         return [c.id for c in self.cells.values() if c.kind in CLOCKED_KINDS]
@@ -194,11 +187,12 @@ class Program:
 
     Cells are numbered in ``net.cells`` insertion order.  Output port ``p``
     of cell ``i`` is slot ``2 * i + p``.  ``order`` lists every cell after
-    the cells driving its data and clock pins, level by level, so one pass
-    in that order evaluates the whole netlist.  A clock splitter's parent
-    branch is its data driver; ``clock`` holds the slot on each clocked
-    cell's clock pin, which only the ``clock_tree`` cells drive.  Programs
-    are shared between equal netlists and compare by identity.
+    the cells driving its data and clock pins, level by level as
+    ``graphlib.TopologicalSorter`` hands them out, so one pass in that order
+    evaluates the whole netlist.  A clock splitter's parent branch is its
+    data driver; ``clock`` holds the slot on each clocked cell's clock pin,
+    which only the ``clock_tree`` cells drive.  Programs are shared between
+    equal netlists and compare by identity.
     """
 
     cell_ids: tuple  # cell index -> id
@@ -284,32 +278,13 @@ def _compile(net: Netlist) -> Program:
         raise StructuralError(f"clock {net.clock!r} is not a CLOCK_INPUT cell")
     drivers = tuple(tuple(p[pin] for pin in range(len(p))) for p in pins)
 
-    # levelize: a cell joins the level after the last of its drivers
-    deps = [[slot >> 1 for slot in srcs] + ([clock[i] >> 1] if clock[i] is not None else [])
-            for i, srcs in enumerate(drivers)]
-    sinks = [[] for _ in ids]
-    for i, ds in enumerate(deps):
-        for d in ds:
-            sinks[d].append(i)
-    pending = [len(ds) for ds in deps]
-    order = []
-    level = [i for i in range(len(ids)) if not pending[i]]
-    while level:
-        order += level
-        nxt = []
-        for i in level:
-            for j in sinks[i]:
-                pending[j] -= 1
-                if not pending[j]:
-                    nxt.append(j)
-        level = nxt
-    if len(order) < len(ids):
-        # walk back through unscheduled drivers until a cell repeats
-        i, seen = next(j for j, p in enumerate(pending) if p), set()
-        while i not in seen:
-            seen.add(i)
-            i = next(d for d in deps[i] if pending[d])
-        raise StructuralError(f"cycle through {ids[i]}")
+    # levelize: graphlib hands out a level once every driver of it is done
+    deps = {i: [slot >> 1 for slot in srcs] + ([clock[i] >> 1] if clock[i] is not None else [])
+            for i, srcs in enumerate(drivers)}
+    try:
+        order = tuple(graphlib.TopologicalSorter(deps).static_order())
+    except graphlib.CycleError as e:
+        raise StructuralError("cycle through " + " -> ".join(ids[i] for i in e.args[1])) from e
 
     # clocked depth (converging paths must agree: the balance check) and the clock tree
     depth = [0] * len(ids)
@@ -334,8 +309,7 @@ def _compile(net: Netlist) -> Program:
     out_depths = {depth[index[o]] for o in net.outputs}
     if len(out_depths) > 1:
         raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
-    return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock),
-                   order=tuple(order),
+    return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock), order=order,
                    inputs=tuple(index[cid] for cid in net.inputs),
                    outputs=tuple(index[cid] for cid in net.outputs),
                    splitters=tuple(i for i, k in enumerate(kinds) if k == SPLITTER),

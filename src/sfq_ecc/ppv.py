@@ -594,9 +594,11 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     base = base if base is not None else PpvConfig()
     if not isinstance(base, PpvConfig):
         raise ValueError(f"base must be a PpvConfig, got {base!r}")
-    # no stage scores more chips than the final re-score; replace() checks each count
-    search_chips, refine_chips = (min(replace(base, n_chips=n).n_chips, base.n_chips)
-                                  for n in (search_chips, refine_chips))
+    for name, n in (("search_chips", search_chips), ("refine_chips", refine_chips)):
+        if _require_int(name, n) < 1:
+            raise ValueError(f"{name} must be at least 1, got {n!r}")
+    # no stage scores more chips than the final re-score
+    search_chips, refine_chips = min(search_chips, base.n_chips), min(refine_chips, base.n_chips)
     setups = [make_setup(name) for name in SETUP_NAMES]
     # every scored config shares base's chip material: each chip is drawn once per setup
     materials = {s.name: [] for s in setups}

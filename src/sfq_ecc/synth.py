@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -113,10 +114,8 @@ def build_dag(forms) -> XorDag:
         counts = Counter()
         for s in term_sets:
             raw = sorted(t[1] for t in s if t[0] == "m")
-            if len(s) == 3 and len(raw) >= 2:
-                for i in range(len(raw)):
-                    for j in range(i + 1, len(raw)):
-                        counts[(raw[i], raw[j])] += 1
+            if len(s) == 3:
+                counts.update(combinations(raw, 2))
         if not counts:
             break
         best = max(counts.values())

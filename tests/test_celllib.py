@@ -139,6 +139,16 @@ def test_library_parse_error_carries_line(tmp_path):
         read_library(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "inf", "11.5"])
+def test_library_bad_value_names_the_file(tmp_path, value):
+    # CellLibrary's bare ValueError named no file
+    path = tmp_path / "cells.cfg"
+    write_library(default_library(), path)
+    path.write_text(path.read_text().replace("XOR.jj = 11\n", f"XOR.jj = {value}\n"))
+    with pytest.raises(LibraryParseError, match="cells.cfg: .*XOR"):
+        read_library(path)
+
+
 def test_library_missing_kind(tmp_path):
     path = tmp_path / "partial.cfg"
     path.write_text("XOR.jj = 11\nXOR.power_uW = 1\nXOR.area_mm2 = 0.01\n")

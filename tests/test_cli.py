@@ -336,6 +336,12 @@ def test_calibrate_unreachable_targets_flagged(tmp_path):
     assert not doc["converged"]  # config still written, with a warning
 
 
+def test_calibrate_defaults_reproduce_the_shipped_calibration(tmp_path):
+    shipped = Path(ppv.__file__).parent / "data" / "ppv_calibrated.json"
+    assert run(["calibrate", "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "ppv_calibrated.json").read_bytes() == shipped.read_bytes()
+
+
 def test_calibrate_rejects_negative_refine_rounds(tmp_path):
     assert run(["calibrate", "--refine-rounds", "-1", "--chips", "40",
                 "--search-chips", "30", "--out", str(tmp_path)]) == EXIT_VALIDATION

@@ -775,7 +775,7 @@ def test_calibration_scores_no_more_chips_than_the_final_rescore(monkeypatch):
 @pytest.mark.parametrize("count", [0, 2.5, True, "20"])
 @pytest.mark.parametrize("which", ["search_chips", "refine_chips"])
 def test_calibration_rejects_bad_chip_counts(which, count):
-    with pytest.raises(ValueError, match="n_chips"):
+    with pytest.raises(ValueError, match=which):
         calibrate_fault_model(base=PpvConfig(n_chips=4),
                               **{"search_chips": 2, "refine_chips": 2, which: count})
 

@@ -19,7 +19,7 @@ from sfq_ecc.sim import (
     to_timeline,
     verify_equivalence,
 )
-from sfq_ecc.ppv import baseline_no_encoder
+from sfq_ecc.ppv import SETUP_NAMES, baseline_no_encoder, make_setup
 from sfq_ecc.synth import synthesize
 
 
@@ -215,8 +215,18 @@ def test_cycle_is_reported():
     net.add_cell("o0", nl.SFQ2DC)
     net.connect("s0", "o0", src_port=1)
     net.outputs = ["o0"]
-    with pytest.raises(StructuralError, match="cycle through"):
+    with pytest.raises(StructuralError, match="cycle through (x0 -> s0 -> x0|s0 -> x0 -> s0)"):
         net.validate()
+
+
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_program_order_puts_drivers_first(name):
+    prog = nl.compile(make_setup(name).netlist)
+    assert sorted(prog.order) == list(range(len(prog.cell_ids)))
+    at = {cell: pos for pos, cell in enumerate(prog.order)}
+    for i, slots in enumerate(prog.drivers):
+        clock = () if prog.clock[i] is None else (prog.clock[i],)
+        assert all(at[slot >> 1] < at[i] for slot in (*slots, *clock))
 
 
 def test_unbalanced_netlist_fails_before_simulation():
