@@ -35,7 +35,7 @@ from sfq_ecc.netlist import Netlist, StructuralError
 from sfq_ecc.synth import synthesize
 from sfq_ecc.sim import latency, simulate, to_timeline, verify_equivalence
 from sfq_ecc.celllib import CellLibrary, calibrate_library, cost_report
-from sfq_ecc.ppv import PpvConfig, baseline_no_encoder, monte_carlo
+from sfq_ecc.ppv import PpvConfig, monte_carlo, no_encoder
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "PpvConfig",
     "StructuralError",
     "analyze_patterns",
-    "baseline_no_encoder",
     "bits",
     "bitstr",
     "boolean_forms",
@@ -61,6 +60,7 @@ __all__ = [
     "latency",
     "make_code",
     "monte_carlo",
+    "no_encoder",
     "simulate",
     "synthesize",
     "to_timeline",

@@ -1,0 +1,55 @@
+"""Argument rules shared by the package.
+
+Each rule returns its value unchanged when it holds and otherwise raises
+``ValueError`` naming the argument.  Ranges other than a lower bound stay
+with the caller.
+"""
+
+from __future__ import annotations
+
+import numbers
+import sys
+from collections.abc import Mapping
+
+
+def number(name: str, v):
+    """``v`` if it is a finite real number, not a bool.
+
+    Compared before any conversion, so an integer too large for a float is
+    rejected as infinite rather than raising ``OverflowError``.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def integer(name: str, v, low: int):
+    """``v`` if it is an integer, not a bool, of at least ``low``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+        what = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
+
+
+def one_of(what: str, v, choices):
+    """``v`` if it is one of ``choices``."""
+    if v not in choices:
+        raise ValueError(f"unknown {what} {v!r}; expected one of {', '.join(choices)}")
+    return v
+
+
+def exact_keys(what: str, mapping, names, noun: str):
+    """``mapping`` if it is a mapping keyed by exactly ``names``.
+
+    Otherwise the error names the first unknown key (by ``str``) or, with
+    none unknown, the first missing one in ``names`` order.
+    """
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"{what} must map each {noun} to a value, got {mapping!r}")
+    odd = sorted(set(mapping) - set(names), key=str) or [n for n in names if n not in mapping]
+    if odd:
+        raise ValueError(f"{what} must name exactly {', '.join(names)}; "
+                         f"{'missing' if odd[0] in names else 'unknown'} {noun} {odd[0]!r}")
+    return mapping

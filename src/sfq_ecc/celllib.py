@@ -11,13 +11,12 @@ exact solution and shipped as editable defaults rather than truth.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from sfq_ecc import _checks
 from sfq_ecc.netlist import CELL_KINDS, Netlist
 
 
@@ -40,28 +39,22 @@ class CellKindCost:
 class CellLibrary:
     """Per-kind costs for the four priced cell kinds.
 
-    Each cost is a real number, not a bool, compared before any conversion
-    (the rule of :func:`_encoder_rows`), so every bad value, even an integer
-    too large for a float, raises ``ValueError``.
+    Each cost is a positive finite real number, not a bool (the number rule
+    of :mod:`sfq_ecc._checks`), so every bad value, even an integer too
+    large for a float, raises ``ValueError`` naming the cost and its kind.
     """
 
     kinds: dict
 
     def __post_init__(self):
-        kinds = dict(self.kinds)
-        unknown = sorted(set(kinds) - set(CELL_KINDS), key=str)
-        if unknown:
-            raise ValueError(f"library names unknown cell kind {unknown[0]!r}; expected "
-                             f"{', '.join(CELL_KINDS)}")
+        kinds = dict(_checks.exact_keys("library", self.kinds, CELL_KINDS, "cell kind"))
         for kind in CELL_KINDS:
-            if kind not in kinds:
-                raise ValueError(f"library is missing kind {kind}")
             c = kinds[kind]
             if not isinstance(c, CellKindCost):
                 raise ValueError(f"costs for {kind} must be a CellKindCost, got {c!r}")
-            if not all(not isinstance(v, bool) and isinstance(v, numbers.Real)
-                       and 0 < v <= sys.float_info.max for v in (c.jj, c.power_uW, c.area_mm2)):
-                raise ValueError(f"costs for {kind} must be positive and finite: {c}")
+            for name, v in (("jj", c.jj), ("power_uW", c.power_uW), ("area_mm2", c.area_mm2)):
+                if not _checks.number(f"{name} for {kind}", v) > 0:
+                    raise ValueError(f"{name} for {kind} must be positive, got {v!r}")
             if not float(c.jj).is_integer():
                 raise ValueError(f"jj count for {kind} must be integral: {c.jj}")
             kinds[kind] = replace(c, jj=int(c.jj))
@@ -110,19 +103,18 @@ def _encoder_rows(rows, total: str, integers: bool) -> list:
     """``rows`` as a list, each a tuple, list or array of five finite numbers.
 
     With ``integers`` the numbers must be integral too.  Anything else
-    raises ValueError naming the row and its ``total`` column.  Magnitudes
-    are compared before any conversion, so an integer too large for a
-    float is rejected rather than raising ``OverflowError``.
+    raises ValueError naming the row (and, for a row of the wrong shape,
+    its ``total`` column).
     """
     rows = list(rows)
     for r in rows:
-        if (not isinstance(r, (tuple, list, np.ndarray)) or len(r) != 5
-                or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                       or not abs(v) <= sys.float_info.max
-                       or integers and not float(v).is_integer() for v in r)):
-            what = "integers" if integers else "finite numbers"
-            raise ValueError(f"an encoder row is five {what} (xor, dff, splitter, converter, "
+        if not isinstance(r, (tuple, list, np.ndarray)) or len(r) != 5:
+            raise ValueError(f"an encoder row is five numbers (xor, dff, splitter, converter, "
                              f"{total}_total), got {r!r}")
+        for v in r:
+            _checks.number(f"a value of encoder row {r!r}", v)
+            if integers and not float(v).is_integer():
+                raise ValueError(f"a value of encoder row {r!r} must be an integer, got {v!r}")
     return rows
 
 
@@ -175,8 +167,7 @@ def fit_unit_costs(rows=None, column: str = "power"):
     converter, total) rows of finite numbers; any other input raises
     ``ValueError`` naming the offending row.
     """
-    if column not in ("power", "area"):
-        raise ValueError(f"column must be 'power' or 'area', got {column!r}")
+    _checks.one_of("column", column, ("power", "area"))
     if rows is None:
         idx = 5 if column == "power" else 6
         rows = [(t[0], t[1], t[2], t[3], t[idx]) for t in TABLE_TOTALS.values()]

@@ -48,7 +48,7 @@ def _outdir(args) -> Path:
 
 
 def _library(args) -> celllib.CellLibrary:
-    if getattr(args, "library", None):
+    if args.library is not None:
         return celllib.read_library(args.library)
     ref = resources.files("sfq_ecc").joinpath("data/cell_library.cfg")
     with resources.as_file(ref) as path:
@@ -166,7 +166,7 @@ def _overridden(cfg: ppv.PpvConfig, args) -> ppv.PpvConfig:
 
 
 def _load_ppv_config(args) -> ppv.PpvConfig:
-    if args.config:
+    if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
         cfg = ppv.PpvConfig.from_dict(doc.get("config", doc) if isinstance(doc, dict) else doc)
     else:
@@ -221,7 +221,7 @@ def cmd_mc(args) -> int:
 
 def cmd_calibrate(args) -> int:
     targets = dict(ppv.CALIBRATION_TARGETS)
-    if args.targets:
+    if args.targets is not None:
         vals = [float(v) for v in args.targets.split(",")]
         if len(vals) != len(ppv.SETUP_NAMES):
             raise ValueError(f"expected {len(ppv.SETUP_NAMES)} targets "

@@ -24,12 +24,13 @@ same table, never hard-coded.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import takewhile
 from math import comb
 
 import numpy as np
+
+from sfq_ecc import _checks
 
 CODE_NAMES = ("hamming74", "hamming84", "rm13")
 
@@ -172,12 +173,12 @@ class LinearCode:
         the nearest codeword unless it is tied; a code that resolves ties
         delivers the lowest-index tied one under ``optimistic``.
         """
-        if tie_break not in TIE_POLICIES:
-            raise ValueError(f"unknown tie_break {tie_break!r}; expected one of "
-                             f"{', '.join(TIE_POLICIES)}")
-        if mode not in (DETECT_ONLY, CORRECT):
-            raise ValueError(f"unknown decode mode {mode!r}")
-        return self._decode_tables[mode, tie_break]
+        try:
+            return self._decode_tables[mode, tie_break]
+        except (KeyError, TypeError):  # the keys are exactly the valid pairs
+            _checks.one_of("tie_break", tie_break, TIE_POLICIES)
+            _checks.one_of("decode mode", mode, (DETECT_ONLY, CORRECT))
+            raise
 
     @property
     def is_perfect(self) -> bool:
@@ -196,15 +197,14 @@ def make_code(name: str) -> LinearCode:
     close codewords, where the parity-plus-syndrome decoder of hamming84
     never does.
     """
+    _checks.one_of("code", name, CODE_NAMES)
     if name == "hamming84":
         return LinearCode(name, _G_HAMMING84)
     if name == "hamming74":
         return LinearCode(name, _G_HAMMING84[:, :7])
-    if name == "rm13":
-        points = [((p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(8)]
-        G = np.array([[1] * 8] + [[pt[i] for pt in points] for i in range(3)], dtype=np.uint8)
-        return LinearCode(name, G, resolves_ties=True)
-    raise ValueError(f"unknown code {name!r}; expected one of {', '.join(CODE_NAMES)}")
+    points = [((p >> 2) & 1, (p >> 1) & 1, p & 1) for p in range(8)]
+    G = np.array([[1] * 8] + [[pt[i] for pt in points] for i in range(3)], dtype=np.uint8)
+    return LinearCode(name, G, resolves_ties=True)
 
 
 def encode(code: LinearCode, message) -> np.ndarray:
@@ -304,9 +304,7 @@ def analyze_patterns(code: LinearCode, mode: str, weight: int,
     tie-break is index-based and therefore not translation invariant: its
     counts are a best-case construct evaluated on the given codeword.
     """
-    if isinstance(weight, bool) or not isinstance(weight, numbers.Integral):
-        raise ValueError(f"weight must be an integer, got {weight!r}")
-    if not 0 <= weight <= code.n:
+    if _checks.integer("weight", weight, 0) > code.n:
         raise ValueError(f"weight {weight} out of range 0..{code.n}")
     sent = np.zeros(code.n, dtype=np.uint8) if base_codeword is None else bits(base_codeword)
     sent_idx = code.message_of(sent)

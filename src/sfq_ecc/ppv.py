@@ -17,7 +17,7 @@ A trial sends ``n_messages`` random messages through the faulted encoder and
 correct-mode decoding and counts wrong deliveries; repeating over
 ``n_chips`` independent chips yields the CDF of erroneous-message counts.
 All randomness derives from (master_seed, chip_index), so results are
-bit-identical regardless of execution order, batch size or worker count.
+bit-identical regardless of execution order or batch size.
 
 Each chip draws from its own PCG64 stream in a fixed order: one deviation
 per cell, one branch per splitter, the (n_messages, k) message bits, then
@@ -43,8 +43,6 @@ share it; a single chip is a batch of one.  A config with
 
 from __future__ import annotations
 
-import numbers
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
@@ -52,6 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from sfq_ecc import _checks
 from sfq_ecc import netlist as nl
 from sfq_ecc.codes import (
     CORRECT,
@@ -82,28 +81,10 @@ _BATCH = 250  # chips drawn at once, and the row cap of one engine pass
 _PCG64_PERIOD = 2**128  # a named constant: CPython does not fold a power this large
 
 
-def _require_number(name: str, value):
-    """``value`` if it is a real number (not a bool), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _require_int(name: str, value):
-    """``value`` if it is an integer (not a bool), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _margin(kind, value) -> float:
-    """``value`` as a float if it is a finite non-negative number, else ValueError.
-
-    Compared before conversion, so an integer too large for a float is
-    rejected as infinite rather than raising ``OverflowError``.
-    """
-    if not 0 <= _require_number(f"margin of {kind}", value) <= sys.float_info.max:
-        raise ValueError(f"margin of {kind} must be finite and non-negative, got {value!r}")
+    """``value`` as a float if it is a finite non-negative number, else ValueError."""
+    if _checks.number(f"margin of {kind}", value) < 0:
+        raise ValueError(f"margin of {kind} must be non-negative, got {value!r}")
     return float(value)
 
 
@@ -135,36 +116,22 @@ class PpvConfig:
 
     def __post_init__(self):
         for name in ("spread", "q"):
-            _require_number(name, getattr(self, name))
-        for name in ("master_seed", "n_chips", "n_messages"):
-            _require_int(name, getattr(self, name))
+            _checks.number(name, getattr(self, name))
+        for name, low in (("master_seed", 0), ("n_chips", 1), ("n_messages", 1)):
+            _checks.integer(name, getattr(self, name), low)
         for name in ("count_detected_errors", "clock_faults"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not isinstance(self.margins, Mapping):
-            raise ValueError(f"margins must map cell kind to margin, got {self.margins!r}")
         if not 0 < self.spread <= 1:
             raise ValueError("spread must be in (0, 1]")
         if not 0 <= self.q <= 1:
             raise ValueError("q must be in [0, 1]")
-        if self.distribution not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.n_chips < 1 or self.n_messages < 1:
-            raise ValueError("n_chips and n_messages must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        if self.tie_break not in TIE_POLICIES:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}; expected one of "
-                             f"{', '.join(TIE_POLICIES)}")
-        object.__setattr__(self, "margins", MappingProxyType(dict(self.margins)))
+        _checks.one_of("distribution", self.distribution, ("uniform", "gaussian"))
+        _checks.one_of("tie_break", self.tie_break, TIE_POLICIES)
+        margins = _checks.exact_keys("margins", self.margins, CELL_KINDS, "cell kind")
+        object.__setattr__(self, "margins", MappingProxyType(dict(margins)))
         for kind in CELL_KINDS:
-            if kind not in self.margins:
-                raise ValueError(f"margins missing kind {kind}")
             _margin(kind, self.margins[kind])
-        unknown = sorted(set(self.margins) - set(CELL_KINDS), key=str)
-        if unknown:
-            raise ValueError(f"margins name unknown cell kind {unknown[0]!r}; expected "
-                             f"{', '.join(CELL_KINDS)}")
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -195,29 +162,16 @@ class EncoderSetup:
     code: LinearCode
 
 
-def baseline_no_encoder() -> Netlist:
-    """Uncoded channel: one SFQ-to-DC converter per line of a 4-bit message, no clock."""
-    net = Netlist(name="no_encoder")
-    for i in range(4):
-        net.add_cell(f"m{i + 1}", nl.INPUT)
-    net.inputs = [f"m{i + 1}" for i in range(4)]
-    outs = []
-    for i in range(4):
-        conv = net.add_cell(f"o{i}", nl.SFQ2DC)
-        net.connect(f"m{i + 1}", conv)
-        outs.append(conv)
-    net.outputs = outs
-    net.validate()
-    return net
-
-
 def make_setup(name: str) -> EncoderSetup:
-    if name not in SETUP_NAMES:
-        raise ValueError(f"unknown setup {name!r}; expected one of {', '.join(SETUP_NAMES)}")
-    if name == "none":
-        return EncoderSetup(name, baseline_no_encoder(), LinearCode(name, np.eye(4)))
-    code = make_code(name)
+    _checks.one_of("setup", name, SETUP_NAMES)
+    # the uncoded channel is the identity code "no", which synthesizes to no_encoder
+    code = LinearCode("no", np.eye(4)) if name == "none" else make_code(name)
     return EncoderSetup(name, synthesize(code), code)
+
+
+def no_encoder() -> Netlist:
+    """Uncoded channel: one SFQ-to-DC converter per line of a 4-bit message, no clock."""
+    return make_setup("none").netlist
 
 
 @dataclass(frozen=True)
@@ -577,26 +531,19 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     stops once it has converged.  Each scoring call scores one config (the
     stage's accounting, one chip count) at many (margins, q) points.
     """
-    if _require_int("refine_rounds", refine_rounds) < 0:
-        raise ValueError(f"refine_rounds must be a non-negative integer: {refine_rounds!r}")
-    if not isinstance(targets, (Mapping, type(None))):
-        raise ValueError(f"targets must map configuration name to probability: {targets!r}")
-    targets = dict(CALIBRATION_TARGETS if targets is None else targets)
-    odd = sorted(set(targets) ^ set(SETUP_NAMES), key=str)
-    if odd:
-        raise ValueError(f"targets must name exactly {', '.join(SETUP_NAMES)}; "
-                         f"{odd[0]!r} is {'unknown' if odd[0] in targets else 'missing'}")
+    _checks.integer("refine_rounds", refine_rounds, 0)
+    targets = dict(_checks.exact_keys("targets", CALIBRATION_TARGETS if targets is None
+                                      else targets, SETUP_NAMES, "configuration"))
     for name, t in targets.items():
-        if not 0 <= _require_number(f"target for {name}", t) <= 1:
+        if not 0 <= _checks.number(f"target for {name}", t) <= 1:
             raise ValueError(f"target for {name} must be in [0, 1]: {t}")
     # the ordering constraint only applies when the targets are ordered
     require_order = ordered(targets)
     base = base if base is not None else PpvConfig()
     if not isinstance(base, PpvConfig):
         raise ValueError(f"base must be a PpvConfig, got {base!r}")
-    for name, n in (("search_chips", search_chips), ("refine_chips", refine_chips)):
-        if _require_int(name, n) < 1:
-            raise ValueError(f"{name} must be at least 1, got {n!r}")
+    _checks.integer("search_chips", search_chips, 1)
+    _checks.integer("refine_chips", refine_chips, 1)
     # no stage scores more chips than the final re-score
     search_chips, refine_chips = min(search_chips, base.n_chips), min(refine_chips, base.n_chips)
     setups = [make_setup(name) for name in SETUP_NAMES]

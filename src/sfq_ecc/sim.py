@@ -11,12 +11,11 @@ misfire masks for the fault injection of :mod:`sfq_ecc.ppv`.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from sfq_ecc import _checks
 from sfq_ecc import netlist as nl
 from sfq_ecc.codes import LinearCode
 from sfq_ecc.netlist import Netlist
@@ -95,9 +94,8 @@ def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     cycle ``t + latency`` and every other cycle is 0, exact for a validated
     netlist: it is balanced and every data path starts at an input.
     """
-    if cycles is not None and (isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral)
-                               or cycles < 0):
-        raise ValueError(f"cycles must be a non-negative integer, got {cycles!r}")
+    if cycles is not None:
+        _checks.integer("cycles", cycles, 0)
     prog = nl.compile(net)
     frames = message_frames(net, frames)
     if cycles is None:
@@ -164,15 +162,9 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     epoch that is not a finite number (a bool is not one), a clock that is
     not positive, or stamps that overflow the float range.
     """
-    for name, value in (("clock_ghz", clock_ghz), ("epoch_ns", epoch_ns)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    # compared before any conversion: an integer too large for a float is not finite
-    if not (abs(clock_ghz) <= sys.float_info.max and abs(epoch_ns) <= sys.float_info.max):
-        raise ValueError(f"clock frequency and epoch must be finite: {clock_ghz} GHz, "
-                         f"{epoch_ns} ns")
-    if clock_ghz <= 0:
+    if _checks.number("clock_ghz", clock_ghz) <= 0:
         raise ValueError("clock frequency must be positive")
+    _checks.number("epoch_ns", epoch_ns)
     frames = np.asarray(result.outputs)
     cycles, width = frames.shape
     if len(result.output_ids) != width:

@@ -157,23 +157,23 @@ def test_library_missing_kind(tmp_path):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (CellKindCost(0, 1.0, 1.0), "positive and finite"),
-    (CellKindCost(11.5, 1.0, 1.0), "integral"),
-    (CellKindCost(float("inf"), 1.0, 1.0), "positive and finite"),
-    (CellKindCost(1, float("nan"), 1.0), "positive and finite"),
-    (CellKindCost(1, 1.0, float("inf")), "positive and finite"),
+    (CellKindCost(0, 1.0, 1.0), "jj for DFF must be positive"),
+    (CellKindCost(11.5, 1.0, 1.0), "jj count for DFF must be integral"),
+    (CellKindCost(float("inf"), 1.0, 1.0), "jj for DFF must be finite"),
+    (CellKindCost(1, float("nan"), 1.0), "power_uW for DFF must be finite"),
+    (CellKindCost(1, 1.0, float("inf")), "area_mm2 for DFF must be finite"),
     # True was taken as jj=1; 10**400, "11" and a tuple raised OverflowError,
     # TypeError and AttributeError
-    (CellKindCost(True, 1.0, 1.0), "positive and finite"),
-    (CellKindCost(10**400, 1.0, 1.0), "positive and finite"),
-    (CellKindCost("11", 1.0, 1.0), "positive and finite"),
-    ((11, 1.0, 1.0), "a CellKindCost"),
+    (CellKindCost(True, 1.0, 1.0), "jj for DFF must be a number"),
+    (CellKindCost(10**400, 1.0, 1.0), "jj for DFF must be finite"),
+    (CellKindCost("11", 1.0, 1.0), "jj for DFF must be a number"),
+    ((11, 1.0, 1.0), "costs for DFF must be a CellKindCost"),
 ], ids=["zero_jj", "fractional_jj", "infinite_jj", "nan_power", "infinite_area",
         "bool_jj", "huge_jj", "string_jj", "tuple_costs"])
 def test_library_rejects_nonpositive(bad, message):
     kinds = {k: CellKindCost(1, 1.0, 1.0) for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC")}
     kinds["DFF"] = bad
-    with pytest.raises(ValueError, match=f"for DFF must be {message}"):
+    with pytest.raises(ValueError, match=message):
         CellLibrary(kinds=kinds)
 
 

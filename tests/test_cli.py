@@ -360,6 +360,14 @@ def test_calibrate_malformed_targets(tmp_path):
         == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [["mc", "--config", ""], ["synth", "hamming74", "--library", ""],
+                                  ["calibrate", "--targets", ""]], ids=["config", "library", "targets"])
+def test_empty_flag_value_is_an_error(tmp_path, argv):
+    # an empty value was taken for an absent flag: the shipped config, library or targets
+    assert run(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert not list(tmp_path.iterdir())
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("SFQ_ECC_OUT", str(tmp_path / "envout"))
     assert run(["codes", "rm13"]) == EXIT_OK

@@ -32,11 +32,11 @@ from sfq_ecc.ppv import (
     PpvConfig,
     _FaultEngine,
     _error_counts_many,
-    baseline_no_encoder,
     calibrate_fault_model,
     error_counts,
     make_setup,
     monte_carlo,
+    no_encoder,
     run_trial,
     sample_chip,
 )
@@ -146,11 +146,26 @@ def test_config_roundtrip():
 # --- baseline netlist ------------------------------------------------------------
 
 def test_baseline_composition():
-    net = baseline_no_encoder()
+    net = no_encoder()
     counts = net.counts()
     assert counts == {"XOR": 0, "DFF": 0, "SPLITTER": 0, "SFQ2DC": 4,
                       "data_splitters": 0, "clock_splitters": 0}
     assert net.depth() == 0
+
+
+# the digests perfbench's goldens pin: synthesis, the uncoded baseline and the
+# netlist JSON all feed them
+SETUP_HASHES = {
+    "none": "97290ca316d90062726825cb3c0f97a1c1899a6016d88b60236e547f3c8675a7",
+    "rm13": "c9ef965463a4ab8cc6948c2d36296480c32f9c4ad893df30ae94b6c16e73c54f",
+    "hamming74": "c5151117342574682829524aa6dfc4aca4a15a3b6e3220c1f36a827d28ab94cd",
+    "hamming84": "a462c13aa8c8aae879a95863eb10c5e11f99dfd6e5192af422867fde8ae58daa",
+}
+
+
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_setup_netlist_hashes_are_pinned(name):
+    assert make_setup(name).netlist.content_hash() == SETUP_HASHES[name]
 
 
 @pytest.mark.parametrize("name", ["baseline", "bogus"])

@@ -19,7 +19,7 @@ from sfq_ecc.sim import (
     to_timeline,
     verify_equivalence,
 )
-from sfq_ecc.ppv import SETUP_NAMES, baseline_no_encoder, make_setup
+from sfq_ecc.ppv import SETUP_NAMES, make_setup, no_encoder
 from sfq_ecc.synth import synthesize
 
 
@@ -31,7 +31,7 @@ def run_messages(net, messages, cycles=None):
 def encoder(name):
     """(netlist, generator) of a code's encoder; "none" is the uncoded wire."""
     if name == "none":
-        return baseline_no_encoder(), np.eye(4, dtype=np.uint8)
+        return no_encoder(), np.eye(4, dtype=np.uint8)
     code = make_code(name)
     return synthesize(code), code.G
 
