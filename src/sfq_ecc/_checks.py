@@ -1,8 +1,8 @@
 """Argument rules shared by the package.
 
 Each rule returns its value unchanged when it holds and otherwise raises
-``ValueError`` naming the argument.  Ranges other than a lower bound stay
-with the caller.
+``ValueError`` naming the argument.  Ranges other than a lower bound, or
+the cap on counts, stay with the caller.
 """
 
 from __future__ import annotations
@@ -25,11 +25,23 @@ def number(name: str, v):
     return v
 
 
+# The most chips, messages or cycles one run takes.  A larger count is named
+# here rather than by numpy's "Maximum allowed dimension exceeded".
+MAX_COUNT = 2**31 - 1
+
+
 def integer(name: str, v, low: int):
     """``v`` if it is an integer, not a bool, of at least ``low``."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
         what = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
         raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
+
+
+def count(name: str, v, low: int):
+    """``v`` if it is an integer, not a bool, from ``low`` to :data:`MAX_COUNT`."""
+    if integer(name, v, low) > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {v!r}")
     return v
 
 

@@ -47,8 +47,16 @@ def _outdir(args) -> Path:
     return out
 
 
+def _given(args, flag: str):
+    """The value of ``--flag``, or None when it is absent; an empty value is an error."""
+    value = getattr(args, flag, None)
+    if value == "":
+        raise ValueError(f"--{flag} is empty; give a value or leave the flag out")
+    return value
+
+
 def _library(args) -> celllib.CellLibrary:
-    if args.library is not None:
+    if _given(args, "library") is not None:
         return celllib.read_library(args.library)
     ref = resources.files("sfq_ecc").joinpath("data/cell_library.cfg")
     with resources.as_file(ref) as path:
@@ -166,7 +174,7 @@ def _overridden(cfg: ppv.PpvConfig, args) -> ppv.PpvConfig:
 
 
 def _load_ppv_config(args) -> ppv.PpvConfig:
-    if args.config is not None:
+    if _given(args, "config") is not None:
         doc = json.loads(Path(args.config).read_text())
         cfg = ppv.PpvConfig.from_dict(doc.get("config", doc) if isinstance(doc, dict) else doc)
     else:
@@ -221,7 +229,7 @@ def cmd_mc(args) -> int:
 
 def cmd_calibrate(args) -> int:
     targets = dict(ppv.CALIBRATION_TARGETS)
-    if args.targets is not None:
+    if _given(args, "targets") is not None:
         vals = [float(v) for v in args.targets.split(",")]
         if len(vals) != len(ppv.SETUP_NAMES):
             raise ValueError(f"expected {len(ppv.SETUP_NAMES)} targets "

@@ -19,15 +19,28 @@ correct-mode decoding and counts wrong deliveries; repeating over
 All randomness derives from (master_seed, chip_index), so results are
 bit-identical regardless of execution order or batch size.
 
-Each chip draws from its own PCG64 stream in a fixed order: one deviation
-per cell, one branch per splitter, the (n_messages, k) message bits, then
-a (cells, n_messages) block of misfire uniforms, row by row.  A chip's
-material is the first three and its generator, standing at the block; rows
-are drawn on demand, only those of cells faulty under the weakest margins
-being scored, moving between rows with ``bit_generator.advance``.  That is
-exact in both directions, because PCG64's period is 2**128 and
-``Generator.random`` consumes one 64-bit output per double, so material
-kept across calls (a calibration draws each chip once) serves any margins.
+Each chip draws 64-bit words from its own PCG64 stream, seeded with
+``SeedSequence((master_seed, chip_index))``, in a fixed layout: one word
+per cell for its deviation; then 32-bit halves, the low half of a word
+first, one per splitter for its branch, followed by the (n_messages, k)
+message bits, a byte each and four to a half; then, from the next whole
+word, a (cells, n_messages) block of misfire uniforms, row by row.  Two rules
+turn words into numbers exactly as ``Generator`` does.  A double is the
+top 53 bits of a word over 2**53 (``random``); a uniform deviation is
+``-spread + 2 * spread * double`` (``uniform``).  A bit is the top bit of
+its half for a branch and of its byte for a message bit: the bounded
+draws ``integers(0, 2)`` and ``integers(0, 2, dtype=uint8)``, which never
+reject at a range of 2.  Under ``gaussian`` the deviations come from
+``Generator.normal``, redrawn until all lie within the spread, and the
+words after them follow the same layout.
+
+A chip's material is its head, every word before the block, and its
+generator, standing at the block.  A batch of heads is decoded with one
+set of array operations; rows are drawn on demand, only those of cells
+faulty under the weakest margins being scored, moving between rows with
+``bit_generator.advance``.  That is exact in both directions, because
+PCG64's period is 2**128 and each uniform is one word, so material kept
+across calls (a calibration draws each chip once) serves any margins.
 
 One function, :func:`_received`, applies the fault model to a batch of chip
 material at every (margins, q) point of one config: it alone compares
@@ -117,8 +130,9 @@ class PpvConfig:
     def __post_init__(self):
         for name in ("spread", "q"):
             _checks.number(name, getattr(self, name))
-        for name, low in (("master_seed", 0), ("n_chips", 1), ("n_messages", 1)):
-            _checks.integer(name, getattr(self, name), low)
+        _checks.integer("master_seed", self.master_seed, 0)
+        for name in ("n_chips", "n_messages"):
+            _checks.count(name, getattr(self, name), 1)
         for name in ("count_detected_errors", "clock_faults"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -227,49 +241,75 @@ class _FaultEngine:
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
-    """All randomness of one chip, in a fixed draw order.
+    """All randomness of one chip: its head words and a misfire-row function.
 
-    Deviations, splitter branches, messages, then a (cells, n_messages)
-    block of misfire uniforms.  Returns the first three and a
-    :func:`_misfire_rows` function over the chip's generator, which stands at
+    The head is every word before the misfire block, in one ``random_raw``
+    call; under ``gaussian`` its first ``cells`` words are the bits of the
+    ``Generator.normal`` deviations.  The row function's generator stands at
     the start of the block.  Nothing drawn depends on margins or ``q``, so
     one material serves every (margins, q) point of a config.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chip_index)))
+    bitgen = np.random.PCG64(np.random.SeedSequence((cfg.master_seed, chip_index)))
+    # words after the deviations: a half per branch, then a half per four message bits
+    tail = (eng.n_splitters + -(-cfg.n_messages * len(eng.net.inputs) // 4) + 1) // 2
     if cfg.distribution == "uniform":
-        dev = rng.uniform(-cfg.spread, cfg.spread, eng.n_cells)
+        head = bitgen.random_raw(eng.n_cells + tail)
     else:
-        dev = rng.normal(0.0, cfg.spread / 2.0, eng.n_cells)
+        normal = np.random.Generator(bitgen).normal
+        dev = normal(0.0, cfg.spread / 2.0, eng.n_cells)
         while True:
             bad = np.abs(dev) > cfg.spread
             if not bad.any():
                 break
-            dev[bad] = rng.normal(0.0, cfg.spread / 2.0, int(bad.sum()))
-    branch = rng.integers(0, 2, eng.n_splitters)
-    msgs = rng.integers(0, 2, (cfg.n_messages, len(eng.net.inputs)), dtype=np.uint8)
-    return dev, branch, msgs, _misfire_rows(rng.bit_generator, cfg.n_messages)
+            dev[bad] = normal(0.0, cfg.spread / 2.0, int(bad.sum()))
+        head = np.concatenate([dev.view(np.uint64), bitgen.random_raw(tail)])
+    return head, _misfire_rows(bitgen, cfg.n_messages)
+
+
+def _doubles(words) -> np.ndarray:
+    """PCG64 words as the doubles of ``Generator.random``: the top 53 bits over 2**53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _decode(eng: _FaultEngine, cfg: PpvConfig, materials) -> tuple:
+    """The batch of chip ``materials``, as :func:`_received` takes it.
+
+    Stacks the heads and reads them with one set of array operations:
+    deviations (chips, cells), branches (chips, splitters) and messages
+    (chips, n_messages, k) uint8, then the materials' row functions.
+    """
+    heads, rows = zip(*materials)
+    heads = np.array(heads)
+    n, s = eng.n_cells, eng.n_splitters
+    if cfg.distribution == "uniform":  # Generator.uniform: low + (high - low) * double
+        dev = _doubles(heads[:, :n]) * (2 * cfg.spread) - cfg.spread
+    else:
+        dev = heads[:, :n].view(np.float64)
+    halves = heads[:, n:].astype("<u8", copy=False).view("<u4")  # the low half first
+    m, k = cfg.n_messages, len(eng.net.inputs)
+    msgs = (halves[:, s:].view(np.uint8)[:, :m * k] >> 7).reshape(len(heads), m, k)
+    return dev, (halves[:, :s] >> 31).astype(np.int64), msgs, rows
 
 
 def _misfire_rows(bitgen: np.random.PCG64, n_messages: int):
     """A function that draws rows of the misfire block ``bitgen`` stands at the start of.
 
     It takes an array of cell indices, any set in any order, and returns
-    their (cells, n_messages) rows.  A cursor moves the generator between
-    rows with ``advance`` modulo PCG64's period, 2**128, which is exact
-    backwards too, and ``Generator.random`` takes exactly one 64-bit output
-    per double, so every drawn row equals the same row of the full block.
-    Only the bit generator is kept: a ``Generator`` holds a kilobyte more.
+    their (cells, n_messages) rows as raw words, which :func:`_doubles`
+    turns into the uniforms.  A cursor moves the generator between rows
+    with ``advance`` modulo PCG64's period, 2**128, which is exact
+    backwards too, and each uniform is one word, so every drawn row equals
+    the same row of the full block.
     """
     pos = 0  # the row the generator stands at
 
     def rows(cells) -> np.ndarray:
         nonlocal pos
-        out = np.empty((len(cells), n_messages))
-        random = np.random.Generator(bitgen).random
+        out = np.empty((len(cells), n_messages), dtype=np.uint64)
         for row, cell in zip(out, cells.tolist()):
             if cell != pos:
                 bitgen.advance(((cell - pos) * n_messages) % _PCG64_PERIOD)
-            random(out=row)
+            row[:] = bitgen.random_raw(n_messages)
             pos = cell + 1
         return out
 
@@ -279,8 +319,8 @@ def _misfire_rows(bitgen: np.random.PCG64, n_messages: int):
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     """Draw one chip instance; deterministic in (master_seed, chip_index)."""
     eng = _FaultEngine(net)
-    dev, branch, *_ = _chip_material(eng, cfg, chip_index)
-    return ChipInstance(chip_index, eng.prog.cell_ids, dev, branch)
+    dev, branch, *_ = _decode(eng, cfg, [_chip_material(eng, cfg, chip_index)])
+    return ChipInstance(chip_index, eng.prog.cell_ids, dev[0], branch[0])
 
 
 def _word_index(packed, n_messages: int) -> np.ndarray:
@@ -315,43 +355,36 @@ def _distinct(key) -> tuple:
     return order[new], rank
 
 
-def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, materials):
-    """Packed received words, one row per distinct misfire pattern of chip ``materials``.
+def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, batch):
+    """Packed received words, one row per distinct misfire pattern of a ``batch`` of chips.
 
-    A material is (deviations, branches, (M, k) messages, misfire-row
-    function), as :func:`_chip_material` returns it.  Materials are read one
-    at a time, so an iterator of fresh draws holds one chip's generator at a
-    time.  A point is a row of ``margins``, (points, 4) in ``CELL_KINDS``
-    order, and the same entry of ``q``, (points,).  A cell is faulty at a
-    point when its |deviation| exceeds the point's margin for its kind; only
-    the cells beyond the weakest margin across the points draw misfire rows.
-    A faulty cell misfires where its uniform is below ``q``, except on the
-    clock tree when ``cfg`` has no clock faults.  So chip ``j`` at point
-    ``i`` misfires as fixed by (j, q, the faulty cells among j's drawn ones),
-    and q does not matter without faulty cells.  One row is evaluated per
-    distinct key, in passes of at most ``_BATCH`` rows; ``u < q`` is packed
-    once per distinct q.  The key begins with the chip, so a single point
-    gives each chip its own row.  Returns the received words (n, rows, W),
-    the sent message index of each (row, message) and the row of each
-    (point, chip).
+    A batch is (deviations (chips, cells), branches (chips, splitters),
+    messages (chips, M, k), one misfire-row function per chip), as
+    :func:`_decode` returns it.  A point is a row of ``margins``, (points, 4)
+    in ``CELL_KINDS`` order, and the same entry of ``q``, (points,).  A cell
+    is faulty at a point when its |deviation| exceeds the point's margin for
+    its kind; only the cells beyond the weakest margin across the points
+    draw misfire rows.  A faulty cell misfires where its uniform is below
+    ``q``, except on the clock tree when ``cfg`` has no clock faults.  So
+    chip ``j`` at point ``i`` misfires as fixed by (j, q, the faulty cells
+    among j's drawn ones), and q does not matter without faulty cells.  One
+    row is evaluated per distinct key, in passes of at most ``_BATCH`` rows;
+    ``u < q`` is packed once per distinct q.  The key begins with the chip,
+    so a single point gives each chip its own row.  Returns the received
+    words (n, rows, W), the sent message index of each (row, message) and
+    the row of each (point, chip).
     """
+    dev, branch, msgs, draws = batch
     margins = np.hstack([margins, np.full((len(q), 1), np.inf)])[:, eng.kind_code]
-    weakest = margins.min(axis=0)
-    drawn = []
-    for dev, branch, msgs, rows in materials:
-        cells = (np.abs(dev) > weakest).nonzero()[0]
-        drawn.append((np.abs(dev[cells]), branch, msgs, cells, rows(cells)))
-    dev, branch, msgs, cells, u = zip(*drawn)
-    del drawn
-    u = np.concatenate(u)  # (F, M) misfire uniforms; the per-chip rows are freed here
-    n_pt, n_chip = len(q), len(cells)
-    chip = np.repeat(np.arange(n_chip), [len(c) for c in cells])  # (F,) chip of each row
-    cell = np.concatenate(cells)
-    faulty = ((np.concatenate(dev) > margins[:, cell])
-              & (cfg.clock_faults | ~eng.on_clock[cell]))  # (points, F)
-    # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip
+    chip, cell = (np.abs(dev) > margins.min(axis=0)).nonzero()  # (F,) drawn cells, chip-major
+    n_pt, n_chip = len(q), len(dev)
     per_chip = np.bincount(chip, minlength=n_chip)
     first = np.cumsum(per_chip) - per_chip
+    u = _doubles(np.concatenate([draw(cell[a:a + c]) for draw, a, c
+                                 in zip(draws, first.tolist(), per_chip.tolist())]))  # (F, M)
+    faulty = ((np.abs(dev[chip, cell]) > margins[:, cell])
+              & (cfg.clock_faults | ~eng.on_clock[cell]))  # (points, F)
+    # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip
     bits = np.zeros((n_pt, n_chip, per_chip.max()), dtype=bool)
     bits[:, chip, np.arange(len(chip)) - first[chip]] = faulty
     qs, q_of = np.unique(q, return_inverse=True)
@@ -367,26 +400,25 @@ def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, materials):
     f = first[chip_of[r]] + s
     masks = below[q_of[pt_of[r]], f]
     cells = cell[f]
-    msgs = np.packbits(np.ascontiguousarray(np.array(msgs).transpose(2, 0, 1)), axis=-1)
-    branch = np.array(branch)
+    planes = np.packbits(np.ascontiguousarray(msgs.transpose(2, 0, 1)), axis=-1)
     received = []
     for p in range(0, len(chip_of), _BATCH):  # passes of at most _BATCH rows
         rows, e = chip_of[p:p + _BATCH], slice(*np.searchsorted(r, (p, p + _BATCH)))
         mis = np.zeros((eng.n_cells, len(rows), masks.shape[-1]), dtype=np.uint8)
         mis[cells[e], r[e] - p] = masks[e]
-        received.append(evaluate(eng.prog, msgs[:, rows], mis, branch[rows]))
-    sent = _word_index(msgs, u.shape[1])  # (chips, M), gathered per row
+        received.append(evaluate(eng.prog, planes[:, rows], mis, branch[rows]))
+    sent = _word_index(planes, msgs.shape[1])  # (chips, M), gathered per row
     return np.concatenate(received, axis=1), sent[chip_of], row.reshape(n_pt, n_chip)
 
 
 def _score(eng: _FaultEngine, setup: EncoderSetup, cfg: PpvConfig, margins, q,
-           materials) -> np.ndarray:
+           batch) -> np.ndarray:
     """Erroneous-message counts (points, chips) under ``cfg``'s accounting.
 
     Each distinct row of :func:`_received` is counted once; each message is
     one lookup in the (sent, received) table.
     """
-    received, sent, row = _received(eng, cfg, margins, q, materials)
+    received, sent, row = _received(eng, cfg, margins, q, batch)
     key = sent.astype(np.int32) << len(received)
     key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
     wrong = _wrong(setup, cfg.tie_break, cfg.count_detected_errors)
@@ -406,9 +438,9 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     eng = _FaultEngine(setup.netlist)
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    _, _, msgs, rows = _chip_material(eng, cfg, chip.chip_index)
-    material = (chip.deviations, chip.branch_sel, msgs, rows)
-    return int(_score(eng, setup, cfg, *_own_point(cfg), [material])[0, 0])
+    _, _, msgs, rows = _decode(eng, cfg, [_chip_material(eng, cfg, chip.chip_index)])
+    batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, rows)
+    return int(_score(eng, setup, cfg, *_own_point(cfg), batch)[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
@@ -430,11 +462,11 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
     for start in range(0, cfg.n_chips, _BATCH):
         stop = min(start + _BATCH, cfg.n_chips)
-        if materials is None:  # nothing kept: each chip is drawn and dropped
-            batch = (_chip_material(eng, cfg, i) for i in range(start, stop))
+        if materials is None:  # nothing kept: each batch is drawn, decoded and dropped
+            batch = _decode(eng, cfg, [_chip_material(eng, cfg, i) for i in range(start, stop)])
         else:
             materials += [_chip_material(eng, cfg, i) for i in range(len(materials), stop)]
-            batch = materials[start:stop]
+            batch = _decode(eng, cfg, materials[start:stop])
         out[:, start:stop] = _score(eng, setup, cfg, margins, q, batch)
     return out
 

@@ -88,14 +88,14 @@ def simulate(net: Netlist, frames, cycles: int | None = None) -> SimResult:
     cycles beyond ``frames`` carry zero messages.  Raises
     :class:`StructuralError` before simulating anything if the netlist is
     unbalanced or ill-formed, and ``ValueError`` if ``cycles`` is given but
-    is not a non-negative integer.
+    is not an integer from 0 to 2**31 - 1.
 
     One :func:`evaluate` pass encodes the messages; codeword t lands at
     cycle ``t + latency`` and every other cycle is 0, exact for a validated
     netlist: it is balanced and every data path starts at an input.
     """
     if cycles is not None:
-        _checks.integer("cycles", cycles, 0)
+        _checks.count("cycles", cycles, 0)
     prog = nl.compile(net)
     frames = message_frames(net, frames)
     if cycles is None:

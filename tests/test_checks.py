@@ -18,6 +18,8 @@ NUMBER = ((True, np.bool_(True), NAN, INF, -INF, 10**400, "1"), (np.int64, np.fl
 # 10**400 is an integer; only a range at the call site rejects it
 INTEGER = ((True, np.bool_(True), NAN, INF, -INF, "1", 1.5, np.float64(2)), (np.int64,))
 CAPPED_INTEGER = (INTEGER[0] + (10**400,), INTEGER[1])
+# counts no array can hold, which numpy rejected without naming the argument
+COUNT = (CAPPED_INTEGER[0] + (2**31, 10**21, 10**30), INTEGER[1])
 
 
 def sim(**kw):
@@ -44,9 +46,10 @@ RULES = [
     ("spread", lambda v: PpvConfig(spread=v), 1, NUMBER),
     ("q", lambda v: PpvConfig(q=v), 1, NUMBER),
     ("margin of XOR", margins, 0, NUMBER),
-    ("n_chips", lambda v: PpvConfig(n_chips=v), 10, INTEGER),
+    ("n_chips", lambda v: PpvConfig(n_chips=v), 10, COUNT),
+    ("n_messages", lambda v: PpvConfig(n_messages=v), 10, COUNT),
     ("master_seed", lambda v: PpvConfig(master_seed=v), 7, INTEGER),
-    ("cycles", lambda v: sim(cycles=v), 3, INTEGER),
+    ("cycles", lambda v: sim(cycles=v), 3, COUNT),
     ("clock_ghz", lambda v: timeline(clock_ghz=v), 5, NUMBER),
     ("epoch_ns", lambda v: timeline(epoch_ns=v), 0, NUMBER),
     ("weight", lambda v: analyze_patterns(make_code("hamming74"), CORRECT, v), 2,

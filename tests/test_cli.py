@@ -286,6 +286,7 @@ def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case", [
     ["--chips", "0"],
     ["--messages", "0"],
+    ["--chips", "1000000000000000000000"],  # numpy's "Maximum allowed dimension exceeded"
     {"bogus": 1},
     {"tie_break": "bogus"},
     {"q": "0.1"},
@@ -362,10 +363,13 @@ def test_calibrate_malformed_targets(tmp_path):
 
 @pytest.mark.parametrize("argv", [["mc", "--config", ""], ["synth", "hamming74", "--library", ""],
                                   ["calibrate", "--targets", ""]], ids=["config", "library", "targets"])
-def test_empty_flag_value_is_an_error(tmp_path, argv):
-    # an empty value was taken for an absent flag: the shipped config, library or targets
+def test_empty_flag_value_is_an_error(tmp_path, capsys, argv):
+    # an empty value was taken for an absent flag: the shipped config, library or targets;
+    # then an empty path was read as the current directory ("Is a directory: '.'")
     assert run(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
     assert not list(tmp_path.iterdir())
+    message = f"{argv[-2]} is empty; give a value or leave the flag out"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

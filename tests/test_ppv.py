@@ -197,18 +197,19 @@ def drawn_rows(eng, cfg, margins, q, materials):
     """(cells, rows) per chip drawn when ``_received`` scores chip ``materials``.
 
     ``cfg`` is scored at the (margins, q) points.  Observed through a spy on
-    each material's misfire-row function.
+    each material's misfire-row function; the rows are given as uniforms.
     """
     seen = []
 
     def spy(rows):
         def drawn(cells):
-            seen.append((cells, rows(cells)))
-            return seen[-1][1]
+            words = rows(cells)
+            seen.append((cells, ppv._doubles(words)))
+            return words
         return drawn
 
-    ppv._received(eng, cfg, margins, q, [(dev, branch, msgs, spy(rows))
-                                         for dev, branch, msgs, rows in materials])
+    ppv._received(eng, cfg, margins, q,
+                  ppv._decode(eng, cfg, [(head, spy(rows)) for head, rows in materials]))
     assert len(seen) == len(materials)
     return seen
 
@@ -216,13 +217,13 @@ def drawn_rows(eng, cfg, margins, q, materials):
 def received(net, chip, cfg, msgs):
     """Received words (M, n) of the (M, k) ``msgs`` on ``chip``, in one ``_received`` call.
 
-    Every misfire uniform is 0, so a faulty cell misfires on every message
-    when q > 0 and on none when q = 0.
+    Every misfire word, so every uniform, is 0: a faulty cell misfires on
+    every message when q > 0 and on none when q = 0.
     """
     eng = _FaultEngine(net)
-    u = np.zeros((eng.n_cells, len(msgs)))
-    words, _, row = ppv._received(eng, cfg, *points(cfg), [(chip.deviations, chip.branch_sel,
-                                                             msgs, lambda cells: u[cells])])
+    u = np.zeros((eng.n_cells, len(msgs)), dtype=np.uint64)
+    batch = (chip.deviations[None], chip.branch_sel[None], msgs[None], [lambda cells: u[cells]])
+    words, _, row = ppv._received(eng, cfg, *points(cfg), batch)
     return np.unpackbits(words[:, row[0, 0]], axis=-1, count=len(msgs)).T
 
 
@@ -456,6 +457,34 @@ def reference_material(eng, cfg, chip_index):
     return dev, branch, msgs, rng.random((eng.n_cells, cfg.n_messages))
 
 
+def test_setups_cover_zero_odd_and_even_splitter_counts():
+    # the decode property below needs a chip with no branch halves, an odd and an even count
+    counts = [_FaultEngine(make_setup(name).netlist).n_splitters for name in ppv.SETUP_NAMES]
+    assert 0 in counts and any(n % 2 for n in counts) and any(n and n % 2 == 0 for n in counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(ppv.SETUP_NAMES),
+       distribution=st.sampled_from(["uniform", "gaussian"]),
+       n_messages=st.sampled_from([1, 7, 8, 9, 65]),
+       seed=st.one_of(st.integers(0, 2**16), st.integers(2**32, 2**64)),
+       chips=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, seed, chips):
+    # raw words decoded a batch at a time against each chip's Generator draws: deviations,
+    # integers(0, 2, S), integers(0, 2, (M, k), uint8) and the whole misfire block
+    eng = _FaultEngine(make_setup(name).netlist)
+    cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
+    dev, branch, msgs, rows = ppv._decode(eng, cfg, [ppv._chip_material(eng, cfg, chip)
+                                                     for chip in chips])
+    assert msgs.dtype == np.uint8
+    for j, chip in enumerate(chips):
+        ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
+        assert np.array_equal(dev[j], ref_dev)
+        assert np.array_equal(branch[j], ref_branch)
+        assert np.array_equal(msgs[j], ref_msgs)
+        assert np.array_equal(ppv._doubles(rows[j](np.arange(eng.n_cells))), full)
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(ppv.SETUP_NAMES),
        distribution=st.sampled_from(["uniform", "gaussian"]),
@@ -469,12 +498,10 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     # one to three points: the drawn cells are those beyond the weakest margin of each cell
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
-    dev, branch, msgs, rows = ppv._chip_material(eng, cfg, chip)
-    ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
-    assert np.array_equal(dev, ref_dev) and np.array_equal(branch, ref_branch)
-    assert np.array_equal(msgs, ref_msgs)
+    dev, _, _, full = reference_material(eng, cfg, chip)
     q = np.full(len(margin), cfg.q)
-    ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q, [(dev, branch, msgs, rows)])
+    ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q,
+                                   [ppv._chip_material(eng, cfg, chip)])
     weakest = [min(m[KINDS.index(k)] for m in margin) if k in KINDS else np.inf
                for k in eng.prog.kinds]
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > weakest).tolist()
@@ -498,11 +525,11 @@ def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_message
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
     ((cells, drawn),) = drawn_rows(eng, zero, *points(zero), [ppv._chip_material(eng, zero, chip)])
     assert np.array_equal(drawn, full[cells])
-    rows = ppv._chip_material(eng, cfg, chip)[3]
+    rows = ppv._chip_material(eng, cfg, chip)[1]
     cells = st.lists(st.integers(0, eng.n_cells - 1), unique=True, max_size=eng.n_cells)
     for subset in data.draw(st.lists(cells, min_size=1, max_size=4)) + [[0]]:
         subset = np.array(subset, dtype=np.intp)
-        assert np.array_equal(rows(subset), full[subset])
+        assert np.array_equal(ppv._doubles(rows(subset)), full[subset])
 
 
 def test_calibration_draws_each_chip_once(monkeypatch):
