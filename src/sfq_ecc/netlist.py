@@ -23,6 +23,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 XOR = "XOR"
 DFF = "DFF"
 SPLITTER = "SPLITTER"
@@ -191,8 +193,9 @@ class Program:
     ``graphlib.TopologicalSorter`` hands them out, so one pass in that order
     evaluates the whole netlist.  A clock splitter's parent branch is its
     data driver; ``clock`` holds the slot on each clocked cell's clock pin,
-    which only the ``clock_tree`` cells drive.  Programs are shared between
-    equal netlists and compare by identity.
+    which only the clock tree drives.  ``kind_code`` and ``on_clock`` are
+    read-only arrays for the fault injection of :mod:`sfq_ecc.ppv`.
+    Programs are shared between equal netlists and compare by identity.
     """
 
     cell_ids: tuple  # cell index -> id
@@ -202,9 +205,10 @@ class Program:
     order: tuple     # cell indices, drivers first
     inputs: tuple    # cell index per message bit
     outputs: tuple   # cell index per output bit
-    splitters: tuple   # cell index per splitter, in a chip's branch order
-    clock_tree: tuple  # cell indices of the clock inputs and clock splitters
+    splitters: tuple  # cell index per splitter, in a chip's branch order
     latency: int
+    kind_code: np.ndarray  # cell index -> position in CELL_KINDS, len(CELL_KINDS) for sources
+    on_clock: np.ndarray   # cell index -> whether it is a clock input or clock splitter
 
 
 _PROGRAMS: dict = {}
@@ -309,9 +313,12 @@ def _compile(net: Netlist) -> Program:
     out_depths = {depth[index[o]] for o in net.outputs}
     if len(out_depths) > 1:
         raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
+    kind_code = np.array([CELL_KINDS.index(k) if k in CELL_KINDS else len(CELL_KINDS)
+                          for k in kinds], dtype=np.intp)
+    on_clock = np.array(tree, dtype=bool)
+    kind_code.flags.writeable = on_clock.flags.writeable = False
     return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock), order=order,
                    inputs=tuple(index[cid] for cid in net.inputs),
                    outputs=tuple(index[cid] for cid in net.outputs),
                    splitters=tuple(i for i, k in enumerate(kinds) if k == SPLITTER),
-                   clock_tree=tuple(i for i, t in enumerate(tree) if t),
-                   latency=max(out_depths, default=0))
+                   latency=max(out_depths, default=0), kind_code=kind_code, on_clock=on_clock)

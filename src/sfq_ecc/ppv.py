@@ -19,13 +19,19 @@ correct-mode decoding and counts wrong deliveries; repeating over
 All randomness derives from (master_seed, chip_index), so results are
 bit-identical regardless of execution order or batch size.
 
-Each chip draws 64-bit words from its own PCG64 stream, seeded with
-``SeedSequence((master_seed, chip_index))``, in a fixed layout: one word
-per cell for its deviation; then 32-bit halves, the low half of a word
-first, one per splitter for its branch, followed by the (n_messages, k)
-message bits, a byte each and four to a half; then, from the next whole
-word, a (cells, n_messages) block of misfire uniforms, row by row.  Two rules
-turn words into numbers exactly as ``Generator`` does.  A double is the
+Each chip draws 64-bit words from its own PCG64 stream, the one
+``SeedSequence((master_seed, chip_index))`` seeds.  Its four seed words
+come from :func:`_seed_words`, numpy's ``SeedSequence`` hashing run over
+a block of chips at once in uint32 arrays and kept per (seed, block); the
+chip's ``PCG64`` takes them through an ``ISeedSequence``
+(:func:`_seed_words_type`) and seeds itself from them as numpy does.
+
+The words are drawn in a fixed layout: one word per cell for its
+deviation; then 32-bit halves, the low half of a word first, one per
+splitter for its branch, followed by the (n_messages, k) message bits, a
+byte each and four to a half; then, from the next whole word, a (cells,
+n_messages) block of misfire uniforms, row by row.  Two rules turn words
+into numbers exactly as ``Generator`` does.  A double is the
 top 53 bits of a word over 2**53 (``random``); a uniform deviation is
 ``-spread + 2 * spread * double`` (``uniform``).  A bit is the top bit of
 its half for a branch and of its byte for a message bit: the bounded
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
@@ -92,6 +99,13 @@ CALIBRATION_THRESHOLD = 0.05
 
 _BATCH = 250  # chips drawn at once, and the row cap of one engine pass
 _PCG64_PERIOD = 2**128  # a named constant: CPython does not fold a power this large
+_SEED_BLOCK = 256  # chips whose seed words are computed at once; a divisor of 2**32
+
+# numpy's SeedSequence hashing (O'Neill's seed_seq_fe, NEP 19): a 4-word pool
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def _margin(kind, value) -> float:
@@ -215,21 +229,14 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """Per-netlist arrays of the bit-packed fault evaluation.
+    """A netlist and the program :func:`netlist.compile` caches for it by content.
 
-    Built per call on the program :func:`netlist.compile` caches by content;
-    callers run it with :func:`sfq_ecc.sim.evaluate`.  ``on_clock`` marks the
-    clock tree, whose misfires a config with ``clock_faults=False`` clears.
+    Built per call; callers run the program with :func:`sfq_ecc.sim.evaluate`.
     """
 
     def __init__(self, net: Netlist):
         self.net = net
-        self.prog = prog = nl.compile(net)
-        # position in CELL_KINDS per cell; len(CELL_KINDS) for cells that never fault
-        self.kind_code = np.array([CELL_KINDS.index(k) if k in CELL_KINDS else len(CELL_KINDS)
-                                   for k in prog.kinds], dtype=np.intp)
-        self.on_clock = np.zeros(len(prog.kinds), dtype=bool)
-        self.on_clock[list(prog.clock_tree)] = True
+        self.prog = nl.compile(net)
 
     @property
     def n_cells(self) -> int:
@@ -238,6 +245,87 @@ class _FaultEngine:
     @property
     def n_splitters(self) -> int:
         return len(self.prog.splitters)
+
+
+def _seed_words(master_seed: int, chips) -> np.ndarray:
+    """``SeedSequence((master_seed, chip)).generate_state(4, np.uint64)`` per chip, (chips, 4).
+
+    ``chips`` are below 2**32, one 32-bit entropy word each, after the seed's
+    little-endian 32-bit words (one for 0).  Each step of numpy's hashing
+    runs over the whole array of chips in uint32, which wraps as C does:
+    the pool is hashed from the entropy, its words mixed with each other,
+    entropy beyond the pool mixed into every word, and the state hashed
+    from the pool, two 32-bit words, the low one first, to a uint64.
+    """
+    seed = int(master_seed)
+    n = max(-(-seed.bit_length() // 32), 1)
+    # one row per entropy word, zero rows filling the pool
+    entropy = np.zeros((max(n + 1, 4), len(chips)), dtype=np.uint32)
+    entropy[:n] = [[seed >> 32 * i & _MASK32] for i in range(n)]
+    entropy[n] = chips
+
+    def hasher(const, mult):
+        """numpy's ``hashmix``: each call steps the hash constant by ``mult``."""
+        def hashed(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ value >> 16
+        return hashed
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = hasher(_INIT_B, _MULT_B)
+    state = np.empty((len(chips), 8), dtype="<u4")
+    for i in range(8):
+        state[:, i] = output(pool[i % 4])
+    return state.view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=4)  # a default Monte Carlo's 1,000 chips, 32 KB
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """The read-only :func:`_seed_words` of the ``_SEED_BLOCK`` chips from ``block * _SEED_BLOCK``.
+
+    A memo, not an argument: :func:`_chip_material` is called once per chip
+    and keeps its signature, so the chips of a block share one computation here.
+    """
+    words = _seed_words(master_seed, np.arange(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK))
+    words.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` one chip's :func:`_seed_words`.
+
+    Made on first use: numpy imports ``numpy.random`` lazily, and importing
+    it to subclass ``ISeedSequence`` would add ~15 ms to every import of
+    this package, chips drawn or not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
+            return self.words
+
+    return SeedWords
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
@@ -249,7 +337,8 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
     the start of the block.  Nothing drawn depends on margins or ``q``, so
     one material serves every (margins, q) point of a config.
     """
-    bitgen = np.random.PCG64(np.random.SeedSequence((cfg.master_seed, chip_index)))
+    block, at = divmod(chip_index, _SEED_BLOCK)
+    bitgen = np.random.PCG64(_seed_words_type()(_seed_block(cfg.master_seed, block)[at]))
     # words after the deviations: a half per branch, then a half per four message bits
     tail = (eng.n_splitters + -(-cfg.n_messages * len(eng.net.inputs) // 4) + 1) // 2
     if cfg.distribution == "uniform":
@@ -317,7 +406,11 @@ def _misfire_rows(bitgen: np.random.PCG64, n_messages: int):
 
 
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
-    """Draw one chip instance; deterministic in (master_seed, chip_index)."""
+    """Draw one chip instance; deterministic in (master_seed, chip_index).
+
+    Chip indices run from 0 to 2**31 - 1, as the chips of a Monte Carlo do.
+    """
+    _checks.count("chip_index", chip_index, 0)
     eng = _FaultEngine(net)
     dev, branch, *_ = _decode(eng, cfg, [_chip_material(eng, cfg, chip_index)])
     return ChipInstance(chip_index, eng.prog.cell_ids, dev[0], branch[0])
@@ -375,7 +468,7 @@ def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, batch):
     the row of each (point, chip).
     """
     dev, branch, msgs, draws = batch
-    margins = np.hstack([margins, np.full((len(q), 1), np.inf)])[:, eng.kind_code]
+    margins = np.hstack([margins, np.full((len(q), 1), np.inf)])[:, eng.prog.kind_code]
     chip, cell = (np.abs(dev) > margins.min(axis=0)).nonzero()  # (F,) drawn cells, chip-major
     n_pt, n_chip = len(q), len(dev)
     per_chip = np.bincount(chip, minlength=n_chip)
@@ -383,7 +476,7 @@ def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, batch):
     u = _doubles(np.concatenate([draw(cell[a:a + c]) for draw, a, c
                                  in zip(draws, first.tolist(), per_chip.tolist())]))  # (F, M)
     faulty = ((np.abs(dev[chip, cell]) > margins[:, cell])
-              & (cfg.clock_faults | ~eng.on_clock[cell]))  # (points, F)
+              & (cfg.clock_faults | ~eng.prog.on_clock[cell]))  # (points, F)
     # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip
     bits = np.zeros((n_pt, n_chip, per_chip.max()), dtype=bool)
     bits[:, chip, np.arange(len(chip)) - first[chip]] = faulty
@@ -435,6 +528,7 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
 
     Messages and misfire rows come from ``chip.chip_index``.
     """
+    _checks.count("chip_index", chip.chip_index, 0)
     eng = _FaultEngine(setup.netlist)
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")

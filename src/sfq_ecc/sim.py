@@ -138,13 +138,16 @@ def verify_equivalence(net: Netlist, code: LinearCode):
 
     All 2^k messages go through one pipelined stream; a netlist that passes
     validation is balanced, so each codeword depends on its own message
-    only.  Returns ``(True, None)`` or ``(False, counterexample_message)``.
+    only.  Returns ``(True, None)`` or ``(False, counterexample_message)``;
+    raises :class:`StructuralError` when the netlist's output count is not
+    the code's length, which no message can show.
     """
     res = simulate(net, code.messages)
     got = res.outputs[res.latency:]
     want = (code.messages @ code.G) % 2
-    if got.shape != want.shape:
-        return False, code.messages[0].copy()
+    if got.shape[1] != want.shape[1]:
+        raise nl.StructuralError(f"netlist {net.name} has {got.shape[1]} outputs, but "
+                                 f"{code.name} codewords have {want.shape[1]} bits")
     bad = np.flatnonzero((got != want).any(axis=1))
     if bad.size:
         return False, code.messages[bad[0]].copy()

@@ -185,6 +185,72 @@ def test_simulate_malformed_netlist_json(tmp_path, capsys, doc):
     assert "structural error:" in capsys.readouterr().err
 
 
+def cells(*spec):
+    """Cell entries from (id, kind) or (id, kind, role) tuples."""
+    return [{"id": c[0], "kind": c[1], **({"role": c[2]} if len(c) > 2 else {})} for c in spec]
+
+
+def nets(*pairs):
+    return [{"from": src, "to": dst} for src, dst in pairs]
+
+
+ONE_DFF = {"version": 1, "cells": cells(("m1", "INPUT"), ("clk", "CLOCK_INPUT"), ("d0", "DFF"),
+                                        ("o0", "SFQ2DC")),
+           "nets": nets(("m1:0", "d0:0"), ("clk:0", "d0:clk"), ("d0:0", "o0:0")),
+           "outputs": ["o0"], "inputs": ["m1"], "clock": "clk"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**ONE_CONVERTER, "cells": cells(("m1", "INPUT"), ("o0", "SFQ2DC"), ("o0", "SFQ2DC"))},
+     "duplicate cell id 'o0'"),
+    ({**ONE_CONVERTER, "nets": nets(("m1:0", "o9:0"))},
+     "net references unknown cell: Net(src='m1', src_port=0, dst='o9', dst_pin=0)"),
+    ({**ONE_CONVERTER, "cells": cells(("m1", "INPUT"), ("o0", "SFQ2DC"), ("o1", "SFQ2DC")),
+      "nets": nets(("m1:0", "o0:0"), ("m1:0", "o1:0")), "outputs": ["o0", "o1"]},
+     "fan-out above one at output port ('m1', 0)"),
+    ({**ONE_DFF, "cells": ONE_DFF["cells"] + cells(("s0", "SPLITTER", "clock")),
+      "nets": nets(("m1:0", "d0:0"), ("clk:0", "s0:0"), ("s0:0", "d0:clk"), ("s0:1", "d0:clk"),
+                   ("d0:0", "o0:0"))},
+     "more than one driver on input pin ('d0', 'clk')"),
+    ({**ONE_DFF, "cells": ONE_DFF["cells"] + cells(("m2", "INPUT"), ("o1", "SFQ2DC")),
+      "nets": ONE_DFF["nets"] + nets(("m2:0", "o1:0")), "outputs": ["o0", "o1"],
+      "inputs": ["m1", "m2"]},
+     "outputs at unequal depths [0, 1]"),
+])
+def test_simulate_structural_errors(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err == f"structural error: {message}\n"
+
+
+def test_simulate_one_dff(tmp_path):
+    # the well-formed clocked netlist two structural cases start from
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_DFF))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_simulate_code_of_another_length(tmp_path, capsys):
+    # no message shows a width mismatch, so the error names both widths
+    run(["synth", "hamming74", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert run(["simulate", str(tmp_path / "hamming74_netlist.json"), "--code", "rm13",
+                "--message", "1011", "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err == ("structural error: netlist hamming74_encoder has 7 "
+                                       "outputs, but rm13 codewords have 8 bits\n")
+    assert not (tmp_path / "timeline.csv").exists()
+
+
+def test_simulate_code_disagreeing_netlist(tmp_path, capsys):
+    # two codes of one length: the error names the first message whose codewords differ
+    run(["synth", "rm13", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert run(["simulate", str(tmp_path / "rm13_netlist.json"), "--code", "hamming84",
+                "--out", str(tmp_path)]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err == "netlist disagrees with hamming84 encoding on message 0001\n"
+
+
 def gated_clock_pin():
     """m2 through a data splitter into the clock pin of d0 and the data pin of d1."""
     net = Netlist("gated")

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -483,6 +483,66 @@ def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, se
         assert np.array_equal(branch[j], ref_branch)
         assert np.array_equal(msgs[j], ref_msgs)
         assert np.array_equal(ppv._doubles(rows[j](np.arange(eng.n_cells))), full)
+
+
+# seeds of one to five 32-bit words: entropy shorter than, filling and beyond the 4-word pool
+SEEDS = st.one_of(st.integers(0, 2**32 - 1),
+                  *(st.integers(2**(32 * n), 2**(32 * (n + 1)) - 1) for n in range(1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, chips=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))
+@example(seed=2**70 + 5, chips=[0, 255, 256, 2**31 - 1])
+@example(seed=2**128 + 3, chips=[0, 2**31 - 1])
+def test_seed_words_equal_seed_sequence(seed, chips):
+    # numpy's SeedSequence hashing, run over an array of chips at once
+    words = ppv._seed_words(seed, np.array(chips))
+    for row, chip in zip(words, chips):
+        want = np.random.SeedSequence((seed, chip)).generate_state(4, np.uint64)
+        assert row.dtype == want.dtype and np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("seed, chip", [(0, 0), (7, 255), (7, 256), (2**100 + 9, 999),
+                                        (20240, 2**31 - 1)])
+def test_chip_generator_is_its_seed_sequences(seed, chip):
+    # PCG64 seeded through the memo's words stands where PCG64(SeedSequence) does
+    block, at = divmod(chip, ppv._SEED_BLOCK)
+    bitgen = np.random.PCG64(ppv._seed_words_type()(ppv._seed_block(seed, block)[at]))
+    assert bitgen.state == np.random.PCG64(np.random.SeedSequence((seed, chip))).state
+
+
+def test_seed_blocks_are_read_only():
+    words = ppv._seed_block(7, 3)
+    assert words.shape == (ppv._SEED_BLOCK, 4) and not words.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        words[0, 0] = 0
+    assert ppv._seed_block(7, 3) is words
+
+
+@pytest.mark.parametrize("a, b", [(7, 8), (5, 2**40 + 5), (20240, 2**100 + 20240)])
+def test_seeds_sharing_a_block_number_share_no_words(a, b):
+    # the memo is keyed on the seed as well as the block
+    for block in (0, 5):
+        assert not np.intersect1d(ppv._seed_block(a, block), ppv._seed_block(b, block)).size
+
+
+def test_seed_words_keep_numpys_zero_padding():
+    # entropy shorter than the pool is padded with zero words, so (0, 1) and (2**32, 0),
+    # the entropy words [0, 1] and [0, 1, 0], seed one stream in numpy and here alike
+    want = np.random.SeedSequence((0, 1)).generate_state(4, np.uint64)
+    assert np.array_equal(np.random.SeedSequence((2**32, 0)).generate_state(4, np.uint64), want)
+    assert np.array_equal(ppv._seed_block(0, 0)[1], want)
+    assert np.array_equal(ppv._seed_block(2**32, 0)[0], want)
+
+
+@pytest.mark.parametrize("chip", [-1, 2**31, 1.0, True])
+def test_chip_index_outside_the_chips_is_an_error(chip):
+    setup, cfg = make_setup("none"), PpvConfig()
+    with pytest.raises(ValueError, match="chip_index"):
+        sample_chip(setup.netlist, cfg, chip)
+    instance = dataclasses.replace(sample_chip(setup.netlist, cfg, 0), chip_index=chip)
+    with pytest.raises(ValueError, match="chip_index"):
+        run_trial(setup, instance, cfg)
 
 
 @settings(max_examples=60, deadline=None)

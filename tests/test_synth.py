@@ -180,6 +180,18 @@ def test_random_codes_synthesize_and_round_trip(code):
     assert nl.compile(back) is nl.compile(net)
 
 
+@pytest.mark.parametrize("name", ["none", *GOLDEN])
+def test_program_fault_arrays(name):
+    # built once per content and shared, so no caller may write them
+    net = synthesize(LinearCode("no", np.eye(4)) if name == "none" else make_code(name))
+    prog = nl.compile(net)
+    faultable = [nl.CELL_KINDS.index(c.kind) if c.kind in nl.CELL_KINDS else 4
+                 for c in net.cells.values()]
+    clock = [c.kind == nl.CLOCK_INPUT or c.role == "clock" for c in net.cells.values()]
+    assert prog.kind_code.tolist() == faultable and prog.on_clock.tolist() == clock
+    assert not (prog.kind_code.flags.writeable or prog.on_clock.flags.writeable)
+
+
 def test_synthesis_is_deterministic():
     for name in GOLDEN:
         a = synthesize(make_code(name))
