@@ -7,22 +7,23 @@ the cap on counts, stay with the caller.
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
 from collections.abc import Mapping
+from contextlib import suppress
 
 
 def number(name: str, v):
     """``v`` if it is a finite real number, not a bool.
 
-    Compared before any conversion, so an integer too large for a float is
-    rejected as infinite rather than raising ``OverflowError``.
+    An integer too large for a float counts as infinite, and nothing overflows a narrow float.
     """
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {v!r}")
-    return v
+    with suppress(OverflowError):  # an integer too large for a float
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 # The most chips, messages or cycles one run takes.  A larger count is named

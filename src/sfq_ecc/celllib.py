@@ -165,7 +165,8 @@ def fit_unit_costs(rows=None, column: str = "power"):
     chosen, shifted along the null direction only if needed to stay
     non-negative.  ``rows`` holds at least three (xor, dff, splitter,
     converter, total) rows of finite numbers; any other input raises
-    ``ValueError`` naming the offending row.
+    ``ValueError`` naming the offending row; no non-negative exact fit, a
+    :class:`CalibrationError`.
     """
     _checks.one_of("column", column, ("power", "area"))
     if rows is None:
@@ -177,7 +178,7 @@ def fit_unit_costs(rows=None, column: str = "power"):
     A = np.array([[r[0], r[1], r[2], r[3]] for r in rows], dtype=float)
     b = np.array([r[4] for r in rows], dtype=float)
     p0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.abs(A @ p0 - b).max() > 1e-9 * max(1.0, np.abs(b).max()):
+    if np.abs(A @ p0 - b).max() > (tol := 1e-9 * max(1.0, np.abs(b).max())):
         raise CalibrationError(f"{column} totals are inconsistent, no exact solution")
     _, _, vt = np.linalg.svd(A)
     v = vt[-1]
@@ -187,10 +188,10 @@ def fit_unit_costs(rows=None, column: str = "power"):
             lo = max(lo, -pi / vi)
         elif vi < -1e-12:
             hi = min(hi, -pi / vi)
-    if lo > hi:
+    p = p0 + min(max(0.0, lo), hi) * v
+    # some costs no shift moves, and four independent rows have no null direction at all
+    if (p < -tol).any() or np.abs(A @ p - b).max() > tol:
         raise CalibrationError(f"no non-negative {column} solution")
-    t = min(max(0.0, lo), hi)
-    p = p0 + t * v
     return {k: float(p[i]) for i, k in enumerate(CELL_KINDS)}
 
 

@@ -22,6 +22,8 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import starmap
 
 import numpy as np
 
@@ -165,7 +167,8 @@ class Netlist:
             nl.outputs = list(doc["outputs"])
             nl.inputs = list(doc.get("inputs", []))
             nl.clock = doc.get("clock")
-            if not all(isinstance(x, str) for x in [*nl.outputs, *nl.inputs, nl.clock or ""]):
+            if not all(isinstance(x, str) for x in [*nl.outputs, *nl.inputs,
+                                                     "" if nl.clock is None else nl.clock]):
                 raise TypeError("outputs, inputs and clock must name cells")
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             at = "" if entry is None else f" at {entry!r}"
@@ -195,7 +198,7 @@ class Program:
     data driver; ``clock`` holds the slot on each clocked cell's clock pin,
     which only the clock tree drives.  ``kind_code`` and ``on_clock`` are
     read-only arrays for the fault injection of :mod:`sfq_ecc.ppv`.
-    Programs are shared between equal netlists and compare by identity.
+    Programs compare by identity; equal netlists share one while it is cached.
     """
 
     cell_ids: tuple  # cell index -> id
@@ -211,40 +214,34 @@ class Program:
     on_clock: np.ndarray   # cell index -> whether it is a clock input or clock splitter
 
 
-_PROGRAMS: dict = {}
-
-
 def compile(net: Netlist) -> Program:
-    """The validated, levelized program of ``net``, built once per content.
+    """The validated, levelized program of ``net``, compiled from its content alone.
 
-    Keyed by the netlist's content (cells, nets, ports and clock), not by
-    object or name, so re-synthesized copies share one program and a
-    netlist mutated after use is compiled afresh.  The key holds what
-    ``content_hash`` digests except the name, at a small fraction of its
-    cost (``ppv.sample_chip`` compiles once per chip).  Raises
+    The content is each cell's ``Cell.id`` (not its ``cells`` key), kind and
+    role in order, the nets, inputs, outputs and clock: what ``content_hash``
+    digests but the name, at a fraction of its cost (``ppv.sample_chip``
+    compiles once per chip).  A bounded cache holds the programs by content,
+    so equal netlists share one only while it stays cached.  Raises
     :class:`StructuralError` on an ill-formed netlist and caches nothing.
     """
-    key = (tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
-           tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),
-           tuple(net.inputs), tuple(net.outputs), net.clock)
-    prog = _PROGRAMS.get(key)
-    if prog is None:
-        prog = _PROGRAMS[key] = _compile(net)
-    return prog
+    return _compile(tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
+                    tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),
+                    tuple(net.inputs), tuple(net.outputs), net.clock)
 
 
-def _compile(net: Netlist) -> Program:
-    ids = tuple(net.cells)
+@lru_cache(maxsize=64)  # the four setups of every workload, and room to spare
+def _compile(cells: tuple, nets: tuple, inputs: tuple, outputs: tuple, clock_id) -> Program:
+    ids, kinds, roles = zip(*cells) if cells else ((), (), ())
     index = {cid: i for i, cid in enumerate(ids)}
-    kinds = tuple(c.kind for c in net.cells.values())
-    roles = [c.role for c in net.cells.values()]
+    if len(index) < len(ids):
+        raise StructuralError(f"duplicate cell id {next(c for c in ids if ids.count(c) > 1)!r}")
     for cid, kind in zip(ids, kinds):
         if kind not in DATA_PINS:
             raise StructuralError(f"cell {cid} has unknown kind {kind!r}")
     pins = [{} for _ in ids]
     clock = [None] * len(ids)
     used = set()
-    for n in net.nets:
+    for n in starmap(Net, nets):
         if n.src not in index or n.dst not in index:
             raise StructuralError(f"net references unknown cell: {n}")
         s, d = index[n.src], index[n.dst]
@@ -270,16 +267,16 @@ def _compile(net: Netlist) -> Program:
             raise StructuralError(
                 f"cell {cid} ({kinds[i]}) has {len(pins[i])} data inputs on pins "
                 f"{sorted(pins[i], key=str)}, expected {want}")
-        if kinds[i] in CLOCKED_KINDS and net.clock is not None and clock[i] is None:
+        if kinds[i] in CLOCKED_KINDS and clock_id is not None and clock[i] is None:
             raise StructuralError(f"clocked cell {cid} has no clock net")
-    if sorted(net.inputs) != sorted(cid for cid, k in zip(ids, kinds) if k == INPUT):
+    if sorted(inputs) != sorted(cid for cid, k in zip(ids, kinds) if k == INPUT):
         raise StructuralError("inputs must list every INPUT cell exactly once")
-    for cid in net.outputs:
+    for cid in outputs:
         if cid not in index:
             raise StructuralError(f"output {cid!r} is not a cell")
-    if net.clock is not None and (net.clock not in index
-                                  or kinds[index[net.clock]] != CLOCK_INPUT):
-        raise StructuralError(f"clock {net.clock!r} is not a CLOCK_INPUT cell")
+    if clock_id is not None and (clock_id not in index
+                                 or kinds[index[clock_id]] != CLOCK_INPUT):
+        raise StructuralError(f"clock {clock_id!r} is not a CLOCK_INPUT cell")
     drivers = tuple(tuple(p[pin] for pin in range(len(p))) for p in pins)
 
     # levelize: graphlib hands out a level once every driver of it is done
@@ -307,10 +304,10 @@ def _compile(net: Netlist) -> Program:
         if len(ins) > 1:
             raise StructuralError(f"unbalanced inputs at {ids[i]}: depths {sorted(ins)}")
         depth[i] = (ins.pop() if ins else 0) + (kinds[i] in CLOCKED_KINDS)
-    for o in net.outputs:
+    for o in outputs:
         if tree[index[o]]:
             raise StructuralError(f"output {o} is on the clock tree")
-    out_depths = {depth[index[o]] for o in net.outputs}
+    out_depths = {depth[index[o]] for o in outputs}
     if len(out_depths) > 1:
         raise StructuralError(f"outputs at unequal depths {sorted(out_depths)}")
     kind_code = np.array([CELL_KINDS.index(k) if k in CELL_KINDS else len(CELL_KINDS)
@@ -318,7 +315,7 @@ def _compile(net: Netlist) -> Program:
     on_clock = np.array(tree, dtype=bool)
     kind_code.flags.writeable = on_clock.flags.writeable = False
     return Program(cell_ids=ids, kinds=kinds, drivers=drivers, clock=tuple(clock), order=order,
-                   inputs=tuple(index[cid] for cid in net.inputs),
-                   outputs=tuple(index[cid] for cid in net.outputs),
+                   inputs=tuple(index[cid] for cid in inputs),
+                   outputs=tuple(index[cid] for cid in outputs),
                    splitters=tuple(i for i, k in enumerate(kinds) if k == SPLITTER),
                    latency=max(out_depths, default=0), kind_code=kind_code, on_clock=on_clock)

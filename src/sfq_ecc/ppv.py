@@ -172,7 +172,7 @@ class PpvConfig:
     def from_dict(cls, doc: dict) -> "PpvConfig":
         if not isinstance(doc, Mapping):
             raise ValueError(f"a PPV config must be a mapping, got {doc!r}")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)}, key=str)
         if unknown:
             raise ValueError(f"unknown PPV config keys: {', '.join(map(str, unknown))}")
         doc = dict(doc)

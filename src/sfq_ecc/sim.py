@@ -172,9 +172,9 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     cycles, width = frames.shape
     if len(result.output_ids) != width:
         raise ValueError(f"{len(result.output_ids)} output ids for {width} output bits")
-    period = 1.0 / clock_ghz
+    period = 1.0 / float(clock_ghz)  # in float64, whatever float type the clock came as
     with np.errstate(over="ignore", invalid="ignore"):
-        base = np.floor(epoch_ns / period) * period if epoch_ns else 0.0
+        base = np.floor(float(epoch_ns) / period) * period if epoch_ns else 0.0
         stamps = base + np.arange(cycles) * period
     if not np.isfinite(stamps).all():  # a period or epoch beyond the float range
         raise ValueError(f"time stamps at {clock_ghz} GHz from epoch {epoch_ns} ns "

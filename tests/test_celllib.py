@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sfq_ecc import celllib
 from sfq_ecc.celllib import (
@@ -20,7 +22,7 @@ from sfq_ecc.celllib import (
     write_library,
 )
 from sfq_ecc.codes import make_code
-from sfq_ecc.netlist import Netlist
+from sfq_ecc.netlist import CELL_KINDS, Netlist
 from sfq_ecc.synth import synthesize
 
 JJ_ROWS = [t[:5] for t in TABLE_TOTALS.values()]
@@ -222,6 +224,19 @@ def test_unit_cost_fit_names_the_bad_input(rows, named):
         fit_unit_costs(rows=rows)
 
 
+@pytest.mark.parametrize("rows", [
+    # XOR = -1, a cost the null direction (SFQ2DC alone) does not move
+    [(1, 0, 0, 0, -1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1)],
+    # four independent rows: one exact solution, with DFF = -1
+    [(1, 0, 0, 0, 1), (0, 1, 0, 0, -1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)],
+    [(1, 1, 0, 0, 1), (0, 1, 0, 0, -1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)],
+], ids=["negative_off_null_direction", "negative_unique", "negative_unique_mixed"])
+def test_unit_cost_fit_rejects_negative_exact_solutions(rows):
+    # the fit returned a negative cost, or shifted the unique solution off the totals
+    with pytest.raises(CalibrationError, match="no non-negative power solution"):
+        fit_unit_costs(rows=rows)
+
+
 def test_library_rejects_repeated_key(tmp_path):
     # the last value won silently
     shipped = Path(celllib.__file__).parent / "data" / "cell_library.cfg"
@@ -238,3 +253,48 @@ def test_shipped_library_rewrites_byte_identical(tmp_path):
     assert all(type(lib[k].jj) is int for k in ("XOR", "DFF", "SPLITTER", "SFQ2DC"))
     write_library(lib, tmp_path / "cells.cfg")
     assert (tmp_path / "cells.cfg").read_text() == shipped.read_text()
+
+
+SHIPPED = Path(celllib.__file__).parent / "data" / "cell_library.cfg"
+SHIPPED_LINES = SHIPPED.read_text().splitlines()
+# printable ASCII and the ASCII characters str.splitlines also breaks lines at
+LIBRARY_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126)
+                       | st.sampled_from("\t\r\x0b\x0c\x1c\x1d\x1e"), max_size=12)
+LIBRARY_VALUES = (st.integers(-3, 40).map(str) | st.floats().map(repr) | LIBRARY_TEXT
+                  | st.sampled_from(["eleven", "", "1e400", "-0", "1_1", "0x10", " 11 "]))
+LIBRARY_KEYS = st.sampled_from([f"{k}.{f}" for k in (*CELL_KINDS, "NAND")
+                                for f in ("jj", "power_uW", "area_mm2", "bogus")]
+                               + ["XOR", "XOR.jj.jj", "", "#XOR.jj"]) | LIBRARY_TEXT
+
+
+@st.composite
+def library_texts(draw):
+    """The shipped library after up to three edits: a value changed, a line dropped or added."""
+    lines = list(SHIPPED_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["value", "value", "drop", "add", "add", "text"]))
+        if edit == "value" and at < len(lines) and "=" in lines[at]:
+            lines[at] = f"{lines[at].partition('=')[0]}= {draw(LIBRARY_VALUES)}"
+        elif edit == "drop" and at < len(lines):
+            del lines[at]
+        elif edit == "add":
+            lines.insert(at, f"{draw(LIBRARY_KEYS)} {draw(st.sampled_from(['=', '=', '', '==']))} "
+                             f"{draw(LIBRARY_VALUES)}")
+        elif edit == "text":
+            lines.insert(at, draw(LIBRARY_TEXT))
+    return "\n".join(lines)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=library_texts())
+def test_read_library_loads_or_names_the_fault(tmp_path, text):
+    path = tmp_path / "cells.cfg"
+    path.write_text(text)
+    try:
+        lib = read_library(path)
+    except LibraryParseError as e:
+        assert str(e).startswith(f"{path}:")
+        return
+    assert isinstance(lib, CellLibrary) and list(lib.kinds) == list(CELL_KINDS)

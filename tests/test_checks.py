@@ -13,8 +13,10 @@ from sfq_ecc.sim import simulate, to_timeline
 
 NAN, INF = float("nan"), float("inf")
 # per rule, the values it rejects and the numpy scalar types that stand for Python numbers:
-# a bool is not a number, 10**400 is beyond the float range, "1" is text
-NUMBER = ((True, np.bool_(True), NAN, INF, -INF, 10**400, "1"), (np.int64, np.float64))
+# a bool is not a number, 10**400 is beyond the float range, "1" is text; a numpy float
+# narrower than float64 is checked without an overflow warning
+NUMBER = ((True, np.bool_(True), NAN, INF, -INF, 10**400, "1", np.float32(INF), np.float16(NAN)),
+          (np.int64, np.float16, np.float32, np.float64))
 # 10**400 is an integer; only a range at the call site rejects it
 INTEGER = ((True, np.bool_(True), NAN, INF, -INF, "1", 1.5, np.float64(2)), (np.int64,))
 CAPPED_INTEGER = (INTEGER[0] + (10**400,), INTEGER[1])

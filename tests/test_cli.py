@@ -177,6 +177,9 @@ def test_simulate_one_converter(tmp_path):
     {**ONE_CONVERTER, "version": True},
     {**ONE_CONVERTER, "version": 1.0},
     {**ONE_CONVERTER, "name": 7},
+    # a clock that is not a cell id but is falsy, which raised TypeError from compile
+    {**ONE_CONVERTER, "clock": []},
+    {**ONE_CONVERTER, "clock": 0},
 ])
 def test_simulate_malformed_netlist_json(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

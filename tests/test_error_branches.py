@@ -1,0 +1,97 @@
+"""Error branches no other test reaches: each raises its documented error and message.
+
+Where a command reaches the branch, the command exits with its documented code and
+prints the same message.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sfq_ecc import celllib
+from sfq_ecc.celllib import (
+    TABLE_TOTALS,
+    CalibrationError,
+    LibraryParseError,
+    calibrate_library,
+    fit_unit_costs,
+    read_library,
+)
+from sfq_ecc.cli import EXIT_VALIDATION, main
+from sfq_ecc.codes import CORRECT, analyze_patterns, make_code
+from sfq_ecc.netlist import CELL_KINDS
+from sfq_ecc.ppv import PpvConfig
+
+JJ_ROWS = [t[:5] for t in TABLE_TOTALS.values()]
+POWER_ROWS = [t[:4] + (t[5],) for t in TABLE_TOTALS.values()]
+SHIPPED_LIBRARY = (Path(celllib.__file__).parent / "data" / "cell_library.cfg").read_text()
+
+
+def library_file(tmp_path, first_line):
+    """The shipped library with ``first_line`` put before it."""
+    path = tmp_path / "cells.cfg"
+    path.write_text(f"{first_line}\n{SHIPPED_LIBRARY}")
+    return path
+
+
+def config_file(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+NEGATIVE_MARGIN = {"margins": {**dict.fromkeys(CELL_KINDS, 0.1), "XOR": -0.1}}
+
+# (id, the call, the error it raises, its message, the command reaching it or None);
+# the call and the command take a temporary directory
+BRANCHES = [
+    ("library unknown key",
+     lambda tmp: read_library(library_file(tmp, "XOR.bogus = 1")),
+     LibraryParseError, "cells.cfg:1: unknown key 'XOR.bogus'",
+     lambda tmp: ["synth", "hamming74", "--library", str(library_file(tmp, "XOR.bogus = 1"))]),
+    ("library bad number",
+     lambda tmp: read_library(library_file(tmp, "XOR.jj = eleven")),
+     LibraryParseError, "cells.cfg:1: bad number 'eleven'",
+     lambda tmp: ["synth", "hamming74", "--library", str(library_file(tmp, "XOR.jj = eleven"))]),
+    ("jj calibration with two rows",
+     lambda tmp: calibrate_library(JJ_ROWS[:2]),
+     CalibrationError, "need at least three encoder rows", None),
+    # two more junctions in the first total leave no non-negative integral solution
+    ("jj calibration with no solution",
+     lambda tmp: calibrate_library([JJ_ROWS[0][:4] + (249,)] + JJ_ROWS[1:]),
+     CalibrationError, "0 admissible solutions; residuals by splitter value: ", None),
+    # the first row again, with a total 1 uW higher
+    ("unit costs inconsistent",
+     lambda tmp: fit_unit_costs(POWER_ROWS + [POWER_ROWS[0][:4] + (POWER_ROWS[0][4] + 1,)]),
+     CalibrationError, "power totals are inconsistent, no exact solution", None),
+    # XOR + DFF = -1 and the null direction trades one for the other
+    ("unit costs negative",
+     lambda tmp: fit_unit_costs([(1, 1, 0, 0, -1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)]),
+     CalibrationError, "no non-negative power solution", None),
+    ("negative margin",
+     lambda tmp: PpvConfig.from_dict(NEGATIVE_MARGIN),
+     ValueError, "margin of XOR must be non-negative, got -0.1",
+     lambda tmp: ["mc", "--config", str(config_file(tmp, NEGATIVE_MARGIN))]),
+    ("base word not a codeword",
+     lambda tmp: analyze_patterns(make_code("hamming74"), CORRECT, 1, base_codeword="1000000"),
+     ValueError, "base_codeword is not a codeword", None),
+    # equal to a valid mode, so the mode check passes, but no dict key: the lookup's
+    # own error is raised again
+    ("decode mode equal to a valid one but unhashable",
+     lambda tmp: make_code("hamming74").decode_table(np.array(CORRECT)),
+     TypeError, "unhashable type: 'numpy.ndarray'", None),
+]
+
+
+@pytest.mark.parametrize("call, error, message, command", [b[1:] for b in BRANCHES],
+                         ids=[b[0] for b in BRANCHES])
+def test_error_branch(tmp_path, capsys, call, error, message, command):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+    if command is not None:
+        assert main([*command(tmp_path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -143,6 +143,43 @@ def test_config_roundtrip():
     assert PpvConfig.from_dict(cfg.to_dict()) == cfg
 
 
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats()
+               | st.text(max_size=6) | st.sampled_from(["uniform", "gaussian", "optimistic"]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+MARGIN_VALUES = st.floats(-0.5, 2) | JSON_LEAVES
+
+
+@st.composite
+def config_docs(draw):
+    """A default config's record with fields dropped, changed and added, or any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = PpvConfig().to_dict()
+    for name in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del doc[name]
+        elif name == "margins":
+            doc[name] = draw(st.dictionaries(st.sampled_from([*nl.CELL_KINDS, "NAND", 1]),
+                                             MARGIN_VALUES, max_size=5) | JSON_VALUES)
+        else:
+            doc[name] = draw(JSON_VALUES | st.floats(0, 1) | st.integers(-1, 2**32))
+    if draw(st.integers(0, 3)) == 0:  # unknown keys, of mixed types
+        doc.update(draw(st.dictionaries(st.text(max_size=6) | st.integers(), JSON_LEAVES,
+                                        min_size=1, max_size=2)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=config_docs())
+def test_config_from_dict_loads_or_raises_value_error(doc):
+    try:
+        cfg = PpvConfig.from_dict(doc)
+    except ValueError:
+        return
+    assert PpvConfig.from_dict(cfg.to_dict()) == cfg
+
+
 # --- baseline netlist ------------------------------------------------------------
 
 def test_baseline_composition():
