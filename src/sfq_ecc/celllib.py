@@ -143,12 +143,12 @@ def calibrate_library(rows=None):
     for s in range(s_max + 1):
         b = np.array([r[4] - r[2] * s for r in rows[:3]], dtype=float)
         x = np.linalg.solve(M, b)
-        xi = np.rint(x).astype(int)
+        xi = np.rint(x).astype(int).tolist()  # plain ints, printed as such in the error
         cand = (xi[0], xi[1], s, xi[2])
         res = [r[0] * cand[0] + r[1] * cand[1] + r[2] * s + r[3] * cand[3] - r[4]
                for r in rows]
         residuals.append((s, res))
-        if (xi >= 0).all() and all(v == 0 for v in res):
+        if min(xi) >= 0 and all(v == 0 for v in res):
             solutions.append(cand)
     if len(solutions) != 1:
         raise CalibrationError(

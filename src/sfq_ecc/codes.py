@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from math import comb
 
 import numpy as np
 
@@ -60,19 +59,31 @@ _G_HAMMING84 = np.array(
 _BIT_VALUES = frozenset((0, 1))
 
 
-def bits(s) -> np.ndarray:
-    """Coerce a bit string like ``"1011"`` (or any 0/1 sequence) to uint8."""
+def _bit_list(s) -> list:
+    """The bits of a bit string like ``"1011"`` or of a 0/1 sequence, as a checked list.
+
+    The one rule of :func:`bits` and :meth:`LinearCode._index`: a non-empty
+    string of ``0`` and ``1``, or a one-dimensional sequence whose every
+    value equals 0 or 1.  Raises ``ValueError`` on anything else.
+    """
     if isinstance(s, str):
         if not s or any(ch not in "01" for ch in s):
             raise ValueError(f"not a bit string: {s!r}")
-        return np.array([int(ch) for ch in s], dtype=np.uint8)
+        return [int(ch) for ch in s]
     a = np.asarray(s)
-    # checked before the cast, which would wrap 256 to 0 and truncate 0.5;
+    # checked before any cast, which would wrap 256 to 0 and truncate 0.5;
     # set membership compares by ==, so 1.0 and True pass as they would in
     # ``((a == 0) | (a == 1)).all()``, at a fraction of its cost on short vectors
-    if a.ndim != 1 or not _BIT_VALUES.issuperset(a.tolist()):
-        raise ValueError("bit vector must be one-dimensional over {0,1}")
-    return a.astype(np.uint8)
+    if a.ndim == 1:
+        values = a.tolist()
+        if _BIT_VALUES.issuperset(values):
+            return values
+    raise ValueError("bit vector must be one-dimensional over {0,1}")
+
+
+def bits(s) -> np.ndarray:
+    """Coerce a bit string like ``"1011"`` (or any 0/1 sequence) to uint8."""
+    return np.array(_bit_list(s), dtype=np.uint8)
 
 
 def bitstr(a) -> str:
@@ -130,7 +141,8 @@ class LinearCode:
             raise ValueError("generator matrix does not have full row rank")
 
         words = np.arange(2**self.n)
-        dist = _unpack(words, self.n).sum(axis=1)[words[:, None] ^ pack(self.codebook)]
+        self._weight = _unpack(words, self.n).sum(axis=1)  # of each word, as an error pattern
+        dist = self._weight[words[:, None] ^ pack(self.codebook)]
         self.distance = dist.min(axis=1)
         # the lowest message index among ties; int16 keeps batch lookups small
         self.nearest = dist.argmin(axis=1).astype(np.int16)
@@ -143,19 +155,26 @@ class LinearCode:
             (CORRECT, TIE_CONSERVATIVE): unique,
             (CORRECT, TIE_OPTIMISTIC): self.nearest if resolves_ties else unique,
         }
-        self._weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        for table in (self.distance, self.nearest, self.tied, exact, unique, self._weights):
+        for table in (self._weight, self.distance, self.nearest, self.tied, exact, unique):
             table.setflags(write=False)
 
     def __repr__(self):
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, d_min={self.d_min})"
 
     def _index(self, word) -> int:
-        """Table index (:func:`pack`) of an n-bit word; ``ValueError`` for anything else."""
-        r = bits(word)
-        if r.size != self.n:
-            raise ValueError(f"word length {r.size} != n={self.n} for {self.name}")
-        return int(r.dot(self._weights))
+        """Table index (:func:`pack`) of an n-bit word; ``ValueError`` for anything else.
+
+        The word is checked by the rule of :func:`bits`, and its index is
+        summed in Python ints over the checked list, first bit most
+        significant, with no numpy cast or product per word.
+        """
+        values = _bit_list(word)
+        if len(values) != self.n:
+            raise ValueError(f"word length {len(values)} != n={self.n} for {self.name}")
+        w = 0
+        for bit in values:
+            w = w + w + (1 if bit else 0)
+        return w
 
     def is_codeword(self, word) -> bool:
         return self.message_of(word) is not None
@@ -262,6 +281,9 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
            tie_break: str = TIE_CONSERVATIVE) -> DecodeOutcome:
     """Decode a received n-bit word by one lookup in the code's table.
 
+    The word's table index is computed in Python ints (:meth:`LinearCode._index`),
+    so a scalar decode runs no numpy arithmetic before the lookup.
+
     ``detect_only`` reports clean for exact codewords and uncorrectable for
     everything else.  ``correct`` delivers the unique nearest codeword:
     clean at distance 0, corrected beyond, uncorrectable on a tie.
@@ -303,23 +325,36 @@ def analyze_patterns(code: LinearCode, mode: str, weight: int,
     ``base_codeword`` lets tests spot-check that.  Note the optimistic rm13
     tie-break is index-based and therefore not translation invariant: its
     counts are a best-case construct evaluated on the given codeword.
+    The row is the ``weight`` entry of :func:`_pattern_rows`.
     """
     if _checks.integer("weight", weight, 0) > code.n:
         raise ValueError(f"weight {weight} out of range 0..{code.n}")
-    sent = np.zeros(code.n, dtype=np.uint8) if base_codeword is None else bits(base_codeword)
-    sent_idx = code.message_of(sent)
-    if sent_idx is None:
-        raise ValueError("base_codeword is not a codeword")
+    return _pattern_rows(code, mode, tie_break, base_codeword)[weight]
 
-    flips = np.arange(2**code.n)
-    received = pack(sent) ^ flips[_unpack(flips, code.n).sum(axis=1) == weight]
+
+def _pattern_rows(code: LinearCode, mode: str, tie_break: str, base_codeword=None) -> list:
+    """The :class:`PatternAnalysis` of every weight 0..n, from one pass over a decode table.
+
+    All 2^n error patterns are applied at once, and one ``np.bincount``
+    over the code's table of word weights counts each bucket per weight.
+    """
+    sent = 0 if base_codeword is None else code._index(base_codeword)
+    if code.distance[sent] != 0:
+        raise ValueError("base_codeword is not a codeword")
+    sent_idx = code.nearest[sent]
+    received = sent ^ np.arange(2**code.n)  # pattern p is flipped at the set bits of p
     got = code.decode_table(mode, tie_break)[received]
-    detected = int((got < 0).sum())
-    corrected = int((got == sent_idx).sum())
-    undetected = int(((got != sent_idx) & (code.distance[received] == 0)).sum())
-    return PatternAnalysis(weight=weight, total=comb(code.n, weight), undetected=undetected,
-                           detected=detected, corrected=corrected,
-                           miscorrected=len(received) - detected - corrected - undetected)
+
+    def per_weight(mask=None) -> list:
+        weights = code._weight if mask is None else code._weight[mask]
+        return np.bincount(weights, minlength=code.n + 1).tolist()
+
+    total, detected, corrected = per_weight(), per_weight(got < 0), per_weight(got == sent_idx)
+    undetected = per_weight((got != sent_idx) & (code.distance[received] == 0))
+    return [PatternAnalysis(weight=t, total=total[t], undetected=undetected[t],
+                            detected=detected[t], corrected=corrected[t],
+                            miscorrected=total[t] - detected[t] - corrected[t] - undetected[t])
+            for t in range(code.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -383,11 +418,15 @@ class CapabilitySummary:
 
 
 def capability_summary(code: LinearCode) -> CapabilitySummary:
-    """Enumerate every error weight under each decoder mode and summarize."""
-    detect = [analyze_patterns(code, DETECT_ONLY, t) for t in range(code.n + 1)]
-    correct = [analyze_patterns(code, CORRECT, t) for t in range(code.n + 1)]
-    optimist = [analyze_patterns(code, CORRECT, t, tie_break=TIE_OPTIMISTIC)
-                for t in range(code.n + 1)]
+    """Enumerate every error weight under each decoder mode and summarize.
+
+    Each of the three decode tables read (detect-only, correct, correct
+    with optimistic ties) is classified in one pass over all 2^n error
+    patterns (:func:`_pattern_rows`), on the zero codeword.
+    """
+    detect = _pattern_rows(code, DETECT_ONLY, TIE_CONSERVATIVE)
+    correct = _pattern_rows(code, CORRECT, TIE_CONSERVATIVE)
+    optimist = _pattern_rows(code, CORRECT, TIE_OPTIMISTIC)
 
     def prefix(rows, ok) -> int:
         """How many weights from 1 up satisfy ``ok`` in a row."""

@@ -62,6 +62,7 @@ share it; a single chip is a batch of one.  A config with
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -115,6 +116,11 @@ def _margin(kind, value) -> float:
     return float(value)
 
 
+def _python_number(v):
+    """A validated real number as a Python ``int`` if it is an integer, else a ``float``."""
+    return int(v) if isinstance(v, numbers.Integral) else float(v)
+
+
 @dataclass(frozen=True)
 class PpvConfig:
     """Knobs of the fault model.
@@ -127,7 +133,9 @@ class PpvConfig:
     erasure accounting (see :func:`calibrate_fault_model`).  ``tie_break``
     selects the tie policy of the Monte Carlo decoder (only rm13 resolves
     ties).  ``margins`` is stored as a read-only copy, so neither the
-    caller's dict nor the config can change after validation.
+    caller's dict nor the config can change after validation.  Numbers
+    are stored as Python ``int`` (integers) and ``float`` (the rest), so
+    :meth:`to_dict` is plain JSON whatever numeric types built the config.
     """
 
     spread: float = 0.20
@@ -147,6 +155,8 @@ class PpvConfig:
         _checks.integer("master_seed", self.master_seed, 0)
         for name in ("n_chips", "n_messages"):
             _checks.count(name, getattr(self, name), 1)
+        for name in ("spread", "q", "master_seed", "n_chips", "n_messages"):
+            object.__setattr__(self, name, _python_number(getattr(self, name)))
         for name in ("count_detected_errors", "clock_faults"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -157,9 +167,10 @@ class PpvConfig:
         _checks.one_of("distribution", self.distribution, ("uniform", "gaussian"))
         _checks.one_of("tie_break", self.tie_break, TIE_POLICIES)
         margins = _checks.exact_keys("margins", self.margins, CELL_KINDS, "cell kind")
-        object.__setattr__(self, "margins", MappingProxyType(dict(margins)))
         for kind in CELL_KINDS:
-            _margin(kind, self.margins[kind])
+            _margin(kind, margins[kind])
+        object.__setattr__(self, "margins", MappingProxyType(
+            {kind: _python_number(value) for kind, value in margins.items()}))
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -473,8 +484,10 @@ def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, batch):
     n_pt, n_chip = len(q), len(dev)
     per_chip = np.bincount(chip, minlength=n_chip)
     first = np.cumsum(per_chip) - per_chip
-    u = _doubles(np.concatenate([draw(cell[a:a + c]) for draw, a, c
-                                 in zip(draws, first.tolist(), per_chip.tolist())]))  # (F, M)
+    # only chips with drawn cells draw rows; a batch with none keeps a (0, M) block
+    drawn = [draw(cell[a:a + c]) for draw, a, c in zip(draws, first.tolist(), per_chip.tolist())
+             if c]
+    u = _doubles(np.concatenate(drawn or [np.empty((0, msgs.shape[1]), np.uint64)]))  # (F, M)
     faulty = ((np.abs(dev[chip, cell]) > margins[:, cell])
               & (cfg.clock_faults | ~eng.prog.on_clock[cell]))  # (points, F)
     # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip

@@ -12,6 +12,7 @@ misfire masks for the fault injection of :mod:`sfq_ecc.ppv`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -161,7 +162,9 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     fixes which clock period injection happened in, and each subsequent
     edge is one period later.  Sub-period analog offsets are outside this
     model, so timestamps are aligned to edges (exact to within one period).
-    Every stamp is a plain ``float``.  Raises ``ValueError`` on a clock or
+    Every stamp is a plain ``float``, one object per cycle.  The rows are
+    zipped straight from the stamps, the ids and the bits, each stamp and
+    id repeated by an iterator rather than a list.  Raises ``ValueError`` on a clock or
     epoch that is not a finite number (a bool is not one), a clock that is
     not positive, or stamps that overflow the float range.
     """
@@ -179,8 +182,7 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     if not np.isfinite(stamps).all():  # a period or epoch beyond the float range
         raise ValueError(f"time stamps at {clock_ghz} GHz from epoch {epoch_ns} ns "
                          f"are not finite")
-    # one float object per cycle, shared by the cycle's rows: a float per row
+    # one float object per cycle, repeated for the cycle's rows: a float per row
     # would hold 24 bytes more per row at the peak
-    stamps = stamps.astype(object)
-    return list(zip(np.repeat(stamps, width).tolist(), list(result.output_ids) * cycles,
-                    frames.ravel().tolist()))
+    times = chain.from_iterable(map(repeat, stamps.tolist(), repeat(width)))
+    return list(zip(times, cycle(result.output_ids), frames.ravel().tolist()))

@@ -1,5 +1,6 @@
 """Cell library calibration and cost reports."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,14 @@ def test_jj_back_substitution():
     assert 6 * jj["XOR"] + 8 * jj["DFF"] + 23 * jj["SPLITTER"] + 8 * jj["SFQ2DC"] == 278
     assert 8 * jj["XOR"] + 7 * jj["DFF"] + 26 * jj["SPLITTER"] + 8 * jj["SFQ2DC"] == 305
     assert 5 * jj["XOR"] + 8 * jj["DFF"] + 20 * jj["SPLITTER"] + 7 * jj["SFQ2DC"] == 247
+
+
+def test_jj_calibration_error_prints_plain_integers():
+    # residuals were printed as np.int64(-4) under numpy 2
+    with pytest.raises(CalibrationError, match=re.escape(
+            "0 admissible solutions; residuals by splitter value: "
+            "[(0, [-4, -4, -3]), (1, [-1, -1, -1]), ")):
+        calibrate_library([(5, 8, 20, 7, 249)] + JJ_ROWS[1:])
 
 
 def test_jj_calibration_rejects_degenerate_rows():

@@ -6,6 +6,7 @@ without reference to syndromes, parity bits or correlation internals.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ from sfq_ecc.codes import (
     DETECT_ONLY,
     TIE_CONSERVATIVE,
     TIE_OPTIMISTIC,
+    TIE_POLICIES,
     UNCORRECTABLE,
+    CapabilitySummary,
     LinearCode,
+    PatternAnalysis,
+    _unpack,
     analyze_patterns,
     bits,
     bitstr,
@@ -28,6 +33,7 @@ from sfq_ecc.codes import (
     decode,
     encode,
     make_code,
+    pack,
 )
 
 ALL_CODES = ("hamming74", "hamming84", "rm13")
@@ -404,6 +410,95 @@ def test_membership_and_message_lookup_reject_malformed_words(word):
             lookup(word)
 
 
+def reference_bits(s):
+    """The bit rule as one vectorized comparison and a uint8 cast, kept as an oracle."""
+    if isinstance(s, str):
+        if not s or any(ch not in "01" for ch in s):
+            raise ValueError(f"not a bit string: {s!r}")
+        return np.array([int(ch) for ch in s], dtype=np.uint8)
+    a = np.asarray(s)
+    if a.ndim != 1 or not ((a == 0) | (a == 1)).all():
+        raise ValueError("bit vector must be one-dimensional over {0,1}")
+    return a.astype(np.uint8)
+
+
+def reference_index(code, word):
+    """The table index as ``bits(word)`` dotted with the int64 place values, kept as an oracle."""
+    r = reference_bits(word)
+    if r.size != code.n:
+        raise ValueError(f"word length {r.size} != n={code.n} for {code.name}")
+    return int(r.dot(1 << np.arange(code.n - 1, -1, -1, dtype=np.int64)))
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+BIT_DTYPES = (np.uint8, np.int64, np.bool_, np.float64)
+ODD_VALUES = (2, 0.5, 256, -1, 1.5)
+
+
+@st.composite
+def received_words(draw, n):
+    """Words for an n-bit code: arrays, lists and strings, mostly valid."""
+    size = draw(st.sampled_from([n, n, n, n - 1, n + 1, 0]))
+    values = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    if values and draw(st.integers(0, 4)) == 0:  # one value that is not a bit
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ODD_VALUES))
+    form = draw(st.sampled_from(["array", "list", "string", "2-D", "0-d"]))
+    if form == "string":
+        text = "".join(str(v) for v in values)
+        return text if draw(st.integers(0, 4)) else text + draw(st.sampled_from("2a "))
+    if form == "list":
+        return values
+    dtype = draw(st.sampled_from(BIT_DTYPES))
+    if any(v not in (0, 1) for v in values) and dtype != np.float64:
+        dtype = np.float64  # 0.5 and -1 do not fit every dtype, and would not reach the rule
+    if form == "0-d":
+        return np.array(values[0] if values else 1, dtype=dtype)
+    a = np.array(values, dtype=dtype)
+    return a if form == "array" else a.reshape(1, -1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(ALL_CODES))
+def test_index_and_lookups_equal_the_bits_dot_place_values(data, name):
+    code = make_code(name)
+    word = data.draw(received_words(code.n))
+    want = outcome(reference_index, code, word)
+    got = outcome(code._index, word)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, tuple):  # the same ValueError from every lookup
+        for lookup in (code.message_of, code.is_codeword,
+                       lambda w: decode(code, w, CORRECT, TIE_OPTIMISTIC)):
+            assert outcome(lookup, word) == want
+        return
+    assert code.message_of(word) == (int(code.nearest[want]) if code.distance[want] == 0
+                                     else None)
+    for mode, ties in itertools.product((DETECT_ONLY, CORRECT), TIE_POLICIES):
+        m = int(code.decode_table(mode, ties)[want])
+        out = decode(code, word, mode, ties)
+        if m < 0:
+            assert out.message is None and out.status == UNCORRECTABLE
+        else:
+            assert np.array_equal(out.message, code.messages[m])
+            assert out.status == ("clean" if code.distance[want] == 0 else "corrected")
+
+
+@pytest.mark.parametrize("word", [
+    [2, 0, 0, 0, 0, 0, 0, 0], [0.5] * 8, np.array([256] + [0] * 7), np.zeros((2, 4)),
+    np.array(1), np.zeros(7, dtype=np.uint8), "0110011", "0110011a", "", [],
+])
+def test_index_rejects_what_the_bits_rule_rejects_with_its_message(word):
+    code = make_code("hamming84")
+    assert outcome(code._index, word) == outcome(reference_index, code, word)
+    assert outcome(code._index, word)[0] is ValueError
+
+
 def test_decode_roundtrip_all_codes():
     for name in ALL_CODES:
         code = make_code(name)
@@ -534,6 +629,54 @@ def test_rm13_weight2_four_way_tie_structure():
 def test_rm13_optimistic_weight2_on_zero_codeword_corrects():
     pa = analyze_patterns(make_code("rm13"), CORRECT, 2, tie_break=TIE_OPTIMISTIC)
     assert pa.corrected > 0
+
+
+def reference_analysis(code, mode, weight, tie_break, sent):
+    """One weight's patterns, enumerated and classified on their own, kept as an oracle."""
+    flips = np.arange(2**code.n)
+    received = pack(sent) ^ flips[_unpack(flips, code.n).sum(axis=1) == weight]
+    got = code.decode_table(mode, tie_break)[received]
+    sent_idx = code.message_of(sent)
+    detected = int((got < 0).sum())
+    corrected = int((got == sent_idx).sum())
+    undetected = int(((got != sent_idx) & (code.distance[received] == 0)).sum())
+    return PatternAnalysis(weight=weight, total=comb(code.n, weight), undetected=undetected,
+                           detected=detected, corrected=corrected,
+                           miscorrected=len(received) - detected - corrected - undetected)
+
+
+@pytest.mark.parametrize("name", ALL_CODES)
+def test_patterns_equal_the_per_weight_enumeration(name):
+    code = make_code(name)
+    for mode, ties in itertools.product((DETECT_ONLY, CORRECT), TIE_POLICIES):
+        for sent in code.codebook:
+            for t in range(code.n + 1):
+                got = analyze_patterns(code, mode, t, tie_break=ties, base_codeword=sent)
+                assert got == reference_analysis(code, mode, t, ties, sent)
+                assert type(got.total) is type(got.miscorrected) is int
+
+
+@pytest.mark.parametrize("name", ALL_CODES)
+def test_capability_summary_equals_the_per_weight_enumeration(name):
+    # the summary as it was built: one analyze_patterns call per weight and table
+    code = make_code(name)
+    zero = code.codebook[0]
+    detect, correct, optimist = (
+        [reference_analysis(code, mode, t, ties, zero) for t in range(code.n + 1)]
+        for mode, ties in ((DETECT_ONLY, TIE_CONSERVATIVE), (CORRECT, TIE_CONSERVATIVE),
+                           (CORRECT, TIE_OPTIMISTIC)))
+    prefix = lambda rows, ok: len(list(itertools.takewhile(ok, rows[1:])))  # noqa: E731
+    guaranteed_detect = prefix(detect, lambda r: r.undetected == 0)
+    want = CapabilitySummary(
+        name=name, d_min=code.d_min, is_perfect=code.is_perfect,
+        guaranteed_detect=guaranteed_detect,
+        guaranteed_correct=prefix(correct, lambda r: r.corrected == r.total),
+        correct_mode_safe=prefix(correct, lambda r: r.undetected == 0 and r.miscorrected == 0),
+        partial_detect=max((t for t in range(1, min(guaranteed_detect + 1, code.n) + 1)
+                            if detect[t].detected > 0), default=0),
+        opportunistic_correct=max((t for t in range(1, code.n + 1)
+                                   if optimist[t].corrected > 0), default=0))
+    assert capability_summary(code) == want
 
 
 # --- capability summary -------------------------------------------------------

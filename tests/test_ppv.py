@@ -143,6 +143,20 @@ def test_config_roundtrip():
     assert PpvConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_stores_numpy_numbers_as_python_numbers():
+    # numpy scalars were stored as given, and json.dumps of to_dict raised TypeError
+    cfg = PpvConfig(spread=np.float64(0.2), q=np.float32(0.1), master_seed=np.int64(7),
+                    n_chips=np.int32(5), n_messages=np.uint16(3),
+                    margins=margins(XOR=np.float16(0.25), DFF=np.int64(1)))
+    assert type(cfg.q) is float and cfg.q == float(np.float32(0.1))
+    assert type(cfg.spread) is float
+    assert (type(cfg.master_seed), type(cfg.n_chips), type(cfg.n_messages)) == (int, int, int)
+    assert (type(cfg.margins["XOR"]), type(cfg.margins["DFF"])) == (float, int)
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    assert doc == cfg.to_dict()
+    assert PpvConfig.from_dict(doc) == cfg == PpvConfig.from_dict(cfg.to_dict())
+
+
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats()
                | st.text(max_size=6) | st.sampled_from(["uniform", "gaussian", "optimistic"]))
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
@@ -235,20 +249,22 @@ def drawn_rows(eng, cfg, margins, q, materials):
 
     ``cfg`` is scored at the (margins, q) points.  Observed through a spy on
     each material's misfire-row function; the rows are given as uniforms.
+    A chip with no drawn cells is not asked for rows and draws none.
     """
-    seen = []
+    seen = [None] * len(materials)
 
-    def spy(rows):
+    def spy(chip, rows):
         def drawn(cells):
+            assert seen[chip] is None and cells.size  # once per chip, and only with cells
             words = rows(cells)
-            seen.append((cells, ppv._doubles(words)))
+            seen[chip] = (cells, ppv._doubles(words))
             return words
         return drawn
 
-    ppv._received(eng, cfg, margins, q,
-                  ppv._decode(eng, cfg, [(head, spy(rows)) for head, rows in materials]))
-    assert len(seen) == len(materials)
-    return seen
+    ppv._received(eng, cfg, margins, q, ppv._decode(
+        eng, cfg, [(head, spy(chip, rows)) for chip, (head, rows) in enumerate(materials)]))
+    none = (np.empty(0, dtype=np.intp), np.empty((0, cfg.n_messages)))
+    return [none if s is None else s for s in seen]
 
 
 def received(net, chip, cfg, msgs):
