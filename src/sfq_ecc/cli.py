@@ -199,7 +199,7 @@ def _wilson95(p: float, n: int) -> tuple:
 
 def cmd_mc(args) -> int:
     cfg = _load_ppv_config(args)
-    names = args.codes or list(ppv.SETUP_NAMES)
+    names = list(dict.fromkeys(args.codes or ppv.SETUP_NAMES))  # each once, first-given order
     out = _outdir(args)
     summary = {}
     manifest_runs = {}

@@ -22,9 +22,9 @@ bit-identical regardless of execution order or batch size.
 Each chip draws 64-bit words from its own PCG64 stream, the one
 ``SeedSequence((master_seed, chip_index))`` seeds.  Its four seed words
 come from :func:`_seed_words`, numpy's ``SeedSequence`` hashing run over
-a block of chips at once in uint32 arrays and kept per (seed, block); the
-chip's ``PCG64`` takes them through an ``ISeedSequence``
-(:func:`_seed_words_type`) and seeds itself from them as numpy does.
+a block of chips at once in uint32 arrays and kept per (seed, block) in
+an array that is its own ``ISeedSequence`` (:func:`_seed_words_type`); the
+chip's ``PCG64`` takes its row and seeds itself from it as numpy does.
 
 The words are drawn in a fixed layout: one word per cell for its
 deviation; then 32-bit halves, the low half of a word first, one per
@@ -42,11 +42,12 @@ words after them follow the same layout.
 
 A chip's material is its head, every word before the block, and its
 generator, standing at the block.  A batch of heads is decoded with one
-set of array operations; rows are drawn on demand, only those of cells
-faulty under the weakest margins being scored, moving between rows with
-``bit_generator.advance``.  That is exact in both directions, because
-PCG64's period is 2**128 and each uniform is one word, so material kept
-across calls (a calibration draws each chip once) serves any margins.
+set of array operations; rows are drawn on demand, a batch's in one
+block, only those of cells that can misfire under some scored point,
+moving between rows with ``bit_generator.advance``.  That is exact in
+both directions, because PCG64's period is 2**128 and each uniform is one
+word, so material kept across calls (a calibration draws each chip once)
+serves any margins.
 
 One function, :func:`_received`, applies the fault model to a batch of chip
 material at every (margins, q) point of one config: it alone compares
@@ -56,16 +57,22 @@ to a byte, every gate is one bitwise operation over all of them
 (bit-parallel pattern fault simulation, as in Waicukauski et al., "Fault
 simulation for structured VLSI", 1985), and each distinct (chip, q, faulty
 drawn cells) is one row, evaluated and counted once however many points
-share it; a single chip is a batch of one.  A config with
-``clock_faults=False`` clears the misfires of its clock-tree cells.
+share it; a single chip is a batch of one.  A (point, chip) pair with no
+cell that can misfire gets no row: as concurrent fault simulation
+simulates the good machine once (Ulrich & Baker, "Concurrent simulation
+of nearly identical digital networks", 1974), each scoring call evaluates
+the fault-free netlist once on every message and counts such a pair from
+it.  A config with ``clock_faults=False`` clears the misfires of its
+clock-tree cells.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from types import MappingProxyType
 
@@ -243,19 +250,16 @@ class _FaultEngine:
     """A netlist and the program :func:`netlist.compile` caches for it by content.
 
     Built per call; callers run the program with :func:`sfq_ecc.sim.evaluate`.
+    The cell, splitter and input counts are read once per chip, so they are
+    plain attributes.
     """
 
     def __init__(self, net: Netlist):
         self.net = net
         self.prog = nl.compile(net)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.prog.cell_ids)
-
-    @property
-    def n_splitters(self) -> int:
-        return len(self.prog.splitters)
+        self.n_cells = len(self.prog.cell_ids)
+        self.n_splitters = len(self.prog.splitters)
+        self.n_inputs = len(net.inputs)
 
 
 def _seed_words(master_seed: int, chips) -> np.ndarray:
@@ -310,48 +314,50 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     """The read-only :func:`_seed_words` of the ``_SEED_BLOCK`` chips from ``block * _SEED_BLOCK``.
 
     A memo, not an argument: :func:`_chip_material` is called once per chip
-    and keeps its signature, so the chips of a block share one computation here.
+    and keeps its signature, so the chips of a block share one computation
+    here.  The words are a :func:`_seed_words_type` array, so each row
+    seeds ``PCG64`` as it is.
     """
     words = _seed_words(master_seed, np.arange(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK))
     words.flags.writeable = False
-    return words
+    return words.view(_seed_words_type())
 
 
 @lru_cache(maxsize=None)
 def _seed_words_type() -> type:
-    """The ``ISeedSequence`` that hands ``PCG64`` one chip's :func:`_seed_words`.
+    """An array of seed words that is its own ``ISeedSequence``: a row hands ``PCG64`` itself.
 
-    Made on first use: numpy imports ``numpy.random`` lazily, and importing
-    it to subclass ``ISeedSequence`` would add ~15 ms to every import of
-    this package, chips drawn or not.
+    A row of a C-contiguous (chips, 4) uint64 array is one chip's four
+    words, laid out as ``PCG64`` reads them; indexing the block makes the
+    row, so seeding a chip builds no other object.  Made on first use:
+    numpy imports ``numpy.random`` lazily, and importing it to subclass
+    ``ISeedSequence`` would add ~15 ms to every import of this package,
+    chips drawn or not.
     """
     from numpy.random.bit_generator import ISeedSequence
 
-    class SeedWords(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words):
-            self.words = words
-
+    class SeedWords(np.ndarray, ISeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
-            return self.words
+            return self
 
     return SeedWords
 
 
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
-    """All randomness of one chip: its head words and a misfire-row function.
+    """All randomness of one chip: its head words and its misfire block.
 
     The head is every word before the misfire block, in one ``random_raw``
     call; under ``gaussian`` its first ``cells`` words are the bits of the
-    ``Generator.normal`` deviations.  The row function's generator stands at
-    the start of the block.  Nothing drawn depends on margins or ``q``, so
-    one material serves every (margins, q) point of a config.
+    ``Generator.normal`` deviations.  The block is ``[generator, row]``, the
+    generator standing at the start of the block's row ``row``, 0 here;
+    :func:`_misfire_words` draws from it and moves the row on.  Nothing
+    drawn depends on margins or ``q``, so one material serves every
+    (margins, q) point of a config.
     """
     block, at = divmod(chip_index, _SEED_BLOCK)
-    bitgen = np.random.PCG64(_seed_words_type()(_seed_block(cfg.master_seed, block)[at]))
+    bitgen = np.random.PCG64(_seed_block(cfg.master_seed, block)[at])
     # words after the deviations: a half per branch, then a half per four message bits
-    tail = (eng.n_splitters + -(-cfg.n_messages * len(eng.net.inputs) // 4) + 1) // 2
+    tail = (eng.n_splitters + -(-cfg.n_messages * eng.n_inputs // 4) + 1) // 2
     if cfg.distribution == "uniform":
         head = bitgen.random_raw(eng.n_cells + tail)
     else:
@@ -363,7 +369,7 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
                 break
             dev[bad] = normal(0.0, cfg.spread / 2.0, int(bad.sum()))
         head = np.concatenate([dev.view(np.uint64), bitgen.random_raw(tail)])
-    return head, _misfire_rows(bitgen, cfg.n_messages)
+    return head, [bitgen, 0]
 
 
 def _doubles(words) -> np.ndarray:
@@ -371,14 +377,24 @@ def _doubles(words) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
+def _below(words, q: float) -> np.ndarray:
+    """``_doubles(words) < q`` in uint64: the top 53 bits below ``ceil(q * 2**53)``.
+
+    Exact, as a double is an integer of 53 bits over 2**53 and scaling ``q``
+    by a power of two rounds nothing.
+    """
+    return words >> 11 < np.uint64(math.ceil(q * 2.0**53))
+
+
 def _decode(eng: _FaultEngine, cfg: PpvConfig, materials) -> tuple:
     """The batch of chip ``materials``, as :func:`_received` takes it.
 
     Stacks the heads and reads them with one set of array operations:
     deviations (chips, cells), branches (chips, splitters) and messages
-    (chips, n_messages, k) uint8, then the materials' row functions.
+    (chips, n_messages, k) uint8, then a function ``draw(chip, cell)`` that
+    returns those rows of the materials' misfire blocks (:func:`_misfire_words`).
     """
-    heads, rows = zip(*materials)
+    heads, blocks = zip(*materials)
     heads = np.array(heads)
     n, s = eng.n_cells, eng.n_splitters
     if cfg.distribution == "uniform":  # Generator.uniform: low + (high - low) * double
@@ -386,34 +402,32 @@ def _decode(eng: _FaultEngine, cfg: PpvConfig, materials) -> tuple:
     else:
         dev = heads[:, :n].view(np.float64)
     halves = heads[:, n:].astype("<u8", copy=False).view("<u4")  # the low half first
-    m, k = cfg.n_messages, len(eng.net.inputs)
+    m, k = cfg.n_messages, eng.n_inputs
     msgs = (halves[:, s:].view(np.uint8)[:, :m * k] >> 7).reshape(len(heads), m, k)
-    return dev, (halves[:, :s] >> 31).astype(np.int64), msgs, rows
+    return (dev, (halves[:, :s] >> 31).astype(np.int64), msgs,
+            partial(_misfire_words, blocks, m))
 
 
-def _misfire_rows(bitgen: np.random.PCG64, n_messages: int):
-    """A function that draws rows of the misfire block ``bitgen`` stands at the start of.
+def _misfire_words(blocks, n_messages: int, chip, cell) -> np.ndarray:
+    """Row ``cell[i]`` of misfire block ``blocks[chip[i]]`` for each i, one (F, n_messages) block.
 
-    It takes an array of cell indices, any set in any order, and returns
-    their (cells, n_messages) rows as raw words, which :func:`_doubles`
-    turns into the uniforms.  A cursor moves the generator between rows
-    with ``advance`` modulo PCG64's period, 2**128, which is exact
-    backwards too, and each uniform is one word, so every drawn row equals
-    the same row of the full block.
+    The rows are raw words; :func:`_below` compares them with ``q``.  Pairs
+    come in any order, and a block may be asked again in a later call.  Its
+    generator moves between rows with ``advance``: forward by the words
+    skipped, backward modulo PCG64's period, 2**128, which is exact too.
+    Each uniform is one word, so every drawn row equals the same row of the
+    full block.
     """
-    pos = 0  # the row the generator stands at
-
-    def rows(cells) -> np.ndarray:
-        nonlocal pos
-        out = np.empty((len(cells), n_messages), dtype=np.uint64)
-        for row, cell in zip(out, cells.tolist()):
-            if cell != pos:
-                bitgen.advance(((cell - pos) * n_messages) % _PCG64_PERIOD)
-            row[:] = bitgen.random_raw(n_messages)
-            pos = cell + 1
-        return out
-
-    return rows
+    out = np.empty((len(cell), n_messages), dtype=np.uint64)
+    for i, (j, c) in enumerate(zip(chip.tolist(), cell.tolist())):
+        block = blocks[j]
+        bitgen, row = block
+        if c != row:
+            step = (c - row) * n_messages
+            bitgen.advance(step if step > 0 else step % _PCG64_PERIOD)
+        out[i] = bitgen.random_raw(n_messages)
+        block[1] = c + 1
+    return out
 
 
 def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
@@ -441,11 +455,21 @@ def _word_index(packed, n_messages: int) -> np.ndarray:
     return words
 
 
-def _wrong(setup: EncoderSetup, tie_break: str, count_detected_errors: bool) -> np.ndarray:
-    """Whether a message counts as erroneous, per (sent index, received word)."""
-    delivered = setup.code.decode_table(CORRECT, tie_break)
-    wrong = delivered != np.arange(1 << len(setup.netlist.inputs))[:, None]
-    return wrong if count_detected_errors else wrong & (delivered >= 0)
+def _wrong(eng: _FaultEngine, setup: EncoderSetup, cfg: PpvConfig) -> tuple:
+    """Whether a message counts as erroneous under ``cfg``'s accounting and tie policy.
+
+    Returns the table per (sent index, received word) and its entry per sent
+    index at the word the fault-free netlist sends: one :func:`evaluate` of
+    all 2**k messages, exact for any netlist, equivalent to its code or not.
+    """
+    delivered = setup.code.decode_table(CORRECT, cfg.tie_break)
+    msgs = setup.code.messages  # row m holds the bits of sent index m
+    sent = np.arange(len(msgs))
+    wrong = delivered != sent[:, None]
+    if not cfg.count_detected_errors:
+        wrong &= delivered >= 0
+    clean = _word_index(evaluate(eng.prog, _planes(msgs[None])), len(msgs))[0]
+    return wrong, wrong[sent, clean]
 
 
 def _distinct(key) -> tuple:
@@ -459,76 +483,92 @@ def _distinct(key) -> tuple:
     return order[new], rank
 
 
+def _planes(msgs) -> np.ndarray:
+    """Messages (chips, M, k) as packed bit planes (k, chips, W), eight messages to a byte."""
+    return np.packbits(np.ascontiguousarray(msgs.transpose(2, 0, 1)), axis=-1)
+
+
 def _received(eng: _FaultEngine, cfg: PpvConfig, margins, q, batch):
     """Packed received words, one row per distinct misfire pattern of a ``batch`` of chips.
 
     A batch is (deviations (chips, cells), branches (chips, splitters),
-    messages (chips, M, k), one misfire-row function per chip), as
-    :func:`_decode` returns it.  A point is a row of ``margins``, (points, 4)
-    in ``CELL_KINDS`` order, and the same entry of ``q``, (points,).  A cell
-    is faulty at a point when its |deviation| exceeds the point's margin for
-    its kind; only the cells beyond the weakest margin across the points
-    draw misfire rows.  A faulty cell misfires where its uniform is below
-    ``q``, except on the clock tree when ``cfg`` has no clock faults.  So
-    chip ``j`` at point ``i`` misfires as fixed by (j, q, the faulty cells
-    among j's drawn ones), and q does not matter without faulty cells.  One
-    row is evaluated per distinct key, in passes of at most ``_BATCH`` rows;
-    ``u < q`` is packed once per distinct q.  The key begins with the chip,
-    so a single point gives each chip its own row.  Returns the received
-    words (n, rows, W), the sent message index of each (row, message) and
-    the row of each (point, chip).
+    messages (chips, M, k), the row function ``draw``), as :func:`_decode`
+    returns it.  A point is a row of ``margins``, (points, 4) in
+    ``CELL_KINDS`` order, and the same entry of ``q``, (points,).  A cell
+    can misfire at a point when its |deviation| exceeds the point's margin
+    for its kind, q > 0, and it is not on the clock tree of a ``cfg``
+    without clock faults: such a cell's margin is infinite.  Only the
+    cells beyond the weakest margin across the points draw misfire rows,
+    all in one ``draw`` call.  A cell misfires where its uniform is below
+    ``q`` (:func:`_below`).  So chip ``j`` at point ``i`` misfires as fixed
+    by (j, q, the cells of j that can misfire at i), and a pair with no
+    such cell is fault-free: it gets no row, as the caller scores it from
+    the fault-free netlist.  One row is evaluated per distinct key of the
+    other pairs, in passes of at most ``_BATCH`` rows.  Returns the
+    received words (n, rows, W), the sent message index of each (row,
+    message) and the row of each (point, chip), -1 for a fault-free pair.
     """
-    dev, branch, msgs, draws = batch
+    dev, branch, msgs, draw = batch
+    # each cell's margin at each point, infinite where it cannot misfire
     margins = np.hstack([margins, np.full((len(q), 1), np.inf)])[:, eng.prog.kind_code]
-    chip, cell = (np.abs(dev) > margins.min(axis=0)).nonzero()  # (F,) drawn cells, chip-major
+    if not cfg.clock_faults:
+        margins[:, eng.prog.on_clock] = np.inf
+    margins[q == 0] = np.inf
+    chip, cell = (np.abs(dev) > margins.min(axis=0)).nonzero()  # chip-major
+    faulty = np.abs(dev[chip, cell]) > margins[:, cell]  # (points, F)
     n_pt, n_chip = len(q), len(dev)
     per_chip = np.bincount(chip, minlength=n_chip)
     first = np.cumsum(per_chip) - per_chip
-    # only chips with drawn cells draw rows; a batch with none keeps a (0, M) block
-    drawn = [draw(cell[a:a + c]) for draw, a, c in zip(draws, first.tolist(), per_chip.tolist())
-             if c]
-    u = _doubles(np.concatenate(drawn or [np.empty((0, msgs.shape[1]), np.uint64)]))  # (F, M)
-    faulty = ((np.abs(dev[chip, cell]) > margins[:, cell])
-              & (cfg.clock_faults | ~eng.prog.on_clock[cell]))  # (points, F)
     # faulty drawn cells as bits per (point, chip), one slot per drawn row of the chip
     bits = np.zeros((n_pt, n_chip, per_chip.max()), dtype=bool)
     bits[:, chip, np.arange(len(chip)) - first[chip]] = faulty
-    qs, q_of = np.unique(q, return_inverse=True)
     packed = np.packbits(bits, axis=2)
-    key = np.empty((n_pt, n_chip, 2 + packed.shape[2]), dtype=np.int32)
-    key[..., 0] = np.arange(n_chip)
-    key[..., 1] = np.where(packed.any(axis=2), q_of[:, None], -1)
-    key[..., 2:] = packed
-    reps, row = _distinct(key.reshape(n_pt * n_chip, -1))
-    pt_of, chip_of = np.divmod(reps, n_chip)
-    below = np.array([np.packbits(u < p, axis=-1) for p in qs])  # (Q, F, W)
+    pt, ch = packed.any(axis=2).nonzero()  # the pairs that misfire
+    qs = sorted(set(q.tolist()))  # np.unique's first call costs ~1 MB of RSS
+    q_of = np.searchsorted(qs, q)
+    key = np.empty((len(pt), 2 + packed.shape[2]), dtype=np.int32)
+    key[:, 0] = ch
+    key[:, 1] = q_of[pt]
+    key[:, 2:] = packed[pt, ch]
+    reps, rank = _distinct(key)
+    pt_of, chip_of = pt[reps], ch[reps]
+    row = np.full((n_pt, n_chip), -1, dtype=np.intp)
+    row[pt, ch] = rank
     r, s = bits[pt_of, chip_of].nonzero()  # faulty (row, slot) pairs, rows ascending
     f = first[chip_of[r]] + s
+    words = draw(chip, cell)  # (F, M)
+    below = np.array([np.packbits(_below(words, p), axis=-1) for p in qs])  # (Q, F, W)
     masks = below[q_of[pt_of[r]], f]
     cells = cell[f]
-    planes = np.packbits(np.ascontiguousarray(msgs.transpose(2, 0, 1)), axis=-1)
-    received = []
+    planes = _planes(msgs[chip_of])  # (k, rows, W)
+    received = np.empty((len(eng.prog.outputs), *planes.shape[1:]), np.uint8)
     for p in range(0, len(chip_of), _BATCH):  # passes of at most _BATCH rows
-        rows, e = chip_of[p:p + _BATCH], slice(*np.searchsorted(r, (p, p + _BATCH)))
-        mis = np.zeros((eng.n_cells, len(rows), masks.shape[-1]), dtype=np.uint8)
+        rows, e = slice(p, p + _BATCH), slice(*np.searchsorted(r, (p, p + _BATCH)))
+        mis = np.zeros((eng.n_cells, len(chip_of[rows]), masks.shape[-1]), dtype=np.uint8)
         mis[cells[e], r[e] - p] = masks[e]
-        received.append(evaluate(eng.prog, planes[:, rows], mis, branch[rows]))
-    sent = _word_index(planes, msgs.shape[1])  # (chips, M), gathered per row
-    return np.concatenate(received, axis=1), sent[chip_of], row.reshape(n_pt, n_chip)
+        received[:, rows] = evaluate(eng.prog, planes[:, rows], mis, branch[chip_of[rows]])
+    return received, _word_index(planes, msgs.shape[1]), row
 
 
-def _score(eng: _FaultEngine, setup: EncoderSetup, cfg: PpvConfig, margins, q,
-           batch) -> np.ndarray:
+def _score(eng: _FaultEngine, wrong, cfg: PpvConfig, margins, q, batch) -> np.ndarray:
     """Erroneous-message counts (points, chips) under ``cfg``'s accounting.
 
-    Each distinct row of :func:`_received` is counted once; each message is
-    one lookup in the (sent, received) table.
+    ``wrong`` is :func:`_wrong`'s pair of tables.  Each distinct row of
+    :func:`_received` is counted once, each message one lookup in the
+    (sent, received) table.  A fault-free pair counts the messages the
+    fault-free netlist delivers wrong: none for every synthesized setup,
+    whose chips are then not looked at.
     """
+    table, clean = wrong
     received, sent, row = _received(eng, cfg, margins, q, batch)
     key = sent.astype(np.int32) << len(received)
     key += _word_index(received, sent.shape[1])  # in place: one (rows, M) int32 block, not two
-    wrong = _wrong(setup, cfg.tie_break, cfg.count_detected_errors)
-    return np.take(wrong, key).sum(axis=1)[row]
+    counts = np.append(np.take(table, key).sum(axis=1), 0)[row]  # a fault-free pair reads the 0
+    if clean.any():
+        msgs = batch[2]
+        counts = np.where(row < 0, clean[_word_index(_planes(msgs), msgs.shape[1])].sum(axis=1),
+                          counts)
+    return counts
 
 
 def _own_point(cfg: PpvConfig) -> tuple:
@@ -545,9 +585,9 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     eng = _FaultEngine(setup.netlist)
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    _, _, msgs, rows = _decode(eng, cfg, [_chip_material(eng, cfg, chip.chip_index)])
-    batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, rows)
-    return int(_score(eng, setup, cfg, *_own_point(cfg), batch)[0, 0])
+    _, _, msgs, draw = _decode(eng, cfg, [_chip_material(eng, cfg, chip.chip_index)])
+    batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, draw)
+    return int(_score(eng, _wrong(eng, setup, cfg), cfg, *_own_point(cfg), batch)[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
@@ -559,13 +599,16 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     the clock model.  Returns shape (points, n_chips); row i equals
     ``error_counts`` of ``cfg`` with point i's margins and q.  Each batch of
     ``_BATCH`` chips is scored at every point (common random numbers), one
-    engine row per distinct misfire pattern (:func:`_received`), read
-    through one table.  ``materials``, when given, is a list of
+    engine row per distinct misfire pattern of the pairs that misfire
+    (:func:`_received`), read through one table; the fault-free pairs are
+    counted from one fault-free evaluation per call (:func:`_wrong`).
+    ``materials``, when given, is a list of
     :func:`_chip_material` results for chips 0, 1, ... that the caller keeps
     across calls with the same chip material; missing chips are drawn and
     appended, so none is drawn twice.
     """
     eng = _FaultEngine(setup.netlist)
+    wrong = _wrong(eng, setup, cfg)
     out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
     for start in range(0, cfg.n_chips, _BATCH):
         stop = min(start + _BATCH, cfg.n_chips)
@@ -574,7 +617,7 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
         else:
             materials += [_chip_material(eng, cfg, i) for i in range(len(materials), stop)]
             batch = _decode(eng, cfg, materials[start:stop])
-        out[:, start:stop] = _score(eng, setup, cfg, margins, q, batch)
+        out[:, start:stop] = _score(eng, wrong, cfg, margins, q, batch)
     return out
 
 

@@ -336,6 +336,25 @@ def test_mc_table_prints_wilson_intervals(tmp_path, capsys):
     assert lines[len(ppv.SETUP_NAMES) + 1].startswith("CDFs and manifest")
 
 
+def test_mc_runs_each_named_configuration_once(tmp_path, capsys, monkeypatch):
+    # a configuration named twice was run twice and printed two table rows
+    runs = []
+    monte_carlo = ppv.monte_carlo
+
+    def counted(setup, cfg):
+        runs.append(setup.name)
+        return monte_carlo(setup, cfg)
+
+    monkeypatch.setattr(ppv, "monte_carlo", counted)
+    assert run(["mc", "--codes", "rm13", "none", "rm13", "--chips", "5", "--messages", "3",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert runs == ["rm13", "none"]
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert rows == ["rm13", "none"]
+    assert list(json.loads((tmp_path / "mc_manifest.json").read_text())["runs"]) == [
+        "none", "rm13"]
+
+
 def test_mc_rejects_bad_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spread": -1}))

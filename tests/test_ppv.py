@@ -248,36 +248,39 @@ def drawn_rows(eng, cfg, margins, q, materials):
     """(cells, rows) per chip drawn when ``_received`` scores chip ``materials``.
 
     ``cfg`` is scored at the (margins, q) points.  Observed through a spy on
-    each material's misfire-row function; the rows are given as uniforms.
-    A chip with no drawn cells is not asked for rows and draws none.
+    the batch's row function, which a batch calls once for all its chips;
+    the rows are given as uniforms.  A chip with no drawn cells draws none.
     """
-    seen = [None] * len(materials)
+    dev, branch, msgs, draw = ppv._decode(eng, cfg, materials)
+    seen = []
 
-    def spy(chip, rows):
-        def drawn(cells):
-            assert seen[chip] is None and cells.size  # once per chip, and only with cells
-            words = rows(cells)
-            seen[chip] = (cells, ppv._doubles(words))
-            return words
-        return drawn
+    def spy(chip, cell):
+        words = draw(chip, cell)
+        seen.append((chip, cell, words))
+        return words
 
-    ppv._received(eng, cfg, margins, q, ppv._decode(
-        eng, cfg, [(head, spy(chip, rows)) for chip, (head, rows) in enumerate(materials)]))
-    none = (np.empty(0, dtype=np.intp), np.empty((0, cfg.n_messages)))
-    return [none if s is None else s for s in seen]
+    ppv._received(eng, cfg, margins, q, (dev, branch, msgs, spy))
+    ((chip, cell, words),) = seen
+    return [(cell[chip == j], ppv._doubles(words[chip == j])) for j in range(len(materials))]
 
 
 def received(net, chip, cfg, msgs):
     """Received words (M, n) of the (M, k) ``msgs`` on ``chip``, in one ``_received`` call.
 
     Every misfire word, so every uniform, is 0: a faulty cell misfires on
-    every message when q > 0 and on none when q = 0.
+    every message when q > 0.  A chip with no cell that can misfire gets no
+    engine row; its words are the fault-free netlist's, as scoring reads them.
     """
     eng = _FaultEngine(net)
-    u = np.zeros((eng.n_cells, len(msgs)), dtype=np.uint64)
-    batch = (chip.deviations[None], chip.branch_sel[None], msgs[None], [lambda cells: u[cells]])
+
+    def zeros(chips, cells):
+        return np.zeros((len(cells), len(msgs)), dtype=np.uint64)
+
+    batch = (chip.deviations[None], chip.branch_sel[None], msgs[None], zeros)
     words, _, row = ppv._received(eng, cfg, *points(cfg), batch)
-    return np.unpackbits(words[:, row[0, 0]], axis=-1, count=len(msgs)).T
+    if row[0, 0] < 0:
+        words, row = evaluate(eng.prog, np.packbits(msgs.T[:, None], axis=-1)), [[0]]
+    return np.unpackbits(words[:, row[0][0]], axis=-1, count=len(msgs)).T
 
 
 def drawn_cells(eng, cfg, chips):
@@ -527,15 +530,16 @@ def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, se
     # integers(0, 2, S), integers(0, 2, (M, k), uint8) and the whole misfire block
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
-    dev, branch, msgs, rows = ppv._decode(eng, cfg, [ppv._chip_material(eng, cfg, chip)
+    dev, branch, msgs, draw = ppv._decode(eng, cfg, [ppv._chip_material(eng, cfg, chip)
                                                      for chip in chips])
+    cells = np.arange(eng.n_cells)
     assert msgs.dtype == np.uint8
     for j, chip in enumerate(chips):
         ref_dev, ref_branch, ref_msgs, full = reference_material(eng, cfg, chip)
         assert np.array_equal(dev[j], ref_dev)
         assert np.array_equal(branch[j], ref_branch)
         assert np.array_equal(msgs[j], ref_msgs)
-        assert np.array_equal(ppv._doubles(rows[j](np.arange(eng.n_cells))), full)
+        assert np.array_equal(ppv._doubles(draw(np.full_like(cells, j), cells)), full)
 
 
 # seeds of one to five 32-bit words: entropy shorter than, filling and beyond the 4-word pool
@@ -558,9 +562,9 @@ def test_seed_words_equal_seed_sequence(seed, chips):
 @pytest.mark.parametrize("seed, chip", [(0, 0), (7, 255), (7, 256), (2**100 + 9, 999),
                                         (20240, 2**31 - 1)])
 def test_chip_generator_is_its_seed_sequences(seed, chip):
-    # PCG64 seeded through the memo's words stands where PCG64(SeedSequence) does
+    # PCG64 seeded with a row of the memo's words stands where PCG64(SeedSequence) does
     block, at = divmod(chip, ppv._SEED_BLOCK)
-    bitgen = np.random.PCG64(ppv._seed_words_type()(ppv._seed_block(seed, block)[at]))
+    bitgen = np.random.PCG64(ppv._seed_block(seed, block)[at])
     assert bitgen.state == np.random.PCG64(np.random.SeedSequence((seed, chip))).state
 
 
@@ -638,11 +642,12 @@ def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_message
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
     ((cells, drawn),) = drawn_rows(eng, zero, *points(zero), [ppv._chip_material(eng, zero, chip)])
     assert np.array_equal(drawn, full[cells])
-    rows = ppv._chip_material(eng, cfg, chip)[1]
+    block = ppv._chip_material(eng, cfg, chip)[1]
     cells = st.lists(st.integers(0, eng.n_cells - 1), unique=True, max_size=eng.n_cells)
     for subset in data.draw(st.lists(cells, min_size=1, max_size=4)) + [[0]]:
         subset = np.array(subset, dtype=np.intp)
-        assert np.array_equal(ppv._doubles(rows(subset)), full[subset])
+        words = ppv._misfire_words([block], n_messages, np.zeros_like(subset), subset)
+        assert np.array_equal(ppv._doubles(words), full[subset])
 
 
 def test_calibration_draws_each_chip_once(monkeypatch):
@@ -692,12 +697,17 @@ def repeated_patterns(case):
 
 
 def counted_passes(monkeypatch) -> list:
-    """A list that collects the row count of every later engine pass."""
+    """A list that collects the row count of every later engine pass with misfires.
+
+    A pass without misfire masks is the fault-free evaluation of every
+    message, which scores the fault-free (point, chip) pairs.
+    """
     passes = []
     evaluate = ppv.evaluate
 
     def counted(prog, planes, *args):
-        passes.append(planes.shape[1])
+        if args:
+            passes.append(planes.shape[1])
         return evaluate(prog, planes, *args)
 
     monkeypatch.setattr(ppv, "evaluate", counted)
@@ -721,16 +731,31 @@ def test_repeated_misfire_patterns_are_evaluated_once(case, batch, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SETUP_NAMES)
-def test_one_config_evaluates_one_row_per_chip(name, monkeypatch):
-    # the Monte Carlo path: a lone config keys each chip apart, so no row is shared or split
+def test_engine_passes_hold_only_the_chips_with_a_faulty_cell(name, monkeypatch):
+    # the Monte Carlo path: a lone config gives each chip with a faulty cell its own row and a
+    # fault-free chip none, as it counts the fault-free netlist's wrong deliveries
     setup = make_setup(name)
-    cfg = PpvConfig(margins=margins(XOR=0.1, DFF=0.15, SPLITTER=0.12, SFQ2DC=0.1),
+    cfg = PpvConfig(margins=margins(XOR=0.19, DFF=0.2, SPLITTER=0.19, SFQ2DC=0.17),
                     n_chips=7, n_messages=11, master_seed=31, q=0.5)
+    faulty = [cells.size > 0 for cells in
+              drawn_cells(_FaultEngine(setup.netlist), cfg, range(cfg.n_chips))]
+    assert 0 < sum(faulty) < cfg.n_chips
     monkeypatch.setattr(ppv, "_BATCH", 3)
     passes = counted_passes(monkeypatch)
     counts = error_counts(setup, cfg)
-    assert passes == [3, 3, 1]
+    in_batches = [sum(faulty[start:start + 3]) for start in range(0, cfg.n_chips, 3)]
+    assert passes == [n for n in in_batches if n]
     assert counts.any() and counts.tolist() == reference_counts(setup, cfg)
+
+
+def test_a_config_with_no_faulty_cell_makes_no_faulty_row_pass(monkeypatch):
+    # every margin equal to the spread: no cell can fault, and no chip reaches the engine
+    passes = counted_passes(monkeypatch)
+    cfg = no_fault_cfg(n_chips=9, n_messages=13, master_seed=4)
+    for name in SETUP_NAMES:
+        setup = make_setup(name)
+        assert error_counts(setup, cfg).tolist() == [0] * 9 == reference_counts(setup, cfg)
+    assert passes == []
 
 
 def reference_counts(setup, cfg):
@@ -835,6 +860,62 @@ def test_error_counts_match_reference_beyond_one_pass():
         for row, one in zip(many, at_points(cfg, margins, q)):
             assert row.tolist() == reference_counts(setup, one)
         assert many.sum() > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(ppv.SETUP_NAMES),
+    near_spread=st.lists(st.floats(0.196, 0.2), min_size=4, max_size=4),
+    q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    det=st.booleans(),
+    ties=st.sampled_from([TIE_CONSERVATIVE, TIE_OPTIMISTIC]),
+    clock=st.booleans(),
+    distribution=st.sampled_from(["uniform", "gaussian"]),
+    permuted=st.booleans(),
+    n_chips=st.integers(1, 10),
+    n_messages=st.integers(1, 17),
+    seed=st.integers(0, 2**16),
+)
+def test_mostly_fault_free_chips_match_reference_evaluator(
+        name, near_spread, q, det, ties, clock, distribution, permuted, n_chips, n_messages,
+        seed):
+    # margins near the spread leave most chips fault-free, scored without the engine; a
+    # netlist with its outputs reversed delivers some messages wrong even fault-free
+    setup = make_setup(name)
+    if permuted:
+        net = copy.deepcopy(setup.netlist)
+        net.outputs = list(net.outputs)[::-1]
+        setup = EncoderSetup(setup.name, net, setup.code)
+    cfg = PpvConfig(margins=dict(zip(KINDS, near_spread)), q=q, count_detected_errors=det,
+                    tie_break=ties, clock_faults=clock, distribution=distribution,
+                    n_chips=n_chips, n_messages=n_messages, master_seed=seed)
+    with mock.patch.object(ppv, "_BATCH", 3):  # batches split
+        assert error_counts(setup, cfg).tolist() == reference_counts(setup, cfg)
+
+
+EDGE_Q = st.sampled_from([0.0, 1.0, 5e-324, 2.0**-53, 1 - 2.0**-53])
+
+
+@st.composite
+def q_near_a_double(draw):
+    """``q`` equal to a double ``top / 2**53`` of ``Generator.random``, or one ulp either side.
+
+    Kept in [0, 1], the range of a config's ``q``.
+    """
+    q = draw(st.integers(0, 2**53)) * 2.0**-53
+    return float(np.clip(np.nextafter(q, draw(st.sampled_from([-1.0, q, 2.0]))), 0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=arrays(np.uint64, st.integers(0, 40), elements=st.integers(0, 2**64 - 1)),
+       q=EDGE_Q | q_near_a_double() | st.floats(0.0, 1.0))
+def test_integer_threshold_equals_uniform_below_q(words, q):
+    # every word whose top 53 bits stand at, just below or just above q's own bits
+    top = int(np.ceil(q * 2.0**53))
+    edges = [(t << 11) | low for t in (top - 1, top, top + 1) if 0 <= t < 2**53
+             for low in (0, 2**11 - 1)]
+    words = np.concatenate([words, np.array(edges, dtype=np.uint64)])
+    assert np.array_equal(ppv._below(words, q), ppv._doubles(words) < q)
 
 
 def test_calibration_matches_one_config_at_a_time(monkeypatch):
