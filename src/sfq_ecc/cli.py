@@ -296,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("mc", help="Monte Carlo fault injection CDFs")
-    sp.add_argument("--codes", nargs="*", choices=list(ppv.SETUP_NAMES),
+    sp.add_argument("--codes", nargs="+", choices=list(ppv.SETUP_NAMES),
                     help="configurations to run (default: all four)")
     sp.add_argument("--config", help="PPV config JSON (default: shipped calibration)")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, help="master seed of the chips, 0 to 2**31 - 1")
     sp.add_argument("--chips", type=int)
     sp.add_argument("--messages", type=int)
     sp.add_argument("--spread", type=float)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="fit the fault model to target probabilities")
     sp.add_argument("--targets",
                     help="comma list in order none,rm13,hamming74,hamming84")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int, help="master seed of the chips, 0 to 2**31 - 1")
     sp.add_argument("--chips", type=int)
     sp.add_argument("--spread", type=float)
     sp.add_argument("--search-chips", type=int, default=250)

@@ -20,11 +20,14 @@ All randomness derives from (master_seed, chip_index), so results are
 bit-identical regardless of execution order or batch size.
 
 Each chip draws 64-bit words from its own PCG64 stream, the one
-``SeedSequence((master_seed, chip_index))`` seeds.  Its four seed words
-come from :func:`_seed_words`, numpy's ``SeedSequence`` hashing run over
-a block of chips at once in uint32 arrays and kept per (seed, block) in
-an array that is its own ``ISeedSequence`` (:func:`_seed_words_type`); the
-chip's ``PCG64`` takes its row and seeds itself from it as numpy does.
+``SeedSequence((master_seed, chip_index))`` seeds.  Both are counts, one
+32-bit word each: numpy pads short entropy with zero words, so a longer
+seed would alias (chip 0 of seed 2**32 + 7 would be chip 1 of seed 7).
+A chip's four seed words come from :func:`_seed_words`, numpy's
+``SeedSequence`` hashing run over a block of chips at once in uint32
+arrays and kept per (seed, block) in an array that is its own
+``ISeedSequence`` (:func:`_seed_words_type`); the chip's ``PCG64`` takes
+its row and seeds itself from it as numpy does.
 
 The words are drawn in a fixed layout: one word per cell for its
 deviation; then 32-bit halves, the low half of a word first, one per
@@ -139,10 +142,12 @@ class PpvConfig:
     so the message counts as erroneous.  Calibrated configs may flip it to
     erasure accounting (see :func:`calibrate_fault_model`).  ``tie_break``
     selects the tie policy of the Monte Carlo decoder (only rm13 resolves
-    ties).  ``margins`` is stored as a read-only copy, so neither the
-    caller's dict nor the config can change after validation.  Numbers
-    are stored as Python ``int`` (integers) and ``float`` (the rest), so
-    :meth:`to_dict` is plain JSON whatever numeric types built the config.
+    ties).  ``master_seed`` is a count, as ``n_chips`` and ``n_messages``
+    are, so that no two seeds share chips.  ``margins`` is stored as a
+    read-only copy, so neither the caller's dict nor the config can change
+    after validation.  Numbers are stored as Python ``int`` (integers) and
+    ``float`` (the rest), so :meth:`to_dict` is plain JSON whatever numeric
+    types built the config.
     """
 
     spread: float = 0.20
@@ -159,7 +164,7 @@ class PpvConfig:
     def __post_init__(self):
         for name in ("spread", "q"):
             _checks.number(name, getattr(self, name))
-        _checks.integer("master_seed", self.master_seed, 0)
+        _checks.count("master_seed", self.master_seed, 0)
         for name in ("n_chips", "n_messages"):
             _checks.count(name, getattr(self, name), 1)
         for name in ("spread", "q", "master_seed", "n_chips", "n_messages"):
@@ -265,19 +270,15 @@ class _FaultEngine:
 def _seed_words(master_seed: int, chips) -> np.ndarray:
     """``SeedSequence((master_seed, chip)).generate_state(4, np.uint64)`` per chip, (chips, 4).
 
-    ``chips`` are below 2**32, one 32-bit entropy word each, after the seed's
-    little-endian 32-bit words (one for 0).  Each step of numpy's hashing
-    runs over the whole array of chips in uint32, which wraps as C does:
-    the pool is hashed from the entropy, its words mixed with each other,
-    entropy beyond the pool mixed into every word, and the state hashed
-    from the pool, two 32-bit words, the low one first, to a uint64.
+    The seed and the chips are counts, below 2**31, so the entropy is the
+    two 32-bit words [seed, chip], padded with zero words to the 4-word
+    pool.  Each step of numpy's hashing runs over the whole array of chips
+    in uint32, which wraps as C does: the pool is hashed from the entropy,
+    its words mixed with each other, and the state hashed from the pool,
+    two 32-bit words, the low one first, to a uint64.
     """
-    seed = int(master_seed)
-    n = max(-(-seed.bit_length() // 32), 1)
-    # one row per entropy word, zero rows filling the pool
-    entropy = np.zeros((max(n + 1, 4), len(chips)), dtype=np.uint32)
-    entropy[:n] = [[seed >> 32 * i & _MASK32] for i in range(n)]
-    entropy[n] = chips
+    entropy = np.zeros((4, len(chips)), dtype=np.uint32)
+    entropy[0], entropy[1] = master_seed, chips
 
     def hasher(const, mult):
         """numpy's ``hashmix``: each call steps the hash constant by ``mult``."""
@@ -294,14 +295,11 @@ def _seed_words(master_seed: int, chips) -> np.ndarray:
         return value ^ value >> 16
 
     hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = [hashmix(word) for word in entropy]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
     output = hasher(_INIT_B, _MULT_B)
     state = np.empty((len(chips), 8), dtype="<u4")
     for i in range(8):

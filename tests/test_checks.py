@@ -50,7 +50,7 @@ RULES = [
     ("margin of XOR", margins, 0, NUMBER),
     ("n_chips", lambda v: PpvConfig(n_chips=v), 10, COUNT),
     ("n_messages", lambda v: PpvConfig(n_messages=v), 10, COUNT),
-    ("master_seed", lambda v: PpvConfig(master_seed=v), 7, INTEGER),
+    ("master_seed", lambda v: PpvConfig(master_seed=v), 7, COUNT),
     ("cycles", lambda v: sim(cycles=v), 3, COUNT),
     ("clock_ghz", lambda v: timeline(clock_ghz=v), 5, NUMBER),
     ("epoch_ns", lambda v: timeline(epoch_ns=v), 0, NUMBER),

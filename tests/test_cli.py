@@ -355,6 +355,15 @@ def test_mc_runs_each_named_configuration_once(tmp_path, capsys, monkeypatch):
         "none", "rm13"]
 
 
+def test_mc_codes_without_names_is_a_usage_error(tmp_path, capsys):
+    # an empty list was taken for an absent flag, and all four configurations ran
+    with pytest.raises(SystemExit) as e:
+        run(["mc", "--codes", "--chips", "5", "--messages", "3", "--out", str(tmp_path)])
+    assert e.value.code == EXIT_VALIDATION
+    assert "argument --codes: expected at least one argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_mc_rejects_bad_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spread": -1}))
@@ -390,6 +399,7 @@ def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
     {"margins": {"XOR": 0.1, "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1, "BOGUS": 0.01}},
     {"margins": {"XOR": float("inf"), "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1}},
     {"margins": {"XOR": 10**400, "DFF": 0.1, "SPLITTER": 0.1, "SFQ2DC": 0.1}},
+    ["--seed", "2147483648"],  # beyond the count rule, where seeds share chips
 ])
 def test_mc_rejects_empty_runs_and_unknown_keys(tmp_path, case):
     argv = ["mc", "--out", str(tmp_path)]

@@ -44,6 +44,9 @@ def config_file(tmp_path, doc):
 
 
 NEGATIVE_MARGIN = {"margins": {**dict.fromkeys(CELL_KINDS, 0.1), "XOR": -0.1}}
+# the least seed beyond the count rule
+BIG_SEED = {"master_seed": 2**31}
+BIG_SEED_MESSAGE = "master_seed must be at most 2147483647, got 2147483648"
 
 # (id, the call, the error it raises, its message, the command reaching it or None);
 # the call and the command take a temporary directory
@@ -75,6 +78,14 @@ BRANCHES = [
      lambda tmp: PpvConfig.from_dict(NEGATIVE_MARGIN),
      ValueError, "margin of XOR must be non-negative, got -0.1",
      lambda tmp: ["mc", "--config", str(config_file(tmp, NEGATIVE_MARGIN))]),
+    ("master seed in a config beyond the count rule",
+     lambda tmp: PpvConfig.from_dict(BIG_SEED),
+     ValueError, BIG_SEED_MESSAGE,
+     lambda tmp: ["mc", "--config", str(config_file(tmp, BIG_SEED))]),
+    ("calibration seed beyond the count rule",
+     lambda tmp: PpvConfig(**BIG_SEED),
+     ValueError, BIG_SEED_MESSAGE,
+     lambda tmp: ["calibrate", "--seed", str(2**31)]),
     ("base word not a codeword",
      lambda tmp: analyze_patterns(make_code("hamming74"), CORRECT, 1, base_codeword="1000000"),
      ValueError, "base_codeword is not a codeword", None),
