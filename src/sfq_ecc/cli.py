@@ -203,9 +203,10 @@ def cmd_mc(args) -> int:
     out = _outdir(args)
     summary = {}
     manifest_runs = {}
-    for name in names:
-        setup = ppv.make_setup(name)
-        series = ppv.monte_carlo(setup, cfg)
+    setups = [ppv.make_setup(name) for name in names]
+    chips = ppv._ChipStore(cfg, [setup.netlist for setup in setups])  # each chip drawn once
+    for setup in setups:
+        series = ppv.monte_carlo(setup, cfg, chips)
         (out / f"cdf_{setup.name}.csv").write_text(series.to_csv())
         summary[setup.name] = (series.zero_error_prob,
                                *_wilson95(series.zero_error_prob, cfg.n_chips))

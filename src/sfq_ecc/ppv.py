@@ -21,13 +21,8 @@ bit-identical regardless of execution order or batch size.
 
 Each chip draws 64-bit words from its own PCG64 stream, the one
 ``SeedSequence((master_seed, chip_index))`` seeds.  Both are counts, one
-32-bit word each: numpy pads short entropy with zero words, so a longer
-seed would alias (chip 0 of seed 2**32 + 7 would be chip 1 of seed 7).
-A chip's four seed words come from :func:`_seed_words`, numpy's
-``SeedSequence`` hashing run over a block of chips at once in uint32
-arrays and kept per (seed, block) in an array that is its own
-``ISeedSequence`` (:func:`_seed_words_type`); the chip's ``PCG64`` takes
-its row and seeds itself from it as numpy does.
+32-bit word each, as numpy's zero padding would alias longer seeds
+(:func:`_seed_words` hashes a block of chips at once).
 
 The words are drawn in a fixed layout: one word per cell for its
 deviation; then 32-bit halves, the low half of a word first, one per
@@ -43,14 +38,14 @@ reject at a range of 2.  Under ``gaussian`` the deviations come from
 ``Generator.normal``, redrawn until all lie within the spread, and the
 words after them follow the same layout.
 
-A chip's material is its head, every word before the block, and its
-generator, standing at the block.  A batch of heads is decoded with one
-set of array operations; rows are drawn on demand, a batch's in one
-block, only those of cells that can misfire under some scored point,
-moving between rows with ``bit_generator.advance``.  That is exact in
-both directions, because PCG64's period is 2**128 and each uniform is one
-word, so material kept across calls (a calibration draws each chip once)
-serves any margins.
+Chip c of every setup reads the same stream, so under ``uniform`` each
+setup's head, every word before its block, is a prefix of the longest.
+:class:`_ChipStore` draws each chip of a run once for all its setups (an
+``mc`` run, a calibration) and keeps one generator per chip.  Misfire rows
+are drawn on demand, a batch's in one block, only for cells that can
+misfire under some scored point, at absolute word positions reached with
+``bit_generator.advance``: exact both ways, as PCG64's period is 2**128
+and each uniform is one word, so kept chips serve any margins.
 
 One function, :func:`_received`, applies the fault model to a batch of chip
 material at every (margins, q) point of one config: it alone compares
@@ -252,12 +247,8 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """A netlist and the program :func:`netlist.compile` caches for it by content.
-
-    Built per call; callers run the program with :func:`sfq_ecc.sim.evaluate`.
-    The cell, splitter and input counts are read once per chip, so they are
-    plain attributes.
-    """
+    """A netlist, its :func:`netlist.compile` program and counts, built per call: kept only
+    as ``perfbench/tracing.py`` keys each chip draw on :func:`_chip_material`'s first argument."""
 
     def __init__(self, net: Netlist):
         self.net = net
@@ -341,23 +332,23 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+def _head_words(eng: _FaultEngine, cfg: PpvConfig) -> int:
+    """Words before the misfire block: a word per cell, a half per branch and per 4 message bits."""
+    return eng.n_cells + (eng.n_splitters + -(-cfg.n_messages * eng.n_inputs // 4) + 1) // 2
+
+
 def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
-    """All randomness of one chip: its head words and its misfire block.
+    """All randomness of one chip: its head words and its ``PCG64``, standing after the head.
 
     The head is every word before the misfire block, in one ``random_raw``
     call; under ``gaussian`` its first ``cells`` words are the bits of the
-    ``Generator.normal`` deviations.  The block is ``[generator, row]``, the
-    generator standing at the start of the block's row ``row``, 0 here;
-    :func:`_misfire_words` draws from it and moves the row on.  Nothing
-    drawn depends on margins or ``q``, so one material serves every
-    (margins, q) point of a config.
+    ``Generator.normal`` deviations.  Nothing drawn depends on margins or ``q``.
     """
     block, at = divmod(chip_index, _SEED_BLOCK)
     bitgen = np.random.PCG64(_seed_block(cfg.master_seed, block)[at])
-    # words after the deviations: a half per branch, then a half per four message bits
-    tail = (eng.n_splitters + -(-cfg.n_messages * eng.n_inputs // 4) + 1) // 2
+    length = _head_words(eng, cfg)
     if cfg.distribution == "uniform":
-        head = bitgen.random_raw(eng.n_cells + tail)
+        head = bitgen.random_raw(length)
     else:
         normal = np.random.Generator(bitgen).normal
         dev = normal(0.0, cfg.spread / 2.0, eng.n_cells)
@@ -366,8 +357,64 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
             if not bad.any():
                 break
             dev[bad] = normal(0.0, cfg.spread / 2.0, int(bad.sum()))
-        head = np.concatenate([dev.view(np.uint64), bitgen.random_raw(tail)])
-    return head, [bitgen, 0]
+        head = np.concatenate([dev.view(np.uint64), bitgen.random_raw(length - eng.n_cells)])
+    return head, bitgen
+
+
+class _ChipStore:
+    """Chips ``chips`` (default all ``cfg.n_chips``) of ``cfg``'s stream, drawn once for ``nets``.
+
+    A chip is one :func:`_chip_material` at the longest head (under ``gaussian``,
+    whose redraws break the prefix, at each cell count's), a batch drawn when
+    first read.  A head is kept as rows of two arrays, its deviations and the
+    top bit of each byte (all that branch and message bits read): ~1 KB a chip
+    for the four setups at 100 messages, half of it the one generator.
+    """
+
+    def __init__(self, cfg: PpvConfig, nets, chips: range | None = None):
+        self.cfg, self.chips, self.drawn = cfg, range(cfg.n_chips) if chips is None else chips, 0
+        engs = sorted(map(_FaultEngine, nets), key=partial(_head_words, cfg=cfg))
+        cells, n = max(eng.n_cells for eng in engs), len(self.chips)
+        # key (0, or the cell count under gaussian) -> engine, deviations, tops, generators and
+        # the word each stands at
+        self.heads = {}
+        for key, eng in {e.n_cells * (cfg.distribution == "gaussian"): e for e in engs}.items():
+            length = _head_words(eng, cfg)
+            self.heads[key] = (eng, np.empty((n, key or cells)), np.empty((n, length), np.uint8),
+                               [None] * n, np.full(n, length))
+
+    def _draw(self, stop: int):
+        """Draw every head of the store's chips up to row ``stop``, a batch at a time."""
+        for start in range(self.drawn, stop, _BATCH):
+            rows = slice(start, min(start + _BATCH, stop))
+            for eng, dev, tops, gens, _ in self.heads.values():
+                heads = np.empty((rows.stop - start, tops.shape[1]), dtype=np.uint64)
+                for j in range(start, rows.stop):
+                    heads[j - start], gens[j] = _chip_material(eng, self.cfg, self.chips[j])
+                words = heads[:, :dev.shape[1]]  # Generator.uniform: low + (high - low) * double
+                dev[rows] = (_doubles(words) * (2 * self.cfg.spread) - self.cfg.spread
+                             if self.cfg.distribution == "uniform" else words.view(np.float64))
+                heads &= np.uint64(0x8080808080808080)  # in place: each byte's top bit
+                tops[rows] = np.packbits(heads.astype("<u8", copy=False).view(np.uint8), 1)
+        self.drawn = max(self.drawn, stop)
+
+    def rows(self, eng: _FaultEngine, cfg: PpvConfig, chips: range) -> tuple:
+        """``eng``'s part of ``self.heads`` for ``chips``, drawn if new; ValueError if not held."""
+        for k in ("master_seed", "spread", "distribution", "n_messages"):  # the stream's knobs
+            if getattr(cfg, k) != getattr(self.cfg, k):
+                raise ValueError(f"the chip store holds the chips of {k} "
+                                 f"{getattr(self.cfg, k)!r}, not {getattr(cfg, k)!r}")
+        if chips.start < self.chips.start or chips.stop > self.chips.stop:
+            raise ValueError(f"the chip store holds chips {self.chips.start} to "
+                             f"{self.chips.stop - 1}, not {chips.start} to {chips.stop - 1}")
+        length = _head_words(eng, cfg)
+        held = self.heads.get(eng.n_cells * (cfg.distribution == "gaussian"))
+        if held is None or held[1].shape[1] < eng.n_cells or held[2].shape[1] < length:
+            raise ValueError(f"the chip store holds no head for the netlist {eng.net.name!r}")
+        rows = slice(chips.start - self.chips.start, chips.stop - self.chips.start)
+        self._draw(rows.stop)
+        _, dev, tops, gens, at = held
+        return dev[rows, :eng.n_cells], tops[rows, :length], gens[rows], at[rows]
 
 
 def _doubles(words) -> np.ndarray:
@@ -384,47 +431,34 @@ def _below(words, q: float) -> np.ndarray:
     return words >> 11 < np.uint64(math.ceil(q * 2.0**53))
 
 
-def _decode(eng: _FaultEngine, cfg: PpvConfig, materials) -> tuple:
-    """The batch of chip ``materials``, as :func:`_received` takes it.
+def _decode(eng: _FaultEngine, cfg: PpvConfig, store: _ChipStore, chips: range) -> tuple:
+    """The batch ``chips`` of ``store`` as :func:`_received` takes it, from ``eng``'s head prefix.
 
-    Stacks the heads and reads them with one set of array operations:
-    deviations (chips, cells), branches (chips, splitters) and messages
-    (chips, n_messages, k) uint8, then a function ``draw(chip, cell)`` that
-    returns those rows of the materials' misfire blocks (:func:`_misfire_words`).
+    Deviations (chips, cells), then branches (chips, splitters) and messages
+    (chips, n_messages, k) uint8 unpacked from the byte tops, then a function
+    ``draw(chip, cell)`` of misfire rows (:func:`_misfire_words`).
     """
-    heads, blocks = zip(*materials)
-    heads = np.array(heads)
-    n, s = eng.n_cells, eng.n_splitters
-    if cfg.distribution == "uniform":  # Generator.uniform: low + (high - low) * double
-        dev = _doubles(heads[:, :n]) * (2 * cfg.spread) - cfg.spread
-    else:
-        dev = heads[:, :n].view(np.float64)
-    halves = heads[:, n:].astype("<u8", copy=False).view("<u4")  # the low half first
-    m, k = cfg.n_messages, eng.n_inputs
-    msgs = (halves[:, s:].view(np.uint8)[:, :m * k] >> 7).reshape(len(heads), m, k)
-    return (dev, (halves[:, :s] >> 31).astype(np.int64), msgs,
-            partial(_misfire_words, blocks, m))
+    dev, tops, gens, at = store.rows(eng, cfg, chips)
+    bits = np.unpackbits(tops[:, eng.n_cells:], axis=1)  # byte tops after the deviations
+    s, m, k = eng.n_splitters, cfg.n_messages, eng.n_inputs
+    msgs = bits[:, 4 * s:4 * s + m * k].reshape(len(bits), m, k)  # a byte per message bit
+    return (dev, bits[:, 3:4 * s:4].astype(np.int64), msgs,  # a half, the top byte, per branch
+            partial(_misfire_words, gens, at, tops.shape[1], m))
 
 
-def _misfire_words(blocks, n_messages: int, chip, cell) -> np.ndarray:
-    """Row ``cell[i]`` of misfire block ``blocks[chip[i]]`` for each i, one (F, n_messages) block.
+def _misfire_words(gens, at, head: int, n_messages: int, chip, cell) -> np.ndarray:
+    """Row ``cell[i]`` of the misfire block of ``gens[chip[i]]`` for each i, (F, n_messages) words.
 
-    The rows are raw words; :func:`_below` compares them with ``q``.  Pairs
-    come in any order, and a block may be asked again in a later call.  Its
-    generator moves between rows with ``advance``: forward by the words
-    skipped, backward modulo PCG64's period, 2**128, which is exact too.
-    Each uniform is one word, so every drawn row equals the same row of the
-    full block.
+    Row ``c`` after a ``head``-word head starts at word ``head + c * n_messages``, so
+    one generator serves every head's block, in any order: ``advance`` moves it from
+    the word ``at`` holds modulo PCG64's period, 2**128, exact backward too.
     """
     out = np.empty((len(cell), n_messages), dtype=np.uint64)
-    for i, (j, c) in enumerate(zip(chip.tolist(), cell.tolist())):
-        block = blocks[j]
-        bitgen, row = block
-        if c != row:
-            step = (c - row) * n_messages
-            bitgen.advance(step if step > 0 else step % _PCG64_PERIOD)
-        out[i] = bitgen.random_raw(n_messages)
-        block[1] = c + 1
+    for i, (j, start) in enumerate(zip(chip.tolist(), (head + cell * n_messages).tolist())):
+        if start != at[j]:
+            gens[j].advance((start - int(at[j])) % _PCG64_PERIOD)
+        out[i] = gens[j].random_raw(n_messages)
+        at[j] = start + n_messages
     return out
 
 
@@ -434,8 +468,8 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     Chip indices run from 0 to 2**31 - 1, as the chips of a Monte Carlo do.
     """
     _checks.count("chip_index", chip_index, 0)
-    eng = _FaultEngine(net)
-    dev, branch, *_ = _decode(eng, cfg, [_chip_material(eng, cfg, chip_index)])
+    eng, chips = _FaultEngine(net), range(chip_index, chip_index + 1)
+    dev, branch, *_ = _decode(eng, cfg, _ChipStore(cfg, [net], chips), chips)
     return ChipInstance(chip_index, eng.prog.cell_ids, dev[0], branch[0])
 
 
@@ -580,16 +614,16 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     Messages and misfire rows come from ``chip.chip_index``.
     """
     _checks.count("chip_index", chip.chip_index, 0)
-    eng = _FaultEngine(setup.netlist)
+    eng, chips = _FaultEngine(setup.netlist), range(chip.chip_index, chip.chip_index + 1)
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    _, _, msgs, draw = _decode(eng, cfg, [_chip_material(eng, cfg, chip.chip_index)])
+    _, _, msgs, draw = _decode(eng, cfg, _ChipStore(cfg, [setup.netlist], chips), chips)
     batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, draw)
     return int(_score(eng, _wrong(eng, setup, cfg), cfg, *_own_point(cfg), batch)[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
-                       materials=None) -> np.ndarray:
+                       chips: _ChipStore | None = None) -> np.ndarray:
     """Per-chip erroneous-message counts of ``cfg`` at several (margins, q) points.
 
     ``margins`` is (points, 4) in ``CELL_KINDS`` order and ``q`` is (points,);
@@ -600,33 +634,27 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     engine row per distinct misfire pattern of the pairs that misfire
     (:func:`_received`), read through one table; the fault-free pairs are
     counted from one fault-free evaluation per call (:func:`_wrong`).
-    ``materials``, when given, is a list of
-    :func:`_chip_material` results for chips 0, 1, ... that the caller keeps
-    across calls with the same chip material; missing chips are drawn and
-    appended, so none is drawn twice.
+    ``chips``, a :class:`_ChipStore` of ``cfg``'s stream with ``setup``'s head and ``n_chips``
+    chips (else ValueError), is drawn once for many calls; without it, batches are dropped.
     """
     eng = _FaultEngine(setup.netlist)
     wrong = _wrong(eng, setup, cfg)
     out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
     for start in range(0, cfg.n_chips, _BATCH):
-        stop = min(start + _BATCH, cfg.n_chips)
-        if materials is None:  # nothing kept: each batch is drawn, decoded and dropped
-            batch = _decode(eng, cfg, [_chip_material(eng, cfg, i) for i in range(start, stop)])
-        else:
-            materials += [_chip_material(eng, cfg, i) for i in range(len(materials), stop)]
-            batch = _decode(eng, cfg, materials[start:stop])
-        out[:, start:stop] = _score(eng, wrong, cfg, margins, q, batch)
+        batch = range(start, min(start + _BATCH, cfg.n_chips))
+        drawn = _decode(eng, cfg, chips or _ChipStore(cfg, [setup.netlist], batch), batch)
+        out[:, start:batch.stop] = _score(eng, wrong, cfg, margins, q, drawn)
     return out
 
 
-def error_counts(setup: EncoderSetup, cfg: PpvConfig) -> np.ndarray:
-    """Per-chip erroneous-message counts for the whole Monte Carlo."""
-    return _error_counts_many(setup, cfg, *_own_point(cfg))[0]
+def error_counts(setup: EncoderSetup, cfg: PpvConfig, chips=None) -> np.ndarray:
+    """Per-chip erroneous-message counts for the whole Monte Carlo, from ``chips`` if given."""
+    return _error_counts_many(setup, cfg, *_own_point(cfg), chips)[0]
 
 
-def monte_carlo(setup: EncoderSetup, cfg: PpvConfig) -> CdfSeries:
+def monte_carlo(setup: EncoderSetup, cfg: PpvConfig, chips=None) -> CdfSeries:
     """Aggregate per-chip error counts into the CDF of N."""
-    counts = error_counts(setup, cfg)
+    counts = error_counts(setup, cfg, chips)
     ns = np.arange(cfg.n_messages + 1)
     cdf = np.searchsorted(np.sort(counts), ns, side="right") / cfg.n_chips
     return CdfSeries(ns=ns, cdf=cdf, n_chips=cfg.n_chips)
@@ -727,8 +755,8 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     # no stage scores more chips than the final re-score
     search_chips, refine_chips = min(search_chips, base.n_chips), min(refine_chips, base.n_chips)
     setups = [make_setup(name) for name in SETUP_NAMES]
-    # every scored config shares base's chip material: each chip is drawn once per setup
-    materials = {s.name: [] for s in setups}
+    # every scored config shares base's chips, each drawn once for every setup
+    chips = _ChipStore(base, [s.netlist for s in setups])
 
     def badness(probs: dict, dev: float):
         return require_order and not ordered(probs), dev
@@ -736,10 +764,10 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     def ranked(cfg: PpvConfig, margins, q, keep: int) -> list:
         """(config, probs, max |dev|) of ``cfg``'s ``keep`` best points, ties in point order.
 
-        Setups are the outer loop; each scores every point on its kept chip
-        material, one engine row per distinct misfire pattern (:func:`_received`).
+        Setups are the outer loop; each scores every point on the kept chips,
+        one engine row per distinct misfire pattern (:func:`_received`).
         """
-        p0 = {s.name: (_error_counts_many(s, cfg, margins, q, materials[s.name]) == 0)
+        p0 = {s.name: (_error_counts_many(s, cfg, margins, q, chips) == 0)
               .mean(axis=1).tolist() for s in setups}
         probs = [{name: p[i] for name, p in p0.items()} for i in range(len(q))]
         devs = [max(abs(p[k] - targets[k]) for k in targets) for p in probs]

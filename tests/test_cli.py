@@ -341,9 +341,9 @@ def test_mc_runs_each_named_configuration_once(tmp_path, capsys, monkeypatch):
     runs = []
     monte_carlo = ppv.monte_carlo
 
-    def counted(setup, cfg):
+    def counted(setup, cfg, chips):
         runs.append(setup.name)
-        return monte_carlo(setup, cfg)
+        return monte_carlo(setup, cfg, chips)
 
     monkeypatch.setattr(ppv, "monte_carlo", counted)
     assert run(["mc", "--codes", "rm13", "none", "rm13", "--chips", "5", "--messages", "3",
@@ -372,7 +372,7 @@ def test_mc_rejects_bad_config(tmp_path):
 
 def test_mc_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch):
     # a huge --messages ended in a numpy allocation traceback
-    def too_large(setup, cfg):
+    def too_large(setup, cfg, chips):
         raise MemoryError("Unable to allocate 745. GiB")
 
     monkeypatch.setattr(ppv, "monte_carlo", too_large)

@@ -23,7 +23,7 @@ from sfq_ecc.celllib import (
 from sfq_ecc.cli import EXIT_VALIDATION, main
 from sfq_ecc.codes import CORRECT, analyze_patterns, make_code
 from sfq_ecc.netlist import CELL_KINDS
-from sfq_ecc.ppv import PpvConfig
+from sfq_ecc.ppv import PpvConfig, _ChipStore, error_counts, make_setup
 
 JJ_ROWS = [t[:5] for t in TABLE_TOTALS.values()]
 POWER_ROWS = [t[:4] + (t[5],) for t in TABLE_TOTALS.values()]
@@ -47,6 +47,17 @@ NEGATIVE_MARGIN = {"margins": {**dict.fromkeys(CELL_KINDS, 0.1), "XOR": -0.1}}
 # the least seed beyond the count rule
 BIG_SEED = {"master_seed": 2**31}
 BIG_SEED_MESSAGE = "master_seed must be at most 2147483647, got 2147483648"
+
+STORE = PpvConfig(n_chips=4, n_messages=10, master_seed=7)
+GAUSSIAN_STORE = PpvConfig(n_chips=4, n_messages=10, master_seed=7, distribution="gaussian")
+
+
+def from_store(name, cfg=STORE, held=("none",), store=STORE):
+    """``error_counts`` of setup ``name`` under ``cfg``, from a chip store of ``store``'s
+    chips drawn for the setups ``held``."""
+    chips = _ChipStore(store, [make_setup(h).netlist for h in held])
+    return error_counts(make_setup(name), cfg, chips)
+
 
 # (id, the call, the error it raises, its message, the command reaching it or None);
 # the call and the command take a temporary directory
@@ -86,6 +97,31 @@ BRANCHES = [
      lambda tmp: PpvConfig(**BIG_SEED),
      ValueError, BIG_SEED_MESSAGE,
      lambda tmp: ["calibrate", "--seed", str(2**31)]),
+    ("chip store of another seed",
+     lambda tmp: from_store("none", PpvConfig(n_chips=4, n_messages=10, master_seed=8)),
+     ValueError, "the chip store holds the chips of master_seed 7, not 8", None),
+    ("chip store of another spread",
+     lambda tmp: from_store("none", PpvConfig(n_chips=4, n_messages=10, master_seed=7,
+                                              spread=0.1)),
+     ValueError, "the chip store holds the chips of spread 0.2, not 0.1", None),
+    ("chip store of another distribution",
+     lambda tmp: from_store("none", GAUSSIAN_STORE),
+     ValueError, "the chip store holds the chips of distribution 'uniform', not 'gaussian'",
+     None),
+    ("chip store of another message count",
+     lambda tmp: from_store("none", PpvConfig(n_chips=4, n_messages=11, master_seed=7)),
+     ValueError, "the chip store holds the chips of n_messages 10, not 11", None),
+    ("chip store of fewer chips",
+     lambda tmp: from_store("none", PpvConfig(n_chips=5, n_messages=10, master_seed=7)),
+     ValueError, "the chip store holds chips 0 to 3, not 0 to 4", None),
+    # none's head at 10 messages, 13 words, is shorter than rm13's 72
+    ("chip store without the head of a longer setup",
+     lambda tmp: from_store("rm13"),
+     ValueError, "the chip store holds no head for the netlist 'rm13_encoder'", None),
+    # under gaussian a head serves one cell count: rm13's 54 cells, not none's 8
+    ("gaussian chip store without a setup's cell count",
+     lambda tmp: from_store("none", GAUSSIAN_STORE, ("rm13",), GAUSSIAN_STORE),
+     ValueError, "the chip store holds no head for the netlist 'no_encoder'", None),
     ("base word not a codeword",
      lambda tmp: analyze_patterns(make_code("hamming74"), CORRECT, 1, base_codeword="1000000"),
      ValueError, "base_codeword is not a codeword", None),

@@ -1,11 +1,15 @@
 """Process-variation fault injection: chips, trials, CDFs, calibration plumbing."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import pickle
+import tempfile
 from importlib import resources
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from sfq_ecc import netlist as nl
 from sfq_ecc import ppv
+from sfq_ecc.cli import main
 from sfq_ecc.codes import (
     CORRECT,
     TIE_CONSERVATIVE,
@@ -244,14 +249,14 @@ def test_chip_sampling_deterministic():
     assert not np.array_equal(a.deviations, sample_chip(net, cfg, 18).deviations)
 
 
-def drawn_rows(eng, cfg, margins, q, materials):
-    """(cells, rows) per chip drawn when ``_received`` scores chip ``materials``.
+def drawn_rows(eng, cfg, margins, q, store, chips):
+    """(cells, rows) per chip drawn when ``_received`` scores the ``chips`` of ``store``.
 
     ``cfg`` is scored at the (margins, q) points.  Observed through a spy on
     the batch's row function, which a batch calls once for all its chips;
     the rows are given as uniforms.  A chip with no drawn cells draws none.
     """
-    dev, branch, msgs, draw = ppv._decode(eng, cfg, materials)
+    dev, branch, msgs, draw = ppv._decode(eng, cfg, store, chips)
     seen = []
 
     def spy(chip, cell):
@@ -261,7 +266,7 @@ def drawn_rows(eng, cfg, margins, q, materials):
 
     ppv._received(eng, cfg, margins, q, (dev, branch, msgs, spy))
     ((chip, cell, words),) = seen
-    return [(cell[chip == j], ppv._doubles(words[chip == j])) for j in range(len(materials))]
+    return [(cell[chip == j], ppv._doubles(words[chip == j])) for j in range(len(chips))]
 
 
 def received(net, chip, cfg, msgs):
@@ -284,9 +289,10 @@ def received(net, chip, cfg, msgs):
 
 
 def drawn_cells(eng, cfg, chips):
-    """The cells the fault path reads under ``cfg`` per chip: those that draw misfire rows."""
-    materials = [ppv._chip_material(eng, cfg, i) for i in chips]
-    return [cells for cells, _ in drawn_rows(eng, cfg, *points(cfg), materials)]
+    """The cells the fault path reads under ``cfg`` per chip of the range ``chips``: those
+    that draw misfire rows."""
+    store = ppv._ChipStore(cfg, [eng.net], chips)
+    return [cells for cells, _ in drawn_rows(eng, cfg, *points(cfg), store, chips)]
 
 
 def test_no_faults_when_margin_equals_spread():
@@ -323,7 +329,7 @@ def test_inputs_and_clock_never_fault():
     setup = make_setup("hamming84")
     cfg = PpvConfig(margins={k: 0.0 for k in KINDS})
     eng = _FaultEngine(setup.netlist)
-    (cells,) = drawn_cells(eng, cfg, [3])
+    (cells,) = drawn_cells(eng, cfg, range(3, 4))
     cells = cells.tolist()
     for cid in setup.netlist.inputs + [setup.netlist.clock]:
         assert eng.prog.cell_ids.index(cid) not in cells
@@ -470,6 +476,36 @@ def test_monte_carlo_deterministic():
     assert a.to_csv() == b.to_csv()
 
 
+def shipped_config() -> PpvConfig:
+    doc = json.loads(resources.files("sfq_ecc").joinpath("data/ppv_calibrated.json").read_text())
+    return PpvConfig.from_dict(doc["config"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(codes=st.permutations(SETUP_NAMES).flatmap(
+           lambda order: st.integers(1, 4).map(lambda n: order[:n])),
+       n_chips=st.sampled_from([1, 250, 251, 257, 600]),
+       variant=st.sampled_from([{}, {"distribution": "gaussian"}, {"clock_faults": False}]),
+       n_messages=st.sampled_from([3, 100]),
+       seed=st.integers(0, 2**31 - 1))
+@example(codes=("hamming84", "none"), n_chips=257, variant={}, n_messages=100, seed=20240)
+@example(codes=("hamming84", "none"), n_chips=251, variant={"distribution": "gaussian"},
+         n_messages=100, seed=7)
+def test_mc_writes_each_setups_counts_drawn_alone(codes, n_chips, variant, n_messages, seed):
+    # mc draws each chip once into a store its setups share; no CDF may differ from its
+    # setup's Monte Carlo drawn alone, whichever setups share the store, in whatever order
+    cfg = dataclasses.replace(shipped_config(), n_chips=n_chips, n_messages=n_messages,
+                              master_seed=seed, **variant)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "ppv.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["mc", "--config", str(path), "--codes", *codes, "--out", out]) == 0
+        for name in codes:
+            alone = monte_carlo(make_setup(name), cfg).to_csv()
+            assert (Path(out) / f"cdf_{name}.csv").read_text() == alone
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(["none", "rm13", "hamming74", "hamming84"]),
@@ -524,18 +560,21 @@ def test_setups_cover_zero_odd_and_even_splitter_counts():
        distribution=st.sampled_from(["uniform", "gaussian"]),
        n_messages=st.sampled_from([1, 7, 8, 9, 65]),
        seed=st.integers(0, 2**31 - 1),
-       chips=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
-@example(name="rm13", distribution="uniform", n_messages=9, seed=0,
-         chips=[0, 255, 256, 2**31 - 1])
+       first=st.integers(0, 10**6), count=st.integers(1, 4))
+@example(name="rm13", distribution="uniform", n_messages=9, seed=0, first=0, count=1)
+@example(name="none", distribution="uniform", n_messages=9, seed=0, first=254, count=4)
 @example(name="hamming84", distribution="gaussian", n_messages=8, seed=2**31 - 1,
-         chips=[0, 255, 256, 2**31 - 1])
-def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, seed, chips):
-    # raw words decoded a batch at a time against each chip's Generator draws: deviations,
-    # integers(0, 2, S), integers(0, 2, (M, k), uint8) and the whole misfire block
+         first=2**31 - 4, count=4)
+def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, seed, first,
+                                              count):
+    # raw words of a store shared by every setup, decoded a batch at a time, against each
+    # chip's Generator draws: deviations, integers(0, 2, S), integers(0, 2, (M, k), uint8)
+    # and the whole misfire block
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
-    dev, branch, msgs, draw = ppv._decode(eng, cfg, [ppv._chip_material(eng, cfg, chip)
-                                                     for chip in chips])
+    chips = range(first, first + count)
+    store = ppv._ChipStore(cfg, [make_setup(n).netlist for n in SETUP_NAMES], chips)
+    dev, branch, msgs, draw = ppv._decode(eng, cfg, store, chips)
     cells = np.arange(eng.n_cells)
     assert msgs.dtype == np.uint8
     for j, chip in enumerate(chips):
@@ -619,9 +658,9 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     dev, _, _, full = reference_material(eng, cfg, chip)
-    q = np.full(len(margin), cfg.q)
+    q, chips = np.full(len(margin), cfg.q), range(chip, chip + 1)
     ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q,
-                                   [ppv._chip_material(eng, cfg, chip)])
+                                   ppv._ChipStore(cfg, [eng.net], chips), chips)
     weakest = [min(m[KINDS.index(k)] for m in margin) if k in KINDS else np.inf
                for k in eng.prog.kinds]
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > weakest).tolist()
@@ -637,20 +676,25 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
        data=st.data())
 def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_messages, seed,
                                                    chip, data):
-    # one chip's material asked for several cell subsets in turn, then for an
-    # earlier cell than the last one drawn
-    eng = _FaultEngine(make_setup(name).netlist)
+    # one chip of a store kept for every setup, asked for cell subsets of the setups in turn,
+    # then for rm13's last row and none's first: under uniform one generator serves all
+    # four blocks by absolute position, so that is a backward move from one to the other
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
-    full = reference_material(eng, cfg, chip)[3]
+    engs = {n: _FaultEngine(make_setup(n).netlist) for n in SETUP_NAMES}
+    chips = range(chip, chip + 1)
+    store = ppv._ChipStore(cfg, [e.net for e in engs.values()], chips)
+    full = {n: reference_material(e, cfg, chip)[3] for n, e in engs.items()}
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
-    ((cells, drawn),) = drawn_rows(eng, zero, *points(zero), [ppv._chip_material(eng, zero, chip)])
-    assert np.array_equal(drawn, full[cells])
-    block = ppv._chip_material(eng, cfg, chip)[1]
-    cells = st.lists(st.integers(0, eng.n_cells - 1), unique=True, max_size=eng.n_cells)
-    for subset in data.draw(st.lists(cells, min_size=1, max_size=4)) + [[0]]:
+    ((cells, drawn),) = drawn_rows(engs[name], zero, *points(zero), store, chips)
+    assert np.array_equal(drawn, full[name][cells])
+    draws = {n: ppv._decode(e, cfg, store, chips)[3] for n, e in engs.items()}
+    asked = [(n, data.draw(st.lists(st.integers(0, engs[n].n_cells - 1), unique=True,
+                                    max_size=engs[n].n_cells)))
+             for n in data.draw(st.lists(st.sampled_from(SETUP_NAMES), min_size=1, max_size=4))]
+    for n, subset in asked + [("rm13", [engs["rm13"].n_cells - 1]), ("none", [0])]:
         subset = np.array(subset, dtype=np.intp)
-        words = ppv._misfire_words([block], n_messages, np.zeros_like(subset), subset)
-        assert np.array_equal(ppv._doubles(words), full[subset])
+        words = draws[n](np.zeros_like(subset), subset)
+        assert np.array_equal(ppv._doubles(words), full[n][subset])
 
 
 def test_calibration_draws_each_chip_once(monkeypatch):
@@ -663,9 +707,13 @@ def test_calibration_draws_each_chip_once(monkeypatch):
         return material(eng, cfg, chip_index)
 
     monkeypatch.setattr(ppv, "_chip_material", counted)
-    calibrate_fault_model(base=PpvConfig(n_chips=12, n_messages=20), search_chips=4,
-                          refine_chips=8)
-    assert len(drawn) == len(set(drawn)) == len(ppv.SETUP_NAMES) * 12
+    # under uniform one draw serves every setup; under gaussian each cell count has its head
+    for distribution, draws_per_chip in (("uniform", 1), ("gaussian", len(ppv.SETUP_NAMES))):
+        drawn.clear()
+        calibrate_fault_model(base=PpvConfig(n_chips=12, n_messages=20,
+                                             distribution=distribution),
+                              search_chips=4, refine_chips=8)
+        assert len(drawn) == len(set(drawn)) == draws_per_chip * 12
 
 
 def unflipping_margin(setup, cfg, kind):
@@ -926,7 +974,7 @@ def test_calibration_matches_one_config_at_a_time(monkeypatch):
     shared = calibrate_fault_model(base=base, search_chips=10, refine_chips=20)
     many = ppv._error_counts_many
 
-    def one_at_a_time(setup, cfg, margins, q, materials=None):
+    def one_at_a_time(setup, cfg, margins, q, chips=None):
         # what error_counts computes, one point per call on chips drawn afresh
         return np.stack([many(setup, cfg, margins[i:i + 1], q[i:i + 1])[0]
                          for i in range(len(q))])
@@ -1003,9 +1051,9 @@ def test_calibration_scores_no_more_chips_than_the_final_rescore(monkeypatch):
     # a 6-chip calibration polished every candidate at the default 500 chips
     many = ppv._error_counts_many
 
-    def capped(setup, cfg, margins, q, materials=None):
+    def capped(setup, cfg, margins, q, chips=None):
         assert cfg.n_chips <= 6
-        return many(setup, cfg, margins, q, materials)
+        return many(setup, cfg, margins, q, chips)
 
     monkeypatch.setattr(ppv, "_error_counts_many", capped)
     calibrate_fault_model(base=PpvConfig(n_chips=6, n_messages=20), search_chips=20)
@@ -1053,7 +1101,7 @@ def test_shipped_calibration_holds_across_seeds():
     # the claim of the shipped config is not a property of its own seed alone
     doc = json.loads(resources.files("sfq_ecc").joinpath("data/ppv_calibrated.json")
                      .read_text())
-    cfg, targets = PpvConfig.from_dict(doc["config"]), doc["targets"]
+    cfg, targets = shipped_config(), doc["targets"]
     for seed in range(1, 6):
         run = dataclasses.replace(cfg, master_seed=seed)
         probs = {name: float((error_counts(make_setup(name), run) == 0).mean())
