@@ -204,7 +204,7 @@ def cmd_mc(args) -> int:
     summary = {}
     manifest_runs = {}
     setups = [ppv.make_setup(name) for name in names]
-    chips = ppv._ChipStore(cfg, [setup.netlist for setup in setups])  # each chip drawn once
+    chips = ppv._ChipStore(cfg, [ppv._FaultEngine(s.netlist) for s in setups])  # drawn once
     for setup in setups:
         series = ppv.monte_carlo(setup, cfg, chips)
         (out / f"cdf_{setup.name}.csv").write_text(series.to_csv())

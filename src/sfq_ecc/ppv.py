@@ -362,7 +362,7 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
 
 
 class _ChipStore:
-    """Chips ``chips`` (default all ``cfg.n_chips``) of ``cfg``'s stream, drawn once for ``nets``.
+    """Chips ``chips`` (default all ``cfg.n_chips``) of ``cfg``'s stream, drawn once for ``engs``.
 
     A chip is one :func:`_chip_material` at the longest head (under ``gaussian``,
     whose redraws break the prefix, at each cell count's), a batch drawn when
@@ -371,9 +371,9 @@ class _ChipStore:
     for the four setups at 100 messages, half of it the one generator.
     """
 
-    def __init__(self, cfg: PpvConfig, nets, chips: range | None = None):
+    def __init__(self, cfg: PpvConfig, engs, chips: range | None = None):
         self.cfg, self.chips, self.drawn = cfg, range(cfg.n_chips) if chips is None else chips, 0
-        engs = sorted(map(_FaultEngine, nets), key=partial(_head_words, cfg=cfg))
+        engs = sorted(engs, key=partial(_head_words, cfg=cfg))
         cells, n = max(eng.n_cells for eng in engs), len(self.chips)
         # key (0, or the cell count under gaussian) -> engine, deviations, tops, generators and
         # the word each stands at
@@ -469,7 +469,7 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     """
     _checks.count("chip_index", chip_index, 0)
     eng, chips = _FaultEngine(net), range(chip_index, chip_index + 1)
-    dev, branch, *_ = _decode(eng, cfg, _ChipStore(cfg, [net], chips), chips)
+    dev, branch, *_ = _decode(eng, cfg, _ChipStore(cfg, [eng], chips), chips)
     return ChipInstance(chip_index, eng.prog.cell_ids, dev[0], branch[0])
 
 
@@ -617,7 +617,7 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     eng, chips = _FaultEngine(setup.netlist), range(chip.chip_index, chip.chip_index + 1)
     if tuple(chip.cell_ids) != eng.prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    _, _, msgs, draw = _decode(eng, cfg, _ChipStore(cfg, [setup.netlist], chips), chips)
+    _, _, msgs, draw = _decode(eng, cfg, _ChipStore(cfg, [eng], chips), chips)
     batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, draw)
     return int(_score(eng, _wrong(eng, setup, cfg), cfg, *_own_point(cfg), batch)[0, 0])
 
@@ -642,7 +642,7 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
     for start in range(0, cfg.n_chips, _BATCH):
         batch = range(start, min(start + _BATCH, cfg.n_chips))
-        drawn = _decode(eng, cfg, chips or _ChipStore(cfg, [setup.netlist], batch), batch)
+        drawn = _decode(eng, cfg, chips or _ChipStore(cfg, [eng], batch), batch)
         out[:, start:batch.stop] = _score(eng, wrong, cfg, margins, q, drawn)
     return out
 
@@ -756,7 +756,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     search_chips, refine_chips = min(search_chips, base.n_chips), min(refine_chips, base.n_chips)
     setups = [make_setup(name) for name in SETUP_NAMES]
     # every scored config shares base's chips, each drawn once for every setup
-    chips = _ChipStore(base, [s.netlist for s in setups])
+    chips = _ChipStore(base, [_FaultEngine(s.netlist) for s in setups])
 
     def badness(probs: dict, dev: float):
         return require_order and not ordered(probs), dev

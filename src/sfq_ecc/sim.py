@@ -11,6 +11,7 @@ misfire masks for the fault injection of :mod:`sfq_ecc.ppv`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 
@@ -155,18 +156,50 @@ def verify_equivalence(net: Netlist, code: LinearCode):
     return True, None
 
 
-def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
-    """Flatten a simulation into (time_ns, net_id, bit) event rows.
+class Timeline(Sequence):
+    """(time_ns, net_id, bit) rows of a simulation, each row built when it is read.
+
+    A snapshot in O(cycles) memory: a plain ``float`` per cycle, shared by the
+    cycle's rows, the output ids and a copy of the bits, read as ``tolist()``
+    reads them.  Equal to a list of the same rows; ``list(rows)`` gives one.
+    """
+
+    def __init__(self, stamps: list, ids: tuple, bits: np.ndarray):
+        self._stamps, self._ids, self._bits = stamps, ids, bits
+
+    def __len__(self):
+        return len(self._bits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = range(len(self))[i]  # IndexError out of range, negative i counted from the end
+        return self._stamps[k // len(self._ids)], self._ids[k % len(self._ids)], self._bits.item(k)
+
+    def __iter__(self):
+        times = chain.from_iterable(map(repeat, self._stamps, repeat(len(self._ids))))
+        return zip(times, cycle(self._ids), self._bits.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Timeline)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"<Timeline of {len(self)} rows>"
+
+
+def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0) -> Timeline:
+    """The (time_ns, net_id, bit) rows of a simulation, as a read-only :class:`Timeline`.
 
     Cycle t lands at ``floor(epoch/period)*period + t*period``: the epoch
     fixes which clock period injection happened in, and each subsequent
     edge is one period later.  Sub-period analog offsets are outside this
     model, so timestamps are aligned to edges (exact to within one period).
-    Every stamp is a plain ``float``, one object per cycle.  The rows are
-    zipped straight from the stamps, the ids and the bits, each stamp and
-    id repeated by an iterator rather than a list.  Raises ``ValueError`` on a clock or
-    epoch that is not a finite number (a bool is not one), a clock that is
-    not positive, or stamps that overflow the float range.
+    Rows run cycle by cycle, one per output; later changes to ``result`` change
+    none.  Raises ``ValueError`` on a clock or epoch that is not a finite number
+    (a bool is not one), a clock that is not positive, or stamps that overflow
+    the float range.
     """
     if _checks.number("clock_ghz", clock_ghz) <= 0:
         raise ValueError("clock frequency must be positive")
@@ -182,7 +215,4 @@ def to_timeline(result: SimResult, clock_ghz: float, epoch_ns: float = 0.0):
     if not np.isfinite(stamps).all():  # a period or epoch beyond the float range
         raise ValueError(f"time stamps at {clock_ghz} GHz from epoch {epoch_ns} ns "
                          f"are not finite")
-    # one float object per cycle, repeated for the cycle's rows: a float per row
-    # would hold 24 bytes more per row at the peak
-    times = chain.from_iterable(map(repeat, stamps.tolist(), repeat(width)))
-    return list(zip(times, cycle(result.output_ids), frames.ravel().tolist()))
+    return Timeline(stamps.tolist(), tuple(result.output_ids), frames.flatten())

@@ -23,7 +23,7 @@ from sfq_ecc.celllib import (
 from sfq_ecc.cli import EXIT_VALIDATION, main
 from sfq_ecc.codes import CORRECT, analyze_patterns, make_code
 from sfq_ecc.netlist import CELL_KINDS
-from sfq_ecc.ppv import PpvConfig, _ChipStore, error_counts, make_setup
+from sfq_ecc.ppv import PpvConfig, _ChipStore, _FaultEngine, error_counts, make_setup
 
 JJ_ROWS = [t[:5] for t in TABLE_TOTALS.values()]
 POWER_ROWS = [t[:4] + (t[5],) for t in TABLE_TOTALS.values()]
@@ -55,7 +55,7 @@ GAUSSIAN_STORE = PpvConfig(n_chips=4, n_messages=10, master_seed=7, distribution
 def from_store(name, cfg=STORE, held=("none",), store=STORE):
     """``error_counts`` of setup ``name`` under ``cfg``, from a chip store of ``store``'s
     chips drawn for the setups ``held``."""
-    chips = _ChipStore(store, [make_setup(h).netlist for h in held])
+    chips = _ChipStore(store, [_FaultEngine(make_setup(h).netlist) for h in held])
     return error_counts(make_setup(name), cfg, chips)
 
 

@@ -291,7 +291,7 @@ def received(net, chip, cfg, msgs):
 def drawn_cells(eng, cfg, chips):
     """The cells the fault path reads under ``cfg`` per chip of the range ``chips``: those
     that draw misfire rows."""
-    store = ppv._ChipStore(cfg, [eng.net], chips)
+    store = ppv._ChipStore(cfg, [eng], chips)
     return [cells for cells, _ in drawn_rows(eng, cfg, *points(cfg), store, chips)]
 
 
@@ -573,7 +573,8 @@ def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, se
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     chips = range(first, first + count)
-    store = ppv._ChipStore(cfg, [make_setup(n).netlist for n in SETUP_NAMES], chips)
+    store = ppv._ChipStore(cfg, [_FaultEngine(make_setup(n).netlist) for n in SETUP_NAMES],
+                           chips)
     dev, branch, msgs, draw = ppv._decode(eng, cfg, store, chips)
     cells = np.arange(eng.n_cells)
     assert msgs.dtype == np.uint8
@@ -660,7 +661,7 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     dev, _, _, full = reference_material(eng, cfg, chip)
     q, chips = np.full(len(margin), cfg.q), range(chip, chip + 1)
     ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q,
-                                   ppv._ChipStore(cfg, [eng.net], chips), chips)
+                                   ppv._ChipStore(cfg, [eng], chips), chips)
     weakest = [min(m[KINDS.index(k)] for m in margin) if k in KINDS else np.inf
                for k in eng.prog.kinds]
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > weakest).tolist()
@@ -682,7 +683,7 @@ def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_message
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     engs = {n: _FaultEngine(make_setup(n).netlist) for n in SETUP_NAMES}
     chips = range(chip, chip + 1)
-    store = ppv._ChipStore(cfg, [e.net for e in engs.values()], chips)
+    store = ppv._ChipStore(cfg, list(engs.values()), chips)
     full = {n: reference_material(e, cfg, chip)[3] for n, e in engs.items()}
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
     ((cells, drawn),) = drawn_rows(engs[name], zero, *points(zero), store, chips)

@@ -1,6 +1,7 @@
 """Cycle-accurate simulation: latency, pipelining, timeline export."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,15 +332,53 @@ def reference_timeline(result, clock_ghz, epoch_ns=0.0):
 @settings(max_examples=150, deadline=None)
 @given(outputs=arrays(np.uint8, st.tuples(st.integers(0, 30), st.integers(1, 8)),
                       elements=st.integers(0, 1)),
+       dtype=st.sampled_from([np.uint8, np.bool_, np.int64]),
        clock_ghz=st.floats(1e-3, 1e3),
-       epoch_ns=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
-def test_timeline_matches_per_bit_reference(outputs, clock_ghz, epoch_ns):
-    res = SimResult(outputs=outputs, latency=0,
+       epoch_ns=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+       data=st.data())
+def test_timeline_matches_per_bit_reference(outputs, dtype, clock_ghz, epoch_ns, data):
+    res = SimResult(outputs=outputs.astype(dtype), latency=0,
                     output_ids=[f"o{i}" for i in range(outputs.shape[1])])
+    reference = reference_timeline(res, clock_ghz, epoch_ns)
     rows = to_timeline(res, clock_ghz, epoch_ns)
-    assert rows == reference_timeline(res, clock_ghz, epoch_ns)
-    width = outputs.shape[1]
+    again = to_timeline(res, clock_ghz, epoch_ns)
+    # the view is a snapshot: later changes to the result change no row
+    res.outputs[...] ^= True
+    res.output_ids[0] = "x"
+
+    def typed(rs):  # rows with the types of their id and bit (bool for bool outputs)
+        return [(r, type(r[1]), type(r[2])) for r in rs]
+
+    n, width = len(reference), outputs.shape[1]
+    assert len(rows) == n and repr(rows) == f"<Timeline of {n} rows>"
+    assert rows == reference and reference == rows and rows == again and again == rows
+    assert rows != reference + [()] and reference + [()] != rows
+    first = list(rows)
+    assert typed(first) == typed(list(rows)) == typed(reference)  # iterated twice
+    for i in range(n):
+        assert typed([rows[i], rows[i - n]]) == typed([reference[i]] * 2)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    ends = st.none() | st.integers(-n - 2, n + 2)
+    for _ in range(4):
+        cut = slice(data.draw(ends), data.draw(ends), data.draw(st.sampled_from(
+            [None, 1, 2, 3, -1, -2, -3])))
+        assert typed(rows[cut]) == typed(reference[cut]), cut
     for c in range(len(outputs)):  # the rows of a cycle share one plain float
-        cycle = rows[c * width:(c + 1) * width]
+        cycle = first[c * width:(c + 1) * width]
         assert type(cycle[0][0]) is float and all(r[0] is cycle[0][0] for r in cycle)
-    assert all(type(r[1]) is str and type(r[2]) is int for r in rows)
+        assert all(rows[c * width + j][0] is cycle[0][0] for j in range(width))
+
+
+def test_timeline_of_10k_messages_holds_under_1_mb():
+    # a list of rows held ~6 MB: a 3-tuple per output bit
+    msgs = np.random.default_rng(0).integers(0, 2, (10_000, 4), dtype=np.uint8)
+    res = simulate(encoder("hamming84")[0], msgs)
+    tracemalloc.start()
+    try:
+        rows = to_timeline(res, clock_ghz=5.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 10_002 * 8 and held < 1_000_000
