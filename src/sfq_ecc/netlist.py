@@ -7,9 +7,10 @@ exactly one driver port to exactly one sink pin; a validated netlist has
 fan-out one everywhere, an acyclic data graph, and the same clocked depth on
 every input-to-converter path.  The clock tree (the ``CLOCK_INPUT`` cells
 and the ``"clock"`` splitters they feed) drives only clock pins and its own
-splitters, and only it drives a clock pin.  :func:`compile` checks those
-rules and turns the netlist into the levelized program that validation,
-cycle simulation and fault injection all run on.
+splitters, and only it drives a clock pin; no other splitter has role
+``"clock"``.  :func:`compile` checks those rules and turns the netlist into
+the levelized program that validation, cycle simulation and fault injection
+all run on.
 
 Serialization is a versioned JSON document with stable cell ids, so two
 synthesis runs of the same code diff cleanly.
@@ -177,6 +178,7 @@ class Netlist:
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":
+        """The netlist of a JSON document; :class:`StructuralError` if it is malformed."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
@@ -220,9 +222,11 @@ def compile(net: Netlist) -> Program:
     The content is each cell's ``Cell.id`` (not its ``cells`` key), kind and
     role in order, the nets, inputs, outputs and clock: what ``content_hash``
     digests but the name, at a fraction of its cost (``ppv.sample_chip``
-    compiles once per chip).  A bounded cache holds the programs by content,
-    so equal netlists share one only while it stays cached.  Raises
-    :class:`StructuralError` on an ill-formed netlist and caches nothing.
+    compiles once per chip).  A cache of 64 programs holds them by content, so
+    a netlist mutated after use compiles afresh, and equal netlists share one
+    only while it stays cached.  Raises :class:`StructuralError` naming the
+    cell at fault (a cycle with every cell on it, ``cycle through x0 -> s0 ->
+    x0``) on an ill-formed netlist, and caches nothing.
     """
     return _compile(tuple([(c.id, c.kind, c.role) for c in net.cells.values()]),
                     tuple([(n.src, n.src_port, n.dst, n.dst_pin) for n in net.nets]),

@@ -611,7 +611,9 @@ def _own_point(cfg: PpvConfig) -> tuple:
 def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     """Erroneous messages out of n_messages for ``chip`` as given (a batch of one).
 
-    Messages and misfire rows come from ``chip.chip_index``.
+    Messages and misfire rows come from ``chip.chip_index``, so a sampled chip
+    scores exactly as in :func:`error_counts` and an edited one as edited.  A
+    chip sampled from another netlist raises ``ValueError``.
     """
     _checks.count("chip_index", chip.chip_index, 0)
     eng, chips = _FaultEngine(setup.netlist), range(chip.chip_index, chip.chip_index + 1)
@@ -720,9 +722,11 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
                           refine_rounds: int = 2) -> CalibrationResult:
     """Fit fault-model knobs so zero-error probabilities match the targets.
 
-    Stage one follows the naive model: one shared margin for every cell
-    kind, pessimistic accounting (detected-uncorrectable counts as an
-    error), conservative ties.  That model cannot reproduce the reference
+    A stencil search (Hooke & Jeeves, "Direct search solution of numerical
+    and statistical problems", JACM 1961) in two stages.  Stage one follows
+    the naive model: one shared margin for every cell kind, pessimistic
+    accounting (detected-uncorrectable counts as an error), conservative
+    ties.  That model cannot reproduce the reference
     ordering -- every encoder carries more unprotectable fault sites than
     the four-converter baseline, and the extended Hamming encoder's flagged
     double errors count against it -- so stage one is scored and reported
@@ -737,7 +741,10 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     1 / (round + 1), and re-scores them at ``base.n_chips``, which caps the
     other two counts.  The best so far wins, the earlier on a tie; the search
     stops once it has converged.  Each scoring call scores one config (the
-    stage's accounting, one chip count) at many (margins, q) points.
+    stage's accounting, one chip count) at many (margins, q) points, all on
+    one chip store of ``base``'s chips kept for the whole call.  No score is
+    cached: a point met again is scored again.  A config is built only for
+    each point kept.
     """
     _checks.integer("refine_rounds", refine_rounds, 0)
     targets = dict(_checks.exact_keys("targets", CALIBRATION_TARGETS if targets is None

@@ -161,7 +161,8 @@ class Timeline(Sequence):
 
     A snapshot in O(cycles) memory: a plain ``float`` per cycle, shared by the
     cycle's rows, the output ids and a copy of the bits, read as ``tolist()``
-    reads them.  Equal to a list of the same rows; ``list(rows)`` gives one.
+    reads them.  Equal to a list of the same rows, but not a list (no
+    ``append``, ``sort`` or ``+``); ``list(rows)`` gives one.
     """
 
     def __init__(self, stamps: list, ids: tuple, bits: np.ndarray):

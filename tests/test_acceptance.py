@@ -1,8 +1,7 @@
 """Acceptance suite: one test per shipping criterion, each printing a verdict.
 
 Run as ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
-Criterion 8 performs the full fault-model calibration and is the slow one
-(about 2 s on two cores); everything else finishes in seconds.
+Criterion 8 performs the full fault-model calibration and is the slowest.
 """
 
 import itertools
