@@ -151,8 +151,11 @@ def cmd_simulate(args) -> int:
     path = out / "timeline.csv"
     with path.open("w") as f:
         f.write("time_ns,net_id,value\n")
+        last = None
         for t, net_id, v in rows:
-            f.write(f"{t:.6g},{net_id},{v}\n")
+            if t != last:  # a cycle's rows share its stamp: format it once
+                last, stamp = t, f"{t:.6g}"
+            f.write(f"{stamp},{net_id},{v}\n")
     print(f"latency: {result.latency} cycles at {args.clock_ghz} GHz")
     for m in messages:
         print(f"message {bitstr(m)}")

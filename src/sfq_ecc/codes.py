@@ -10,7 +10,9 @@ package (CLI, configs, reports):
 Codewords are computed as ``(message @ G) % 2``.  Every code decodes by
 nearest-codeword lookup: its constructor tabulates, for each of the 2^n
 received words, the distance to the nearest codeword, the lowest-index
-nearest message and whether that nearest codeword is tied.  Detect-only
+nearest message and whether that nearest codeword is tied.  A scalar
+:func:`decode` reads a second pair of tables, built on first use: the index
+of every valid word and the shared outcome per word and decoder.  Detect-only
 mode delivers exact codewords only; correct mode delivers the unique
 nearest codeword and refuses ties.  rm13, whose correlation decoder can
 pick among equally correlated codewords, is built with ``resolves_ties``:
@@ -25,6 +27,7 @@ same table, never hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import takewhile
 
 import numpy as np
@@ -109,14 +112,19 @@ class LinearCode:
 
     Attributes ``name``, ``n``, ``k``, ``G`` and the cached minimum distance
     ``d_min`` describe the code; the constructor also precomputes the
-    codebook and the nearest-codeword table that membership, message lookup
-    and every decoder read: per received word (indexed by :func:`pack`) the
-    nearest ``distance``, the lowest-index ``nearest`` message and whether
-    the nearest codeword is ``tied``.  ``resolves_ties`` lets correct mode
-    deliver a tied word under :data:`TIE_OPTIMISTIC`.  The decode table of
-    each (mode, tie policy) is derived from it once, here.  Instances are
-    immutable in use: every operation is a pure function, so codes are safe
-    to share across threads.
+    ``messages`` (row m holds the bits of message index m), the
+    ``codebook`` and the nearest-codeword table that membership, message
+    lookup and every decoder read: per received word (indexed by
+    :func:`pack`) the nearest ``distance``, the lowest-index ``nearest``
+    message and whether the nearest codeword is ``tied``.
+    ``resolves_ties`` lets correct mode deliver a tied word under
+    :data:`TIE_OPTIMISTIC`.  The decode table of each (mode, tie policy) is
+    derived from it once, here.  The lookups of a scalar :func:`decode`, the
+    index of each valid word and the :class:`DecodeOutcome` of each word
+    under each decode table, are built on first use, since most codes are
+    made only for their tables.  Every array is read-only and every outcome
+    shared: instances are immutable in use, every operation is a pure
+    function, and codes are safe to share across threads.
     """
 
     def __init__(self, name: str, G: np.ndarray, *, resolves_ties: bool = False):
@@ -155,26 +163,57 @@ class LinearCode:
             (CORRECT, TIE_CONSERVATIVE): unique,
             (CORRECT, TIE_OPTIMISTIC): self.nearest if resolves_ties else unique,
         }
-        for table in (self._weight, self.distance, self.nearest, self.tied, exact, unique):
+        for table in (self.messages, self.codebook, self._weight, self.distance,
+                      self.nearest, self.tied, exact, unique):
             table.setflags(write=False)
 
     def __repr__(self):
         return f"LinearCode({self.name!r}, n={self.n}, k={self.k}, d_min={self.d_min})"
 
+    @cached_property
+    def _words(self) -> dict:
+        """Table index of every valid n-bit word, keyed by its bit string and its tuple of ints."""
+        indices = range(2**self.n)
+        words = dict(zip(map(tuple, _unpack(np.arange(2**self.n), self.n).tolist()), indices))
+        words.update(zip(map(f"{{:0{self.n}b}}".format, indices), indices))
+        return words
+
+    @cached_property
+    def _outcomes(self) -> dict:
+        """Per (mode, tie policy) key of the decode tables, the :class:`DecodeOutcome` of each word.
+
+        The 2^n outcomes of every table are drawn from 2·2^k + 1 shared
+        objects: a clean and a corrected one per message, whose ``message``
+        is that read-only row of ``messages``, and one refusal.
+        """
+        refused = DecodeOutcome(None, UNCORRECTABLE)
+        delivered = {(m, d == 0): DecodeOutcome(row, CLEAN if d == 0 else CORRECTED)
+                     for m, row in enumerate(self.messages) for d in (0, 1)}
+        distance = self.distance.tolist()
+        return {key: tuple(refused if m < 0 else delivered[m, d == 0]
+                           for m, d in zip(table.tolist(), distance))
+                for key, table in self._decode_tables.items()}
+
     def _index(self, word) -> int:
         """Table index (:func:`pack`) of an n-bit word; ``ValueError`` for anything else.
 
-        The word is checked by the rule of :func:`bits`, and its index is
-        summed in Python ints over the checked list, first bit most
-        significant, with no numpy cast or product per word.
+        One lookup in ``_words``, of a string itself or of the tuple of a
+        one-dimensional sequence's values.  Dict keys and the rule of
+        :func:`bits` both compare by hash and ``==``, so the lookup accepts
+        exactly the n-bit words that rule accepts (``True``, ``1.0`` and
+        numpy scalars included); on a miss the rule raises its own error,
+        or the word has the wrong length.
         """
-        values = _bit_list(word)
-        if len(values) != self.n:
-            raise ValueError(f"word length {len(values)} != n={self.n} for {self.name}")
-        w = 0
-        for bit in values:
-            w = w + w + (1 if bit else 0)
-        return w
+        if isinstance(word, str):
+            key = word
+        else:
+            a = np.asarray(word)
+            key = tuple(a.tolist()) if a.ndim == 1 else None
+        try:
+            return self._words[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable value, which the rule rejects
+            values = _bit_list(word)
+        raise ValueError(f"word length {len(values)} != n={self.n} for {self.name}")
 
     def is_codeword(self, word) -> bool:
         return self.message_of(word) is not None
@@ -267,6 +306,8 @@ class DecodeOutcome:
     ``status`` is ``clean`` when the received word was already a codeword,
     ``corrected`` when an error was repaired, and ``uncorrectable`` when the
     decoder refuses to deliver (message is None exactly in that case).
+    :func:`decode` returns one shared outcome per word, and its ``message``
+    is a read-only row of the code's ``messages``: copy it before editing.
     """
 
     message: np.ndarray | None
@@ -281,8 +322,9 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
            tie_break: str = TIE_CONSERVATIVE) -> DecodeOutcome:
     """Decode a received n-bit word by one lookup in the code's table.
 
-    The word's table index is computed in Python ints (:meth:`LinearCode._index`),
-    so a scalar decode runs no numpy arithmetic before the lookup.
+    The word's table index is one dict lookup (:meth:`LinearCode._index`),
+    and the result is the code's precomputed outcome for that index, the
+    same object for every decode of the word under one mode and tie policy.
 
     ``detect_only`` reports clean for exact codewords and uncorrectable for
     everything else.  ``correct`` delivers the unique nearest codeword:
@@ -292,10 +334,11 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
     ``optimistic``.
     """
     w = code._index(received)
-    m = int(code.decode_table(mode, tie_break)[w])
-    if m < 0:
-        return DecodeOutcome(None, UNCORRECTABLE)
-    return DecodeOutcome(code.messages[m].copy(), CLEAN if code.distance[w] == 0 else CORRECTED)
+    try:
+        return code._outcomes[mode, tie_break][w]
+    except (KeyError, TypeError):  # the keys are exactly the valid pairs
+        code.decode_table(mode, tie_break)
+        raise
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,18 @@ def test_decode_tables_are_built_once_and_read_only():
         assert table[0] == 0
 
 
+def test_decode_outcomes_are_shared_and_read_only():
+    code = make_code("hamming84")
+    word = "01100110"
+    out = decode(code, word)
+    assert decode(code, bits(word)) is out
+    for array in (out.message, code.messages, code.codebook):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] ^= 1
+    assert bitstr(decode(code, word).message) == "1011"
+    assert bitstr(code.messages[11]) == "1011" and bitstr(code.codebook[11]) == word
+
+
 def test_detect_only_is_exact_codeword_membership():
     for name in ALL_CODES:
         code = make_code(name)
@@ -439,7 +451,8 @@ def outcome(f, *args):
 
 
 BIT_DTYPES = (np.uint8, np.int64, np.bool_, np.float64)
-ODD_VALUES = (2, 0.5, 256, -1, 1.5)
+ODD_VALUES = (2, 0.5, 256, -1, 1.5, float("nan"), np.inf)
+BIT_TYPES = (int, bool, float, np.uint8, np.float32)
 
 
 @st.composite
@@ -449,12 +462,15 @@ def received_words(draw, n):
     values = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     if values and draw(st.integers(0, 4)) == 0:  # one value that is not a bit
         values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ODD_VALUES))
-    form = draw(st.sampled_from(["array", "list", "string", "2-D", "0-d"]))
+    form = draw(st.sampled_from(["array", "list", "string", "object", "2-D", "0-d"]))
     if form == "string":
         text = "".join(str(v) for v in values)
         return text if draw(st.integers(0, 4)) else text + draw(st.sampled_from("2a "))
     if form == "list":
         return values
+    if form == "object":  # each bit as a Python or numpy scalar of its own type
+        return np.array([draw(st.sampled_from(BIT_TYPES))(v) if v in (0, 1) else v
+                         for v in values], dtype=object)
     dtype = draw(st.sampled_from(BIT_DTYPES))
     if any(v not in (0, 1) for v in values) and dtype != np.float64:
         dtype = np.float64  # 0.5 and -1 do not fit every dtype, and would not reach the rule
@@ -492,11 +508,29 @@ def test_index_and_lookups_equal_the_bits_dot_place_values(data, name):
 @pytest.mark.parametrize("word", [
     [2, 0, 0, 0, 0, 0, 0, 0], [0.5] * 8, np.array([256] + [0] * 7), np.zeros((2, 4)),
     np.array(1), np.zeros(7, dtype=np.uint8), "0110011", "0110011a", "", [],
+    # four bits in 2-byte ints: their eight bytes, each 0 or 1, spell a valid 8-bit word
+    np.array([1, 0, 1, 1], dtype=np.uint16), np.array([0, 1, 1, 0], dtype=np.int16),
 ])
 def test_index_rejects_what_the_bits_rule_rejects_with_its_message(word):
     code = make_code("hamming84")
     assert outcome(code._index, word) == outcome(reference_index, code, word)
     assert outcome(code._index, word)[0] is ValueError
+
+
+@pytest.mark.parametrize("name", ALL_CODES)
+def test_decode_of_every_word_in_every_form_reads_its_decode_table(name):
+    code = make_code(name)
+    for r, mode, ties in itertools.product(all_words(code.n), (DETECT_ONLY, CORRECT),
+                                           TIE_POLICIES):
+        w = reference_index(code, r)
+        m = int(code.decode_table(mode, ties)[w])
+        out = decode(code, r, mode, ties)
+        assert decode(code, r.tolist(), mode, ties) is decode(code, bitstr(r), mode, ties) is out
+        if m < 0:
+            assert out.message is None and out.status == UNCORRECTABLE
+        else:
+            assert np.array_equal(out.message, code.messages[m])
+            assert out.status == ("clean" if code.distance[w] == 0 else "corrected")
 
 
 def test_decode_roundtrip_all_codes():
