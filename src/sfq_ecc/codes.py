@@ -11,8 +11,8 @@ Codewords are computed as ``(message @ G) % 2``.  Every code decodes by
 nearest-codeword lookup: its constructor tabulates, for each of the 2^n
 received words, the distance to the nearest codeword, the lowest-index
 nearest message and whether that nearest codeword is tied.  A scalar
-:func:`decode` reads a second pair of tables, built on first use: the index
-of every valid word and the shared outcome per word and decoder.  Detect-only
+:func:`decode` reads lookups built on first use: the index of every valid
+word, and per decoder the shared outcome of each word.  Detect-only
 mode delivers exact codewords only; correct mode delivers the unique
 nearest codeword and refuses ties.  rm13, whose correlation decoder can
 pick among equally correlated codewords, is built with ``resolves_ties``:
@@ -60,6 +60,7 @@ _G_HAMMING84 = np.array(
 
 
 _BIT_VALUES = frozenset((0, 1))
+_BYTE_DTYPES = frozenset(map(np.dtype, ("i1", "u1")))  # not bool: True may be any nonzero byte
 
 
 def _bit_list(s) -> list:
@@ -119,10 +120,11 @@ class LinearCode:
     message and whether the nearest codeword is ``tied``.
     ``resolves_ties`` lets correct mode deliver a tied word under
     :data:`TIE_OPTIMISTIC`.  The decode table of each (mode, tie policy) is
-    derived from it once, here.  The lookups of a scalar :func:`decode`, the
-    index of each valid word and the :class:`DecodeOutcome` of each word
-    under each decode table, are built on first use, since most codes are
-    made only for their tables.  Every array is read-only and every outcome
+    derived from it once, here.  The lookups of a scalar :func:`decode` are
+    built on first use, since most codes are made only for their tables:
+    the index of each valid word under its three keys (:meth:`_index`), and
+    each decode table's :class:`DecodeOutcome` per word the first time that
+    table decodes.  Every array is read-only and every outcome
     shared: instances are immutable in use, every operation is a pure
     function, and codes are safe to share across threads.
     """
@@ -155,6 +157,7 @@ class LinearCode:
         # the lowest message index among ties; int16 keeps batch lookups small
         self.nearest = dist.argmin(axis=1).astype(np.int16)
         self.tied = (dist == self.distance[:, None]).sum(axis=1) > 1
+        self._outcomes = {}  # per (mode, tie policy), filled by :meth:`_outcome_table`
         exact = np.where(self.distance > 0, -1, self.nearest)
         unique = np.where(self.tied, -1, self.nearest)
         self._decode_tables = {
@@ -172,32 +175,34 @@ class LinearCode:
 
     @cached_property
     def _words(self) -> dict:
-        """Table index of every valid n-bit word, keyed by its bit string and its tuple of ints."""
+        """Table index of every valid n-bit word, keyed three ways (see :meth:`_index`)."""
         indices = range(2**self.n)
-        words = dict(zip(map(tuple, _unpack(np.arange(2**self.n), self.n).tolist()), indices))
+        words = {key: w for w, row in enumerate(_unpack(np.arange(2**self.n), self.n).tolist())
+                 for key in (tuple(row), bytes(row))}
         words.update(zip(map(f"{{:0{self.n}b}}".format, indices), indices))
         return words
 
-    @cached_property
-    def _outcomes(self) -> dict:
-        """Per (mode, tie policy) key of the decode tables, the :class:`DecodeOutcome` of each word.
+    def _outcome_table(self, mode: str, tie_break: str) -> tuple:
+        """The :class:`DecodeOutcome` of each word under one decode table, built on first use.
 
-        The 2^n outcomes of every table are drawn from 2·2^k + 1 shared
-        objects: a clean and a corrected one per message, whose ``message``
-        is that read-only row of ``messages``, and one refusal.
+        Its 2^n outcomes are 2·2^k + 1 shared objects: a clean and a
+        corrected one per message, whose ``message`` is that read-only row
+        of ``messages``, and one refusal.
         """
+        table = self.decode_table(mode, tie_break)
         refused = DecodeOutcome(None, UNCORRECTABLE)
         delivered = {(m, d == 0): DecodeOutcome(row, CLEAN if d == 0 else CORRECTED)
                      for m, row in enumerate(self.messages) for d in (0, 1)}
-        distance = self.distance.tolist()
-        return {key: tuple(refused if m < 0 else delivered[m, d == 0]
-                           for m, d in zip(table.tolist(), distance))
-                for key, table in self._decode_tables.items()}
+        return self._outcomes.setdefault((mode, tie_break), tuple(
+            refused if m < 0 else delivered[m, d == 0]
+            for m, d in zip(table.tolist(), self.distance.tolist())))
 
     def _index(self, word) -> int:
         """Table index (:func:`pack`) of an n-bit word; ``ValueError`` for anything else.
 
-        One lookup in ``_words``, of a string itself or of the tuple of a
+        One lookup in ``_words``, under one of three keys: a string itself;
+        the ``tobytes()`` of a one-dimensional ``uint8`` or ``int8`` array,
+        whose bytes are its values; or the tuple of any other
         one-dimensional sequence's values.  Dict keys and the rule of
         :func:`bits` both compare by hash and ``==``, so the lookup accepts
         exactly the n-bit words that rule accepts (``True``, ``1.0`` and
@@ -208,7 +213,8 @@ class LinearCode:
             key = word
         else:
             a = np.asarray(word)
-            key = tuple(a.tolist()) if a.ndim == 1 else None
+            key = (None if a.ndim != 1 else a.tobytes() if a.dtype in _BYTE_DTYPES
+                   else tuple(a.tolist()))
         try:
             return self._words[key]
         except (KeyError, TypeError):  # TypeError: an unhashable value, which the rule rejects
@@ -322,9 +328,12 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
            tie_break: str = TIE_CONSERVATIVE) -> DecodeOutcome:
     """Decode a received n-bit word by one lookup in the code's table.
 
-    The word's table index is one dict lookup (:meth:`LinearCode._index`),
-    and the result is the code's precomputed outcome for that index, the
-    same object for every decode of the word under one mode and tie policy.
+    The word's table index is one dict lookup (:meth:`LinearCode._index`)
+    keyed by a bit string itself, by the bytes of a one-dimensional
+    ``uint8`` or ``int8`` array, or by the tuple of any other sequence's
+    values.  The result is the code's precomputed outcome for that index,
+    the same object for every decode of the word under one mode and tie
+    policy.  A bad word raises its own error, whatever the mode.
 
     ``detect_only`` reports clean for exact codewords and uncorrectable for
     everything else.  ``correct`` delivers the unique nearest codeword:
@@ -336,9 +345,8 @@ def decode(code: LinearCode, received, mode: str = CORRECT,
     w = code._index(received)
     try:
         return code._outcomes[mode, tie_break][w]
-    except (KeyError, TypeError):  # the keys are exactly the valid pairs
-        code.decode_table(mode, tie_break)
-        raise
+    except (KeyError, TypeError):  # a policy's first use, or not a valid pair
+        return code._outcome_table(mode, tie_break)[w]
 
 
 @dataclass(frozen=True)

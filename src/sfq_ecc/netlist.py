@@ -13,7 +13,8 @@ the levelized program that validation, cycle simulation and fault injection
 all run on.
 
 Serialization is a versioned JSON document with stable cell ids, so two
-synthesis runs of the same code diff cleanly.
+synthesis runs of the same code diff cleanly; ``content_hash`` is the
+sha256 of its bytes, which :meth:`Netlist.to_json` writes in one pass.
 """
 
 from __future__ import annotations
@@ -137,7 +138,23 @@ class Netlist:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written in one pass.
+
+        Each cell and net fills a fixed template, each string through json's own escaper."""
+        esc = json.encoder.encode_basestring_ascii
+        try:
+            cells = [f'{{\n      "id": {esc(c.id)},\n      "kind": {esc(c.kind)}'
+                     + (f',\n      "role": {esc(c.role)}\n    }}' if c.role else "\n    }")
+                     for c in self.cells.values()]
+            nets = [f'{{\n      "from": {esc(f"{n.src}:{n.src_port}")},\n      '
+                    f'"to": {esc(f"{n.dst}:{n.dst_pin}")}\n    }}' for n in self.nets]
+            return (f'{{\n  "cells": {_array(cells)},\n  "clock": '
+                    f'{"null" if self.clock is None else esc(self.clock)},\n  '
+                    f'"inputs": {_array(map(esc, self.inputs))},\n  "name": {esc(self.name)},\n  '
+                    f'"nets": {_array(nets)},\n  "outputs": {_array(map(esc, self.outputs))},\n  '
+                    f'"version": {SERIAL_VERSION}\n}}')
+        except TypeError:  # a field that is not a string, only in a hand-built netlist
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -184,6 +201,11 @@ class Netlist:
         except json.JSONDecodeError as e:
             raise StructuralError(f"netlist JSON malformed: {e}") from e
         return cls.from_dict(doc)
+
+
+def _array(items) -> str:
+    """A JSON array of written items, one level into the document, as ``indent=2`` spells it."""
+    return f"[\n    {body}\n  ]" if (body := ",\n    ".join(items)) else "[]"
 
 
 # -- compilation ----------------------------------------------------------------

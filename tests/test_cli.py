@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, reports, exit codes."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -128,6 +129,19 @@ def test_simulate_output_bytes(tmp_path, capsys, code):
         f"{c * (1.0 / 3.3):.6g},o{j},{b}\n" for c, f in enumerate(frames)
         for j, b in enumerate(f))
     assert (tmp_path / "timeline.csv").read_text() == csv
+
+
+def test_simulate_long_stream_bytes(tmp_path):
+    # CI's console-script check of a long stream, in-process: 2,000 messages give
+    # (2000 + 2) cycles of 8 outputs, one CSV line each, and the header
+    run(["synth", "hamming84", "--out", str(tmp_path)])
+    stream = [a for i in range(2000) for a in ("--message", format(i % 16, "04b"))]
+    assert run(["simulate", str(tmp_path / "hamming84_netlist.json"), *stream,
+                "--out", str(tmp_path / "stream")]) == EXIT_OK
+    data = (tmp_path / "stream" / "timeline.csv").read_bytes()
+    assert data.count(b"\n") == 16017
+    assert hashlib.sha256(data).hexdigest() == (
+        "118756a828cc186920df462b16e8e35e2c1da862b1d840b5858ad7d79db6bed6")
 
 
 @pytest.mark.parametrize("clock", ["nan", "inf", "-inf", "1e-320"])

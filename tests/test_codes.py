@@ -450,7 +450,7 @@ def outcome(f, *args):
         return ValueError, str(e)
 
 
-BIT_DTYPES = (np.uint8, np.int64, np.bool_, np.float64)
+BIT_DTYPES = (np.uint8, np.int8, np.int64, np.bool_, np.float64)
 ODD_VALUES = (2, 0.5, 256, -1, 1.5, float("nan"), np.inf)
 BIT_TYPES = (int, bool, float, np.uint8, np.float32)
 
@@ -462,7 +462,7 @@ def received_words(draw, n):
     values = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     if values and draw(st.integers(0, 4)) == 0:  # one value that is not a bit
         values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(ODD_VALUES))
-    form = draw(st.sampled_from(["array", "list", "string", "object", "2-D", "0-d"]))
+    form = draw(st.sampled_from(["array", "list", "string", "object", "2-D", "0-d", "strided"]))
     if form == "string":
         text = "".join(str(v) for v in values)
         return text if draw(st.integers(0, 4)) else text + draw(st.sampled_from("2a "))
@@ -476,6 +476,10 @@ def received_words(draw, n):
         dtype = np.float64  # 0.5 and -1 do not fit every dtype, and would not reach the rule
     if form == "0-d":
         return np.array(values[0] if values else 1, dtype=dtype)
+    if form == "strided":  # every other value of a buffer whose other values are ones
+        buffer = np.ones(2 * size, dtype=dtype)
+        buffer[::2] = values
+        return buffer[::2]
     a = np.array(values, dtype=dtype)
     return a if form == "array" else a.reshape(1, -1)
 
@@ -510,11 +514,46 @@ def test_index_and_lookups_equal_the_bits_dot_place_values(data, name):
     np.array(1), np.zeros(7, dtype=np.uint8), "0110011", "0110011a", "", [],
     # four bits in 2-byte ints: their eight bytes, each 0 or 1, spell a valid 8-bit word
     np.array([1, 0, 1, 1], dtype=np.uint16), np.array([0, 1, 1, 0], dtype=np.int16),
+    # one-byte words that are no bits: characters, whose bytes may be 0 and 1, a row of a
+    # 2-D array, and a byte holding 2
+    np.frombuffer(b"01100110", dtype="S1"), np.frombuffer(b"\x00\x01\x01\x00" * 2, dtype="S1"),
+    np.zeros((1, 8), dtype=np.uint8), np.array([0, 1, 1, 0, 0, 1, 1, 2], dtype=np.uint8),
+    np.array([0, 1, 1, 0, 0, 1, 1, 2], dtype=np.int8),
 ])
 def test_index_rejects_what_the_bits_rule_rejects_with_its_message(word):
     code = make_code("hamming84")
     assert outcome(code._index, word) == outcome(reference_index, code, word)
     assert outcome(code._index, word)[0] is ValueError
+
+
+def test_index_reads_a_bool_array_by_its_values_not_its_bytes():
+    # True is any nonzero byte: this word's first byte is 2, its value True
+    word = np.array([2, 0, 1, 1, 0, 0, 1, 1], dtype=np.uint8).view(np.bool_)
+    code = make_code("hamming84")
+    assert code._index(word) == reference_index(code, word) == 0b10110011
+    assert decode(code, word) is decode(code, "10110011")
+
+
+@pytest.mark.parametrize("kw", [{"mode": "bogus"}, {"tie_break": "bogus"}, {"mode": ["bogus"]}])
+@pytest.mark.parametrize("word", ["0110011", [2] * 8, np.zeros((1, 8), dtype=np.uint8),
+                                  np.array([2] + [0] * 7, dtype=np.uint8)])
+def test_a_bad_word_raises_its_own_error_whatever_the_mode(word, kw):
+    want = outcome(reference_index, make_code("hamming84"), word)
+    for warm in (False, True):  # before and after the default decoder's first use
+        code = make_code("hamming84")
+        if warm:
+            decode(code, "01100110")
+        assert outcome(lambda: decode(code, word, **kw)) == want
+
+
+def test_each_decoder_builds_its_outcomes_on_its_first_use():
+    code = make_code("rm13")
+    assert code._outcomes == {}
+    out = decode(code, "01100110")
+    assert list(code._outcomes) == [(CORRECT, TIE_CONSERVATIVE)]
+    decode(code, "01100110", DETECT_ONLY, TIE_OPTIMISTIC)
+    assert list(code._outcomes) == [(CORRECT, TIE_CONSERVATIVE), (DETECT_ONLY, TIE_OPTIMISTIC)]
+    assert decode(code, "01100110") is out
 
 
 @pytest.mark.parametrize("name", ALL_CODES)

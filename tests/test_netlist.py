@@ -1,15 +1,24 @@
-"""The compile cache: a cached program always equals a fresh compile of the same netlist."""
+"""The compile cache: a cached program always equals a fresh compile of the same netlist.
+
+And the JSON writer: ``to_json`` spells every netlist as the stdlib's indented,
+key-sorted dump of ``to_dict`` does.
+"""
 
 import dataclasses
+import hashlib
+import json
 from functools import cache
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sfq_ecc import netlist as nl
+from sfq_ecc.codes import LinearCode
 from sfq_ecc.netlist import Netlist, StructuralError
 from sfq_ecc.ppv import SETUP_NAMES, make_setup
+from sfq_ecc.synth import synthesize
 
 
 def outcome(net):
@@ -119,3 +128,80 @@ def test_warm_compile_equals_cold_compile(setup_and_doc, data):
     cold_compile_agrees(net, warm)
     info = nl._compile.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# --- serialization ----------------------------------------------------------
+
+def reference_json(net):
+    """The stdlib writer ``to_json`` replaces, kept as the oracle."""
+    return json.dumps(net.to_dict(), indent=2, sort_keys=True)
+
+
+def assert_written_as_stdlib(net):
+    text = net.to_json()
+    assert text == reference_json(net)
+    assert net.content_hash() == hashlib.sha256(text.encode()).hexdigest()
+
+
+# strings json must escape: quotes, backslashes, control characters, non-ASCII
+# (a lone surrogate and a character beyond the BMP among them) and the separators
+ODD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\ud800", "\U0001f600",
+             ":", ",", " "]
+odd_text = st.lists(st.sampled_from(ODD_CHARS) | st.characters(), max_size=5).map("".join)
+
+
+@st.composite
+def netlist_docs(draw):
+    """Documents ``Netlist.from_dict`` accepts, with odd strings everywhere one may go."""
+    cells = draw(st.lists(st.fixed_dictionaries({"id": odd_text, "kind": odd_text},
+                                                optional={"role": odd_text}),
+                          max_size=4, unique_by=lambda c: c["id"]))
+    ends = st.tuples(odd_text, st.integers(0, 3), odd_text, st.integers(0, 3) | st.just("clk"))
+    nets = [{"from": f"{s}:{p}", "to": f"{d}:{q}"}
+            for s, p, d, q in draw(st.lists(ends, max_size=4))]
+    return {"version": nl.SERIAL_VERSION, "name": draw(odd_text), "cells": cells, "nets": nets,
+            "outputs": draw(st.lists(odd_text, max_size=3)),
+            "inputs": draw(st.lists(odd_text, max_size=3)), "clock": draw(st.none() | odd_text)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=netlist_docs())
+def test_to_json_is_the_stdlib_dump_of_any_document(doc):
+    net = Netlist.from_dict(doc)
+    assert_written_as_stdlib(net)
+    assert Netlist.from_json(net.to_json()).to_dict() == net.to_dict()
+
+
+@st.composite
+def synthesizable_codes(draw):
+    """Full-rank generators with k <= 4, n <= 8 and no zero column."""
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.integers(1, 2**k - 1), min_size=k, max_size=8))
+    try:
+        return LinearCode("random", [[(c >> i) & 1 for c in cols] for i in range(k)])
+    except ValueError:  # rank below k
+        reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=synthesizable_codes())
+def test_to_json_is_the_stdlib_dump_of_synthesized_netlists(code):
+    assert_written_as_stdlib(synthesize(code))
+
+
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_to_json_of_the_shipped_setups_and_an_empty_netlist(name):
+    assert_written_as_stdlib(setup_netlist(name))
+    assert_written_as_stdlib(Netlist(name))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda net: net.add_cell(7, nl.INPUT), lambda net: setattr(net, "clock", 3),
+    lambda net: net.outputs.append(None), lambda net: setattr(net, "name", 1.5),
+    lambda net: net.add_cell("s", nl.SPLITTER, role=("clock",)),
+])
+def test_to_json_of_a_hand_built_netlist_with_fields_that_are_not_strings(edit):
+    net = Netlist("hand")
+    net.add_cell("m1", nl.INPUT)
+    edit(net)
+    assert_written_as_stdlib(net)
