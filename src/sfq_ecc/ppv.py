@@ -40,7 +40,7 @@ words after them follow the same layout.
 
 Chip c of every setup reads the same stream, so under ``uniform`` each
 setup's head, every word before its block, is a prefix of the longest.
-:class:`_ChipStore` draws each chip of a run once for all its setups (an
+:class:`ChipStore` draws each chip of a run once for all its setups (an
 ``mc`` run, a calibration) and keeps one generator per chip.  Misfire rows
 are drawn on demand, a batch's in one block, only for cells that can
 misfire under some scored point, at absolute word positions reached with
@@ -247,8 +247,8 @@ class CdfSeries:
 
 
 class _FaultEngine:
-    """A netlist, its :func:`netlist.compile` program and counts, built per call: kept only
-    as ``perfbench/tracing.py`` keys each chip draw on :func:`_chip_material`'s first argument."""
+    """A netlist, its :func:`netlist.compile` program and counts, built per call or store: kept
+    only as ``perfbench/tracing.py`` keys each chip draw on :func:`_chip_material`'s first argument."""
 
     def __init__(self, net: Netlist):
         self.net = net
@@ -361,19 +361,19 @@ def _chip_material(eng: _FaultEngine, cfg: PpvConfig, chip_index: int):
     return head, bitgen
 
 
-class _ChipStore:
-    """Chips ``chips`` (default all ``cfg.n_chips``) of ``cfg``'s stream, drawn once for ``engs``.
+class ChipStore:
+    """Chips ``chips`` (default all ``cfg.n_chips``) of ``cfg``'s stream, drawn once for ``nets``.
 
-    A chip is one :func:`_chip_material` at the longest head (under ``gaussian``,
-    whose redraws break the prefix, at each cell count's), a batch drawn when
-    first read.  A head is kept as rows of two arrays, its deviations and the
-    top bit of each byte (all that branch and message bits read): ~1 KB a chip
-    for the four setups at 100 messages, half of it the one generator.
+    It compiles ``nets`` into ``engs``, shortest head first.  A chip is one
+    :func:`_chip_material` at the longest head (under ``gaussian``, whose redraws break the
+    prefix, at each cell count's), a batch drawn when first read.  A head is kept as rows of two
+    arrays, its deviations and the top bit of each byte (all that branch and message bits read):
+    ~1 KB a chip for the four setups at 100 messages, half of it the one generator.
     """
 
-    def __init__(self, cfg: PpvConfig, engs, chips: range | None = None):
+    def __init__(self, cfg: PpvConfig, nets, chips: range | None = None):
         self.cfg, self.chips, self.drawn = cfg, range(cfg.n_chips) if chips is None else chips, 0
-        engs = sorted(engs, key=partial(_head_words, cfg=cfg))
+        self.engs = engs = sorted(map(_FaultEngine, nets), key=partial(_head_words, cfg=cfg))
         cells, n = max(eng.n_cells for eng in engs), len(self.chips)
         # key (0, or the cell count under gaussian) -> engine, deviations, tops, generators and
         # the word each stands at
@@ -431,7 +431,7 @@ def _below(words, q: float) -> np.ndarray:
     return words >> 11 < np.uint64(math.ceil(q * 2.0**53))
 
 
-def _decode(eng: _FaultEngine, cfg: PpvConfig, store: _ChipStore, chips: range) -> tuple:
+def _decode(eng: _FaultEngine, cfg: PpvConfig, store: ChipStore, chips: range) -> tuple:
     """The batch ``chips`` of ``store`` as :func:`_received` takes it, from ``eng``'s head prefix.
 
     Deviations (chips, cells), then branches (chips, splitters) and messages
@@ -468,9 +468,9 @@ def sample_chip(net: Netlist, cfg: PpvConfig, chip_index: int) -> ChipInstance:
     Chip indices run from 0 to 2**31 - 1, as the chips of a Monte Carlo do.
     """
     _checks.count("chip_index", chip_index, 0)
-    eng, chips = _FaultEngine(net), range(chip_index, chip_index + 1)
-    dev, branch, *_ = _decode(eng, cfg, _ChipStore(cfg, [eng], chips), chips)
-    return ChipInstance(chip_index, eng.prog.cell_ids, dev[0], branch[0])
+    store = ChipStore(cfg, [net], range(chip_index, chip_index + 1))
+    dev, branch, *_ = _decode(store.engs[0], cfg, store, store.chips)
+    return ChipInstance(chip_index, store.engs[0].prog.cell_ids, dev[0], branch[0])
 
 
 def _word_index(packed, n_messages: int) -> np.ndarray:
@@ -616,16 +616,16 @@ def run_trial(setup: EncoderSetup, chip: ChipInstance, cfg: PpvConfig) -> int:
     chip sampled from another netlist raises ``ValueError``.
     """
     _checks.count("chip_index", chip.chip_index, 0)
-    eng, chips = _FaultEngine(setup.netlist), range(chip.chip_index, chip.chip_index + 1)
-    if tuple(chip.cell_ids) != eng.prog.cell_ids:
+    store = ChipStore(cfg, [setup.netlist], range(chip.chip_index, chip.chip_index + 1))
+    if tuple(chip.cell_ids) != (eng := store.engs[0]).prog.cell_ids:
         raise ValueError(f"chip {chip.chip_index} was sampled from another netlist")
-    _, _, msgs, draw = _decode(eng, cfg, _ChipStore(cfg, [eng], chips), chips)
+    _, _, msgs, draw = _decode(eng, cfg, store, store.chips)
     batch = (np.asarray(chip.deviations)[None], np.asarray(chip.branch_sel)[None], msgs, draw)
     return int(_score(eng, _wrong(eng, setup, cfg), cfg, *_own_point(cfg), batch)[0, 0])
 
 
 def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
-                       chips: _ChipStore | None = None) -> np.ndarray:
+                       chips: ChipStore | None = None) -> np.ndarray:
     """Per-chip erroneous-message counts of ``cfg`` at several (margins, q) points.
 
     ``margins`` is (points, 4) in ``CELL_KINDS`` order and ``q`` is (points,);
@@ -636,7 +636,7 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     engine row per distinct misfire pattern of the pairs that misfire
     (:func:`_received`), read through one table; the fault-free pairs are
     counted from one fault-free evaluation per call (:func:`_wrong`).
-    ``chips``, a :class:`_ChipStore` of ``cfg``'s stream with ``setup``'s head and ``n_chips``
+    ``chips``, a :class:`ChipStore` of ``cfg``'s stream with ``setup``'s head and ``n_chips``
     chips (else ValueError), is drawn once for many calls; without it, batches are dropped.
     """
     eng = _FaultEngine(setup.netlist)
@@ -644,7 +644,7 @@ def _error_counts_many(setup: EncoderSetup, cfg: PpvConfig, margins, q,
     out = np.empty((len(q), cfg.n_chips), dtype=np.int64)
     for start in range(0, cfg.n_chips, _BATCH):
         batch = range(start, min(start + _BATCH, cfg.n_chips))
-        drawn = _decode(eng, cfg, chips or _ChipStore(cfg, [eng], batch), batch)
+        drawn = _decode(eng, cfg, chips or ChipStore(cfg, [setup.netlist], batch), batch)
         out[:, start:batch.stop] = _score(eng, wrong, cfg, margins, q, drawn)
     return out
 
@@ -763,7 +763,7 @@ def calibrate_fault_model(targets=None, base: PpvConfig | None = None, *,
     search_chips, refine_chips = min(search_chips, base.n_chips), min(refine_chips, base.n_chips)
     setups = [make_setup(name) for name in SETUP_NAMES]
     # every scored config shares base's chips, each drawn once for every setup
-    chips = _ChipStore(base, [_FaultEngine(s.netlist) for s in setups])
+    chips = ChipStore(base, [s.netlist for s in setups])
 
     def badness(probs: dict, dev: float):
         return require_order and not ordered(probs), dev

@@ -132,8 +132,8 @@ def test_simulate_output_bytes(tmp_path, capsys, code):
 
 
 def test_simulate_long_stream_bytes(tmp_path):
-    # CI's console-script check of a long stream, in-process: 2,000 messages give
-    # (2000 + 2) cycles of 8 outputs, one CSV line each, and the header
+    # a long stream through the rows of to_timeline: 2,000 messages give (2000 + 2) cycles
+    # of 8 outputs, one CSV line each, and the header
     run(["synth", "hamming84", "--out", str(tmp_path)])
     stream = [a for i in range(2000) for a in ("--message", format(i % 16, "04b"))]
     assert run(["simulate", str(tmp_path / "hamming84_netlist.json"), *stream,
@@ -447,12 +447,6 @@ def test_calibrate_unreachable_targets_flagged(tmp_path):
     assert code == EXIT_NONCONVERGED
     doc = json.loads((tmp_path / "ppv_calibrated.json").read_text())
     assert not doc["converged"]  # config still written, with a warning
-
-
-def test_calibrate_defaults_reproduce_the_shipped_calibration(tmp_path):
-    shipped = Path(ppv.__file__).parent / "data" / "ppv_calibrated.json"
-    assert run(["calibrate", "--out", str(tmp_path)]) == EXIT_OK
-    assert (tmp_path / "ppv_calibrated.json").read_bytes() == shipped.read_bytes()
 
 
 def test_calibrate_rejects_negative_refine_rounds(tmp_path):

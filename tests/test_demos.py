@@ -10,6 +10,7 @@ and its shipped data files give, so a stale figure fails here.
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -126,9 +127,27 @@ def test_readme_probabilities_are_the_shipped_calibration():
     assert f"under ±{round(doc['config']['spread'] * 100)} % spread" in prose
 
 
+def readme_block(heading: str) -> list:
+    """The lines of the first plain fenced block after ``heading`` in README."""
+    block = README.read_text().split(heading, 1)[1].split("```\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
+def test_readme_command_line_runs_as_written(tmp_path, monkeypatch):
+    # each line through cli.main, in one fresh directory with the default output directory;
+    # the default calibration writes the shipped one, byte for byte
+    lines = readme_block("## Command line")
+    assert lines and [line for line in lines if not line.startswith("sfq-ecc ")] == []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SFQ_ECC_OUT", raising=False)
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == cli.EXIT_OK, line
+    shipped = (DATA / "ppv_calibrated.json").read_bytes()
+    assert (tmp_path / "ppv_calibrated.json").read_bytes() == shipped
+
+
 def test_readme_lists_every_demo():
-    block = README.read_text().split("## Demos", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
-    listed = [line.split()[1] for line in block.splitlines()]
+    listed = [line.split()[1] for line in readme_block("## Demos")]
     assert listed == sorted(f"demos/{p.name}" for p in (ROOT / "demos").glob("*.py"))
 
 

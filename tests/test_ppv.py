@@ -291,7 +291,7 @@ def received(net, chip, cfg, msgs):
 def drawn_cells(eng, cfg, chips):
     """The cells the fault path reads under ``cfg`` per chip of the range ``chips``: those
     that draw misfire rows."""
-    store = ppv._ChipStore(cfg, [eng], chips)
+    store = ppv.ChipStore(cfg, [eng.net], chips)
     return [cells for cells, _ in drawn_rows(eng, cfg, *points(cfg), store, chips)]
 
 
@@ -459,10 +459,12 @@ def test_cdf_monotone_terminal_one():
     assert series.ns[0] == 0 and series.ns[-1] == cfg.n_messages
 
 
-def test_no_faults_gives_step_at_zero():
-    setup = make_setup("rm13")
-    series = monte_carlo(setup, no_fault_cfg(n_chips=40, n_messages=30))
-    assert series.zero_error_prob == 1.0
+@pytest.mark.parametrize("name", SETUP_NAMES)
+@pytest.mark.parametrize("over", [{"margins": margins()}, {"q": 0}], ids=["at_spread", "q0"])
+def test_no_faults_gives_step_at_zero(over, name):
+    # no chip misfires with every margin at the spread, nor at q = 0: every pair is scored on
+    # the fault-free path, and the CDF reads 1 from n = 0; 300 chips make two batches
+    series = monte_carlo(make_setup(name), PpvConfig(n_chips=300, n_messages=10, **over))
     assert (series.cdf == 1.0).all()
 
 
@@ -491,6 +493,8 @@ def shipped_config() -> PpvConfig:
 @example(codes=("hamming84", "none"), n_chips=257, variant={}, n_messages=100, seed=20240)
 @example(codes=("hamming84", "none"), n_chips=251, variant={"distribution": "gaussian"},
          n_messages=100, seed=7)
+# the largest seed, its 600 chips three blocks of seed words, with no RuntimeWarning
+@example(codes=SETUP_NAMES, n_chips=600, variant={}, n_messages=10, seed=2**31 - 1)
 def test_mc_writes_each_setups_counts_drawn_alone(codes, n_chips, variant, n_messages, seed):
     # mc draws each chip once into a store its setups share; no CDF may differ from its
     # setup's Monte Carlo drawn alone, whichever setups share the store, in whatever order
@@ -573,8 +577,7 @@ def test_decoded_batch_equals_generator_draws(name, distribution, n_messages, se
     eng = _FaultEngine(make_setup(name).netlist)
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     chips = range(first, first + count)
-    store = ppv._ChipStore(cfg, [_FaultEngine(make_setup(n).netlist) for n in SETUP_NAMES],
-                           chips)
+    store = ppv.ChipStore(cfg, [make_setup(n).netlist for n in SETUP_NAMES], chips)
     dev, branch, msgs, draw = ppv._decode(eng, cfg, store, chips)
     cells = np.arange(eng.n_cells)
     assert msgs.dtype == np.uint8
@@ -661,7 +664,7 @@ def test_sparse_misfire_rows_equal_full_block(name, distribution, margin, n_mess
     dev, _, _, full = reference_material(eng, cfg, chip)
     q, chips = np.full(len(margin), cfg.q), range(chip, chip + 1)
     ((cells, drawn),) = drawn_rows(eng, cfg, np.array(margin), q,
-                                   ppv._ChipStore(cfg, [eng], chips), chips)
+                                   ppv.ChipStore(cfg, [eng.net], chips), chips)
     weakest = [min(m[KINDS.index(k)] for m in margin) if k in KINDS else np.inf
                for k in eng.prog.kinds]
     assert cells.tolist() == np.flatnonzero(np.abs(dev) > weakest).tolist()
@@ -683,7 +686,7 @@ def test_kept_material_draws_any_rows_in_any_order(name, distribution, n_message
     cfg = PpvConfig(distribution=distribution, n_messages=n_messages, master_seed=seed)
     engs = {n: _FaultEngine(make_setup(n).netlist) for n in SETUP_NAMES}
     chips = range(chip, chip + 1)
-    store = ppv._ChipStore(cfg, list(engs.values()), chips)
+    store = ppv.ChipStore(cfg, [e.net for e in engs.values()], chips)
     full = {n: reference_material(e, cfg, chip)[3] for n, e in engs.items()}
     zero = dataclasses.replace(cfg, margins=dict.fromkeys(KINDS, 0.0))
     ((cells, drawn),) = drawn_rows(engs[name], zero, *points(zero), store, chips)
